@@ -28,6 +28,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra, Monomial
 from .fields import serialize_scalar as _ser
+from .linalg import add_scaled
 
 
 def arrow_head(alg, arrow):
@@ -105,7 +106,92 @@ def matrix_to_arrow(alg, K):
     return (alg.monomial(exps), mu)
 
 
-class ConvexTruncation:
+class BasedAlgebra:
+    """Index and multiplication shared by algebras with a basis of arrows.
+
+    A subclass sets `field`, `arrows` (pairs (monomial, base)) and
+    `heads`, calls `_index_arrows` once, and supplies `product_indices`.
+    The index answers "which arrows start at y", "which end at w" and
+    "which run from y to w" by lookup; each answer lists indices in
+    increasing order.  Basis arrows i and j compose only when
+    base(i) == head(j); every other product is zero by grading and is
+    skipped without a table lookup.
+    """
+
+    def _index_arrows(self):
+        self.bases = [a[1] for a in self.arrows]
+        by_base, by_head, by_pair = {}, {}, {}
+        for i, (y, w) in enumerate(zip(self.bases, self.heads)):
+            by_base.setdefault(y, []).append(i)
+            by_head.setdefault(w, []).append(i)
+            by_pair.setdefault((y, w), []).append(i)
+        self._by_base = {y: tuple(v) for y, v in by_base.items()}
+        self._by_head = {w: tuple(v) for w, v in by_head.items()}
+        self._by_pair = {k: tuple(v) for k, v in by_pair.items()}
+
+    @property
+    def dim(self):
+        return len(self.arrows)
+
+    def head(self, i):
+        return self.heads[i]
+
+    def base(self, i):
+        return self.bases[i]
+
+    def is_unit_arrow(self, i):
+        return self.arrows[i][0].is_unit()
+
+    def based_at(self, y):
+        """Indices of the arrows starting at y."""
+        return self._by_base.get(tuple(y), ())
+
+    def ending_at(self, w):
+        """Indices of the arrows ending at w."""
+        return self._by_head.get(tuple(w), ())
+
+    def between(self, y, w):
+        """Indices of the arrows from y to w."""
+        return self._by_pair.get((tuple(y), tuple(w)), ())
+
+    def unit(self):
+        one = self.field.one
+        return {i: one for i in range(self.dim) if self.is_unit_arrow(i)}
+
+    def _compose(self, i, j):
+        """Product of composable basis arrows i and j as an arrow element."""
+        (m1, _), (m2, y2) = self.arrows[i], self.arrows[j]
+        field = self.field
+        out = {}
+        for exps, k in self.alg.multiply_monomials(m1, m2):
+            c = field.of(k)
+            if c != field.zero:
+                out[(Monomial(m1.n, exps), y2)] = c
+        return out
+
+    def product(self, x, y):
+        """Bilinear product of index vectors."""
+        field = self.field
+        bases = self.bases
+        out = {}
+        for j, cj in y.items():
+            head = self.heads[j]
+            for i, ci in x.items():
+                if bases[i] == head:
+                    add_scaled(out, self.product_indices(i, j),
+                               field.mul(ci, cj), field)
+        return out
+
+    def _products_json(self):
+        triples = []
+        for i in range(self.dim):
+            for j in range(self.dim):
+                for k, c in sorted(self.product_indices(i, j).items()):
+                    triples.append([i, j, k, _ser(c)])
+        return triples
+
+
+class ConvexTruncation(BasedAlgebra):
     """The finite-dimensional algebra carried by a convex set of points.
 
     Basis arrows have both endpoints in the set; the product of basis
@@ -123,72 +209,32 @@ class ConvexTruncation:
             raise ValueError("point set is not convex; use quotient_algebra")
         arrows = []
         for y in self.points:
-            for y2 in self.points:
-                d = positive_root_coords(point_sub(y2, y))
+            for w in self.points:
+                d = positive_root_coords(point_sub(w, y))
                 if d is None:
                     continue
                 for m in alg.component_basis(d):
-                    arrows.append((m, y))
-        self.arrows = sorted(arrows, key=self._arrow_sort_key)
+                    arrows.append((y, w, m))
+        arrows.sort(key=lambda t: (t[0], t[1], t[2].exps))
+        self.arrows = [(m, y) for y, _, m in arrows]
+        self.heads = [w for _, w, _ in arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
+        self._index_arrows()
         self._ptable = {}
 
-    def _arrow_sort_key(self, arrow):
-        m, y = arrow
-        return (y, arrow_head(self.alg, arrow), m.exps)
-
-    @property
-    def dim(self):
-        return len(self.arrows)
-
-    def head(self, i):
-        return arrow_head(self.alg, self.arrows[i])
-
-    def base(self, i):
-        return self.arrows[i][1]
-
-    def is_unit_arrow(self, i):
-        return self.arrows[i][0].is_unit()
-
-    def based_at(self, y):
-        return [i for i, a in enumerate(self.arrows) if a[1] == y]
-
-    def unit(self):
-        one = self.field.one
-        return {self.index[indicator(self.alg, y)]: one for y in self.points}
-
     def indicator_vector(self, y):
-        return {self.index[indicator(self.alg, y)]: self.field.one}
+        return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
 
     def product_indices(self, i, j):
         """Product of basis arrows i and j as a vector over basis indices."""
+        if self.bases[i] != self.heads[j]:
+            return {}
         hit = self._ptable.get((i, j))
-        if hit is not None:
-            return dict(hit)
-        elem = arrow_product(self.alg,
-                             {self.arrows[i]: self.field.one},
-                             {self.arrows[j]: self.field.one},
-                             self.field)
-        out = {}
-        for a, c in elem.items():
-            out[self.index[a]] = c
-        self._ptable[(i, j)] = out
-        return dict(out)
-
-    def product(self, x, y):
-        """Bilinear product of index vectors."""
-        zero = self.field.zero
-        out = {}
-        for j, cj in y.items():
-            for i, ci in x.items():
-                c = self.field.mul(ci, cj)
-                for k, ck in self.product_indices(i, j).items():
-                    v = self.field.add(out.get(k, zero), self.field.mul(c, ck))
-                    if v == zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
+        if hit is None:
+            index = self.index
+            hit = self._ptable[(i, j)] = {
+                index[a]: c for a, c in self._compose(i, j).items()}
+        return dict(hit)
 
     def to_json(self, with_products=True):
         payload = {
@@ -200,16 +246,11 @@ class ConvexTruncation:
                       for m, y in self.arrows],
         }
         if with_products:
-            triples = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for k, c in sorted(self.product_indices(i, j).items()):
-                        triples.append([i, j, k, _ser(c)])
-            payload["products"] = triples
+            payload["products"] = self._products_json()
         return payload
 
 
-class BorelAlgebra:
+class BorelAlgebra(BasedAlgebra):
     """The composition-indexed quotient: basis = kept arrows = marginal matrices.
 
     Products are computed in the ambient arrow algebra and reduced by the
@@ -226,32 +267,10 @@ class BorelAlgebra:
         self.field = field
         self.matrices = tri_matrices_all(n, r)
         self.arrows = [matrix_to_arrow(self.alg, K) for K in self.matrices]
+        self.heads = [arrow_head(self.alg, a) for a in self.arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
+        self._index_arrows()
         self._ptable = {}
-
-    @property
-    def dim(self):
-        return len(self.arrows)
-
-    def head(self, i):
-        return arrow_head(self.alg, self.arrows[i])
-
-    def base(self, i):
-        return self.arrows[i][1]
-
-    def is_unit_arrow(self, i):
-        return self.arrows[i][0].is_unit()
-
-    def based_at(self, mu):
-        return [i for i, a in enumerate(self.arrows) if a[1] == tuple(mu)]
-
-    def unit(self):
-        one = self.field.one
-        out = {}
-        for i, a in enumerate(self.arrows):
-            if a[0].is_unit():
-                out[i] = one
-        return out
 
     def indicator_vector(self, mu):
         return {self.index[indicator(self.alg, tuple(mu))]: self.field.one}
@@ -265,37 +284,20 @@ class BorelAlgebra:
         return out
 
     def product_indices(self, i, j):
+        if self.bases[i] != self.heads[j]:
+            return {}
         hit = self._ptable.get((i, j))
-        if hit is not None:
-            return dict(hit)
-        elem = arrow_product(self.alg,
-                             {self.arrows[i]: self.field.one},
-                             {self.arrows[j]: self.field.one},
-                             self.field)
-        out = self.reduce_element(elem)
-        self._ptable[(i, j)] = out
-        return dict(out)
-
-    def product(self, x, y):
-        zero = self.field.zero
-        out = {}
-        for j, cj in y.items():
-            for i, ci in x.items():
-                c = self.field.mul(ci, cj)
-                for k, ck in self.product_indices(i, j).items():
-                    v = self.field.add(out.get(k, zero), self.field.mul(c, ck))
-                    if v == zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
+        if hit is None:
+            hit = self._ptable[(i, j)] = self.reduce_element(
+                self._compose(i, j))
+        return dict(hit)
 
     def projective_indices(self, mu):
         """Basis of the projective carried by a composition: arrows based there."""
         mu = tuple(mu)
         if not is_composition(mu, self.r):
             raise ValueError(f"{mu} is not a composition of {self.r}")
-        return self.based_at(mu)
+        return list(self.based_at(mu))
 
     def to_json(self, with_products=False):
         payload = {
@@ -306,14 +308,10 @@ class BorelAlgebra:
             "basis": [{"matrix": [list(row) for row in K],
                        "exponents": list(a[0].exps),
                        "base": list(a[1]),
-                       "head": list(arrow_head(self.alg, a))}
-                      for K, a in zip(self.matrices, self.arrows)],
+                       "head": list(w)}
+                      for K, a, w in zip(self.matrices, self.arrows,
+                                         self.heads)],
         }
         if with_products:
-            triples = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for k, c in sorted(self.product_indices(i, j).items()):
-                        triples.append([i, j, k, _ser(c)])
-            payload["products"] = triples
+            payload["products"] = self._products_json()
         return payload

@@ -15,6 +15,7 @@ characteristics share a single table.
 """
 
 import json
+import os
 from fractions import Fraction
 from math import factorial
 
@@ -327,21 +328,70 @@ class DividedPowerAlgebra:
                             [[list(e), c] for e, c in terms]])
         payload = {"schema": self.CACHE_SCHEMA, "n": self.n,
                    "height": h, "entries": entries}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # only when writing or replacing failed
+                os.remove(tmp)
 
     def load_cache(self, path, h):
-        """Load a cache file; returns False if the key does not cover (n, h)."""
+        """Load a cache file; returns False if it does not cover (n, h) or
+        is malformed, and then nothing is loaded.
+
+        Every entry must be a triple (exponents, exponents, terms) with
+        exponent vectors of length n(n-1)/2 and integer coefficients.
+        """
         try:
             with open(path) as fh:
                 payload = json.load(fh)
         except (OSError, ValueError):
             return False
-        if (payload.get("schema") != self.CACHE_SCHEMA
+        if (type(payload) is not dict
+                or payload.get("schema") != self.CACHE_SCHEMA
                 or payload.get("n") != self.n
-                or payload.get("height", -1) < h):
+                or type(payload.get("height")) is not int
+                or payload["height"] < h
+                or type(payload.get("entries")) is not list):
             return False
-        for e1, e2, terms in payload["entries"]:
-            key = (tuple(e1), tuple(e2))
-            self._products[key] = tuple((tuple(e), c) for e, c in terms)
+        table = _parse_entries(payload["entries"], len(self.pairs))
+        if table is None:
+            return False
+        self._products.update(table)
         return True
+
+
+def _exps(value, length):
+    """A non-negative integer exponent vector of the given length, or None."""
+    if type(value) is not list or len(value) != length:
+        return None
+    for k in value:
+        if type(k) is not int or k < 0:
+            return None
+    return tuple(value)
+
+
+def _parse_entries(entries, length):
+    """Cache entries -> product table, or None if any entry is malformed."""
+    table = {}
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            return None
+        e1, e2, terms = entry
+        e1, e2 = _exps(e1, length), _exps(e2, length)
+        if e1 is None or e2 is None or type(terms) is not list:
+            return None
+        out = []
+        for term in terms:
+            if type(term) is not list or len(term) != 2:
+                return None
+            e, c = term
+            e = _exps(e, length)
+            if e is None or type(c) is not int:
+                return None
+            out.append((e, c))
+        table[(e1, e2)] = tuple(out)
+    return table

@@ -1,10 +1,15 @@
 """Quotients by point indicators and idempotent-ideal diagnostics.
 
 `quotient_algebra` realizes C(Y)/<indicators of removed points> by plain
-linear algebra: the two-sided ideal is closed under multiplication by
-basis arrows with a worklist, and the quotient multiplies coset
-representatives and reduces.  It is the independent oracle for the
-monomial-drop description of the composition quotient.
+linear algebra.  The two-sided ideal of a removed point z is
+
+    A e_z A = span{x * y : base(x) = z, head(y) = z},
+
+one product per pair of basis arrows leaving and entering z, so it is
+built in a single pass from the base and head indexes of the truncation;
+the quotient multiplies coset representatives and reduces.  It is the
+independent oracle for the monomial-drop description of the composition
+quotient.
 
 `two_idempotent_report` compares dim(AeA) with dim(Ae (x)_{eAe} eA): the
 two agree exactly when the ideal generated by the idempotent is
@@ -14,7 +19,7 @@ runs that comparison at every step, together with the combinatorial
 hypotheses on the layer sets and Tor-vanishing spot checks.
 """
 
-from .arrows import ConvexTruncation, arrow_is_kept
+from .arrows import BasedAlgebra, ConvexTruncation, arrow_is_kept
 from .combinatorics import (
     compositions,
     in_column_monoid,
@@ -29,32 +34,31 @@ from .linalg import Echelon, matrix_rank
 from .transport import resolve_simple
 
 
-def close_two_sided_ideal(trunc, ideal, seeds):
-    """Grow `ideal` (an Echelon over basis indices) to the two-sided ideal
-    generated by its current span together with `seeds`.
+def close_two_sided_ideal(trunc, ideal, points):
+    """Grow `ideal` (an Echelon over basis indices) by the two-sided ideal
+    generated by the indicators of `points`.
 
-    Worklist fixed point: every vector that enters the span is multiplied
-    by every basis arrow on both sides; finite dimension forces termination.
+    `ideal` must already span a two-sided ideal (it starts empty).  The
+    sum of two-sided ideals is two-sided, so adding the products x * y
+    with base(x) = z and head(y) = z for every z gives the ideal generated
+    by the old span and the new indicators.  The echelon form is reduced
+    with deterministic pivots, so its rows depend only on that span, not
+    on the order in which vectors are inserted.
     """
-    work = []
-    for v in seeds:
-        p = ideal.insert(v)
-        if p is not None:
-            work.append(dict(ideal.rows[p]))
-    while work:
-        v = work.pop()
-        for b in range(trunc.dim):
-            bv = {b: trunc.field.one}
-            for prod in (trunc.product(bv, v), trunc.product(v, bv)):
-                if not prod:
-                    continue
-                p = ideal.insert(prod)
-                if p is not None:
-                    work.append(dict(ideal.rows[p]))
+    for z in points:
+        z = tuple(z)
+        if ideal.contains(trunc.indicator_vector(z)):
+            continue  # e_z already lies in the ideal, and so does A e_z A
+        entering = trunc.ending_at(z)
+        for a in trunc.based_at(z):
+            for b in entering:
+                prod = trunc.product_indices(a, b)
+                if prod:
+                    ideal.insert(prod)
     return ideal
 
 
-class QuotientAlgebra:
+class QuotientAlgebra(BasedAlgebra):
     """C(Y)/I presented on coset representatives.
 
     Representatives are the basis arrows of the ambient truncation at the
@@ -68,11 +72,10 @@ class QuotientAlgebra:
         self.ideal = ideal
         self.reps = sorted(set(range(trunc.dim)) - ideal.pivots)
         self.rep_pos = {g: k for k, g in enumerate(self.reps)}
+        self.arrows = [trunc.arrows[g] for g in self.reps]
+        self.heads = [trunc.heads[g] for g in self.reps]
+        self._index_arrows()
         self._ptable = {}
-
-    @property
-    def dim(self):
-        return len(self.reps)
 
     @property
     def alg(self):
@@ -89,30 +92,14 @@ class QuotientAlgebra:
     def indicator_vector(self, y):
         return self.project(self.trunc.indicator_vector(y))
 
-    def arrow(self, k):
-        return self.trunc.arrows[self.reps[k]]
-
     def product_indices(self, i, j):
+        if self.bases[i] != self.heads[j]:
+            return {}
         hit = self._ptable.get((i, j))
         if hit is None:
-            hit = self.project(
+            hit = self._ptable[(i, j)] = self.project(
                 self.trunc.product_indices(self.reps[i], self.reps[j]))
-            self._ptable[(i, j)] = hit
         return dict(hit)
-
-    def product(self, x, y):
-        field = self.field
-        out = {}
-        for j, cj in y.items():
-            for i, ci in x.items():
-                c = field.mul(ci, cj)
-                for k, ck in self.product_indices(i, j).items():
-                    v = field.add(out.get(k, field.zero), field.mul(c, ck))
-                    if v == field.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-        return out
 
 
 def quotient_algebra(trunc, removed):
@@ -122,21 +109,31 @@ def quotient_algebra(trunc, removed):
     for z in removed:
         if z not in point_set:
             raise ValueError(f"removed point {z} not in the truncation")
-    ideal = Echelon(trunc.field)
-    seeds = [trunc.indicator_vector(z) for z in removed]
-    close_two_sided_ideal(trunc, ideal, seeds)
+    ideal = close_two_sided_ideal(trunc, Echelon(trunc.field), removed)
     return QuotientAlgebra(trunc, ideal)
+
+
+def _partners(algebra, x, side):
+    """Basis arrows b, in index order, for which b * x (side='left') or
+    x * b (side='right') can be nonzero: the arrows starting at a head of
+    x, or ending at a base of x."""
+    if side == "left":
+        points, arrows_at = {algebra.head(i) for i in x}, algebra.based_at
+    else:
+        points, arrows_at = {algebra.base(i) for i in x}, algebra.ending_at
+    return sorted(b for y in points for b in arrows_at(y))
 
 
 def _products_with(algebra, e, side):
     """Span generators of Ae (side='right') or eA (side='left')."""
-    out = []
-    for i in range(algebra.dim):
-        b = {i: algebra.field.one}
-        v = algebra.product(b, e) if side == "right" else algebra.product(e, b)
-        if v:
-            out.append(v)
-    return out
+    one = algebra.field.one
+    if side == "right":
+        prods = (algebra.product({i: one}, e)
+                 for i in _partners(algebra, e, "left"))
+    else:
+        prods = (algebra.product(e, {i: one})
+                 for i in _partners(algebra, e, "right"))
+    return [v for v in prods if v]
 
 
 def two_idempotent_report(algebra, e):
@@ -149,14 +146,15 @@ def two_idempotent_report(algebra, e):
     if algebra.product(e, e) != e:
         raise ValueError("e is not idempotent")
 
+    ae_gens = _products_with(algebra, e, "right")
     ae = Echelon(field)
-    for v in _products_with(algebra, e, "right"):
+    for v in ae_gens:
         ae.insert(v)
     ea = Echelon(field)
     for v in _products_with(algebra, e, "left"):
         ea.insert(v)
     eae = Echelon(field)
-    for v in _products_with(algebra, e, "right"):
+    for v in ae_gens:
         eae.insert(algebra.product(e, v))
 
     ae_basis = [ae.rows[p] for p in sorted(ae.rows)]
@@ -168,7 +166,7 @@ def two_idempotent_report(algebra, e):
 
     aea = Echelon(field)
     for u in ae_basis:
-        for j in range(algebra.dim):
+        for j in _partners(algebra, u, "right"):
             v = algebra.product(u, {j: field.one})
             if v:
                 aea.insert(v)
@@ -321,9 +319,10 @@ def tor_dimensions(trunc, r, lam, imax=2, length=None):
                 for t, entry in by_col.get(s, ()):
                     prod = trunc.product({a: field.one}, entry)
                     for b, c in prod.items():
-                        if not arrow_is_kept(alg, trunc.arrows[b], r):
+                        # dst holds exactly the kept arrows at each base
+                        k = dst_index.get((t, b))
+                        if k is None:
                             continue
-                        k = dst_index[(t, b)]
                         v = field.add(col.get(k, field.zero), c)
                         if v == field.zero:
                             col.pop(k, None)
@@ -367,7 +366,7 @@ def chain_report(n, r, field, tor_sample=None, alg=None):
         rep["layer"] = k
         rep["point"] = z
         steps.append(rep)
-        close_two_sided_ideal(trunc, ideal, [trunc.indicator_vector(z)])
+        close_two_sided_ideal(trunc, ideal, [z])
         current = QuotientAlgebra(trunc, ideal)
 
     comps = compositions(n, r)

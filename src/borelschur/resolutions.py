@@ -271,6 +271,3 @@ def _cover(alg, field, kernel, pivoting):
                 entry[m] = field.add(entry.get(m, field.zero), c)
     return gens, diff
 
-
-def betti_data(complex_):
-    return complex_.betti()

@@ -183,15 +183,11 @@ class ModuleComplex:
         """Per head-weight alternating sums of slice dimensions."""
         algebra = self.algebra
         out = {}
-        for mu in sorted({algebra.head(a) for a in range(algebra.dim)}):
+        for mu in sorted(set(algebra.heads)):
             total = 0
             sign = 1
             for i in range(len(self.weights)):
-                s = 0
-                for t, w in enumerate(self.weights[i]):
-                    for a in algebra.based_at(w):
-                        if algebra.head(a) == mu:
-                            s += 1
+                s = sum(len(algebra.between(w, mu)) for w in self.weights[i])
                 total += sign * s
                 sign = -sign
             out[mu] = total
@@ -302,11 +298,6 @@ def resolve_simple(algebra, lam, length, pivoting="first"):
     weights = [[lam]]
     diffs = []
 
-    def positive_arrows():
-        return [b for b in range(algebra.dim) if not algebra.is_unit_arrow(b)]
-
-    pos = positive_arrows()
-
     # kernel of the augmentation: radical of P_0, split by head
     kernel = {}
     for a in algebra.based_at(lam):
@@ -315,7 +306,7 @@ def resolve_simple(algebra, lam, length, pivoting="first"):
         kernel.setdefault(algebra.head(a), []).append({(0, a): field.one})
 
     for _step in range(1, length + 1):
-        gens, diff = _cover_based(algebra, kernel, pos, pivoting)
+        gens, diff = _cover_based(algebra, kernel, pivoting)
         weights.append([w for w in gens])
         diffs.append(diff)
         if not gens:
@@ -327,7 +318,7 @@ def resolve_simple(algebra, lam, length, pivoting="first"):
                          terminated=terminated)
 
 
-def _cover_based(algebra, kernel, pos, pivoting):
+def _cover_based(algebra, kernel, pivoting):
     """Minimal generators of a head-graded submodule and their lift matrix."""
     field = algebra.field
     gens = []
@@ -336,8 +327,9 @@ def _cover_based(algebra, kernel, pos, pivoting):
     for w in sorted(kernel):
         rad = Echelon(field, pivoting)
         for w2, v in all_vecs:
-            for b in pos:
-                if algebra.base(b) != w2 or algebra.head(b) != w:
+            # radical multiples: positive arrows from w2 to w
+            for b in algebra.between(w2, w):
+                if algebra.is_unit_arrow(b):
                     continue
                 lifted = {}
                 for (t, a), c in v.items():
@@ -370,15 +362,14 @@ def _kernel_based(algebra, src_weights, dst_weights, diff, pivoting):
     by_col = {}
     for (t, s), entry in diff.items():
         by_col.setdefault(s, []).append((t, entry))
-    heads = sorted({algebra.head(a) for a in range(algebra.dim)})
     kernel = {}
-    for w in heads:
+    for w in sorted(set(algebra.heads)):
         src = [(s, a) for s, ws in enumerate(src_weights)
-               for a in algebra.based_at(ws) if algebra.head(a) == w]
+               for a in algebra.between(ws, w)]
         if not src:
             continue
         dst = [(t, a) for t, wt in enumerate(dst_weights)
-               for a in algebra.based_at(wt) if algebra.head(a) == w]
+               for a in algebra.between(wt, w)]
         dst_index = {b: k for k, b in enumerate(dst)}
         cols = []
         for s, a in src:

@@ -25,6 +25,7 @@ from borelschur.combinatorics import (
 )
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
+from borelschur.idempotents import quotient_algebra, removal_order
 
 QQ = Rationals()
 
@@ -226,3 +227,50 @@ def test_truncation_json_shape():
     assert data["n"] == 2 and data["r"] == 2 and data["char"] == 2
     assert len(data["basis"]) == 6
     assert all(len(t) == 4 for t in data["products"])
+
+
+def _based_algebra(kind, char):
+    field = QQ if char == 0 else PrimeField(char)
+    if kind == "borel":
+        return BorelAlgebra(3, 2, field)
+    T = ConvexTruncation(DividedPowerAlgebra(3), interval_points(3, 2),
+                         field, r=2)
+    if kind == "truncation":
+        return T
+    return quotient_algebra(T, [removal_order(3, 2)[0][1]])
+
+
+@pytest.mark.parametrize("kind", ["truncation", "borel", "quotient"])
+@pytest.mark.parametrize("char", [0, 2])
+def test_index_matches_linear_scan(kind, char):
+    A = _based_algebra(kind, char)
+    heads = [arrow_head(A.alg, a) for a in A.arrows]
+    for i in range(A.dim):
+        assert A.head(i) == heads[i]
+        assert A.base(i) == A.arrows[i][1]
+    points = {a[1] for a in A.arrows} | set(heads)
+    for y in points:
+        assert list(A.based_at(y)) == [
+            i for i, a in enumerate(A.arrows) if a[1] == y]
+        assert list(A.ending_at(y)) == [
+            i for i in range(A.dim) if heads[i] == y]
+        for w in points:
+            assert list(A.between(y, w)) == [
+                i for i, a in enumerate(A.arrows) if a[1] == y and heads[i] == w]
+    assert A.based_at((9, 9, 9)) == () == A.between((9, 9, 9), (9, 9, 9))
+
+
+@pytest.mark.parametrize("kind", ["truncation", "borel", "quotient"])
+@pytest.mark.parametrize("char", [0, 2])
+def test_zero_by_grading_skips_the_table(kind, char):
+    A = _based_algebra(kind, char)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            prod = A.product_indices(i, j)
+            if A.base(i) != A.head(j):
+                assert prod == {}
+            elif kind == "truncation" and char == 0:
+                # over QQ the arrow algebra has no zero divisors among arrows
+                assert prod
+    assert A._ptable
+    assert all(A.base(i) == A.head(j) for i, j in A._ptable)

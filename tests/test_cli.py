@@ -146,3 +146,23 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0
     outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    json.dumps({"schema": 1, "n": 3, "height": 4,
+                "entries": [[[1], [0, 0, 0], []]]}),
+])
+def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
+    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
+            "--height", "4"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    cache.write_text(text)
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    payload = json.loads(cache.read_text())
+    assert payload["n"] == 3 and payload["height"] == 4
+    assert all(len(e1) == 3 for e1, _, _ in payload["entries"])

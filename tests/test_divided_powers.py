@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product as iproduct
 from math import comb
@@ -179,3 +180,47 @@ def test_cache_file_round_trip(tmp_path):
     assert not b.load_cache(path, 4)
     a4 = DividedPowerAlgebra(3)
     assert not a4.load_cache(path, 6)
+
+
+def _cache_text(entries, n=3, height=4):
+    return json.dumps({"schema": 1, "n": n, "height": height,
+                       "entries": entries})
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    "null",
+    _cache_text([[[1], [0, 0, 0], []]]),              # exponents too short
+    _cache_text([[[0, 0, 0], [0, 0, 0]]]),            # not a triple
+    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], 2.0]]]]),  # float
+    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], True]]]]),  # bool
+    _cache_text([[[0, 0, -1], [0, 0, 0], []]]),       # negative exponent
+    _cache_text("entries"),
+    json.dumps({"schema": 1, "n": 3, "height": "9", "entries": []}),
+])
+def test_load_cache_rejects_malformed(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    alg = DividedPowerAlgebra(3)
+    assert not alg.load_cache(path, 4)
+    assert alg._products == {}
+
+
+def test_load_cache_loads_nothing_from_a_partly_bad_file(tmp_path):
+    path = tmp_path / "cache.json"
+    good = [[0, 0, 1], [0, 0, 1], [[[0, 0, 2], 2]]]
+    path.write_text(_cache_text([good, [[1], [0, 0, 0], []]]))
+    alg = DividedPowerAlgebra(3)
+    assert not alg.load_cache(path, 4)
+    assert alg._products == {}
+    path.write_text(_cache_text([good]))
+    assert alg.load_cache(path, 4)
+    assert alg._products == {((0, 0, 1), (0, 0, 1)): (((0, 0, 2), 2),)}
+
+
+def test_save_cache_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text("[1]")
+    DividedPowerAlgebra(3).save_cache(path, 4)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+    assert DividedPowerAlgebra(3).load_cache(path, 4)

@@ -7,6 +7,7 @@ from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import (
     chain_report,
     check_layer_hypotheses,
+    close_two_sided_ideal,
     quotient_algebra,
     removal_order,
     tor_dimensions,
@@ -152,3 +153,39 @@ def test_chain_report_three_rows(char):
         assert step["two_idempotent"]
         assert step["dim_AeA"] == step["dim_tensor"]
     assert rep["final_dim"] == tri_count(3, 2)
+
+
+def worklist_closure(trunc, ideal, seeds):
+    """Reference closure: a worklist fixed point in which every vector that
+    enters the span is multiplied by every basis arrow on both sides."""
+    work = []
+    for v in seeds:
+        p = ideal.insert(v)
+        if p is not None:
+            work.append(dict(ideal.rows[p]))
+    while work:
+        v = work.pop()
+        for b in range(trunc.dim):
+            bv = {b: trunc.field.one}
+            for prod in (trunc.product(bv, v), trunc.product(v, bv)):
+                if not prod:
+                    continue
+                p = ideal.insert(prod)
+                if p is not None:
+                    work.append(dict(ideal.rows[p]))
+    return ideal
+
+
+@pytest.mark.parametrize("n,r,char", [(3, 2, 0), (3, 3, 2), (4, 2, 3)])
+def test_one_pass_closure_matches_worklist(n, r, char):
+    """A e_z A built from the base and head indexes has the same reduced
+    echelon rows as the worklist fixed point at every removal step."""
+    field = QQ if char == 0 else PrimeField(char)
+    T = interval_truncation(n, r, field)
+    fast = Echelon(field)
+    slow = Echelon(field)
+    for _, z in removal_order(n, r):
+        close_two_sided_ideal(T, fast, [z])
+        worklist_closure(T, slow, [T.indicator_vector(z)])
+        assert fast.rows == slow.rows, z
+    assert fast.rank == T.dim - tri_count(n, r)

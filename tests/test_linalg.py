@@ -1,6 +1,9 @@
 import random
 from itertools import product as iproduct
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from borelschur.fields import PrimeField, Rationals
 from borelschur.linalg import Echelon, column_kernel, matrix_rank
 
@@ -144,3 +147,30 @@ def test_column_kernel_pivoting_strategies_agree_on_dimension():
         assert len(k1) == len(k2)
         for v in k1 + k2:
             assert apply_columns(cols, v, field) == {}
+
+
+def _field_and_vectors(data):
+    """A field (QQ or GF(p)) and a short list of sparse vectors over it."""
+    p = data.draw(st.sampled_from([0, 2, 3, 7]), label="char")
+    field = Rationals() if p == 0 else PrimeField(p)
+    coeff = st.integers(-4, 4).map(field.of).filter(lambda c: c != field.zero)
+    vec = st.dictionaries(st.integers(0, 7), coeff, max_size=5)
+    return field, data.draw(st.lists(vec, max_size=8), label="vectors")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_rows_do_not_depend_on_insert_order(data):
+    """The reduced echelon form is canonical: the same vectors inserted in
+    any order give identical rows and pivots, under either pivoting."""
+    field, vecs = _field_and_vectors(data)
+    order = data.draw(st.permutations(range(len(vecs))), label="order")
+    for pivoting in ("first", "last"):
+        a = Echelon(field, pivoting)
+        b = Echelon(field, pivoting)
+        for v in vecs:
+            a.insert(v)
+        for k in order:
+            b.insert(vecs[k])
+        assert a.rows == b.rows
+        assert a.pivots == b.pivots
