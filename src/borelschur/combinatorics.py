@@ -6,7 +6,7 @@ v_i - v_{i+1}, which is how truncation sets and gradings are cut out
 everywhere else in the package.
 """
 
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from math import comb
 
 
@@ -313,8 +313,27 @@ def in_column_monoid(d, n, k):
 
 
 def orbit_of_pair(i, j):
-    """All distinct simultaneous rearrangements of the pair of multi-indices."""
-    return {
-        (tuple(i[p] for p in perm), tuple(j[p] for p in perm))
-        for perm in permutations(range(len(i)))
-    }
+    """All distinct simultaneous rearrangements of the pair of multi-indices.
+
+    Walks the distinct arrangements of the letter pairs (i_t, j_t) as a
+    multiset, in lexicographic order by the next-permutation step.  That
+    is r!/prod_st K_st! arrangements, where K_st counts the positions t
+    with (i_t, j_t) = (s, t), at O(r) each, instead of all r! permutations.
+    """
+    if len(i) != len(j):
+        raise ValueError("multi-index length mismatch")
+    seq = sorted(zip(i, j))
+    r = len(seq)
+    out = set()
+    while True:
+        out.add((tuple(a for a, _ in seq), tuple(b for _, b in seq)))
+        k = r - 2
+        while k >= 0 and seq[k] >= seq[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        m = r - 1
+        while seq[m] <= seq[k]:
+            m -= 1
+        seq[k], seq[m] = seq[m], seq[k]
+        seq[k + 1:] = reversed(seq[k + 1:])

@@ -14,6 +14,7 @@ Structure constants are cached once over the integers, so all
 characteristics share a single table.
 """
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -313,10 +314,14 @@ class DividedPowerAlgebra:
 
     # -- cache persistence ----------------------------------------------
 
-    CACHE_SCHEMA = 1
+    CACHE_SCHEMA = 2
 
     def save_cache(self, path, h):
-        """Write the full product table up to pair height h as JSON."""
+        """Write the full product table up to pair height h.
+
+        The file is a one-line JSON header {schema, n, height, sha256},
+        then the entries as JSON; sha256 is the digest of those bytes.
+        """
         self.fill_cache(h)
         entries = []
         for (e1, e2), terms in sorted(self._products.items()):
@@ -324,40 +329,48 @@ class DividedPowerAlgebra:
             m2 = Monomial(self.n, e2)
             if self.monomial_height(m1) + self.monomial_height(m2) > h:
                 continue
-            entries.append([list(e1), list(e2),
-                            [[list(e), c] for e, c in terms]])
-        payload = {"schema": self.CACHE_SCHEMA, "n": self.n,
-                   "height": h, "entries": entries}
+            entries.append(json.dumps([e1, e2, terms], separators=(",", ":")))
+        body = f"[{','.join(entries)}]".encode()
+        header = {"schema": self.CACHE_SCHEMA, "n": self.n, "height": h,
+                  "sha256": hashlib.sha256(body).hexdigest()}
         path = os.fspath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True,
+                                    separators=(",", ":")).encode())
+                fh.write(b"\n" + body)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # only when writing or replacing failed
                 os.remove(tmp)
 
     def load_cache(self, path, h):
-        """Load a cache file; returns False if it does not cover (n, h) or
-        is malformed, and then nothing is loaded.
+        """Load a cache file; returns False if it does not cover (n, h),
+        fails its digest or is malformed, and then nothing is loaded.
 
-        Every entry must be a triple (exponents, exponents, terms) with
-        exponent vectors of length n(n-1)/2 and integer coefficients.
+        The entries' bytes must hash to the header's sha256, and every
+        entry must be a triple (exponents, exponents, terms) with exponent
+        vectors of length n(n-1)/2 and integer coefficients.
         """
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                body = fh.read()
         except (OSError, ValueError):
             return False
-        if (type(payload) is not dict
-                or payload.get("schema") != self.CACHE_SCHEMA
-                or payload.get("n") != self.n
-                or type(payload.get("height")) is not int
-                or payload["height"] < h
-                or type(payload.get("entries")) is not list):
+        if (type(header) is not dict
+                or header.get("schema") != self.CACHE_SCHEMA
+                or header.get("n") != self.n
+                or type(header.get("height")) is not int
+                or header["height"] < h
+                or header.get("sha256") != hashlib.sha256(body).hexdigest()):
             return False
-        table = _parse_entries(payload["entries"], len(self.pairs))
+        try:
+            entries = json.loads(body)
+        except ValueError:
+            return False
+        table = _parse_entries(entries, len(self.pairs))
         if table is None:
             return False
         self._products.update(table)
@@ -376,6 +389,8 @@ def _exps(value, length):
 
 def _parse_entries(entries, length):
     """Cache entries -> product table, or None if any entry is malformed."""
+    if type(entries) is not list:
+        return None
     table = {}
     for entry in entries:
         if type(entry) is not list or len(entry) != 3:

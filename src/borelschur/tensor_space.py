@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
 from .combinatorics import matrix_to_pair, orbit_of_pair, weight
-from .linalg import Echelon, SpanSolver
+from .linalg import Echelon, SpanSolver, add_scaled
 
 TENSOR_DIMENSION_CAP = 300_000
 
@@ -50,30 +50,16 @@ class TensorAction:
             acc = {}
             for p, c in colb.items():
                 cola = a.get(p)
-                if not cola:
-                    continue
-                for row, ca in cola.items():
-                    v = field.add(acc.get(row, field.zero), field.mul(ca, c))
-                    if v == field.zero:
-                        acc.pop(row, None)
-                    else:
-                        acc[row] = v
+                if cola:
+                    add_scaled(acc, cola, c, field)
             if acc:
                 out[q] = acc
         return out
 
     def add_scaled(self, a, b, c):
-        field = self.field
         out = {q: dict(col) for q, col in a.items()}
         for q, col in b.items():
-            acc = out.setdefault(q, {})
-            for row, v in col.items():
-                w = field.add(acc.get(row, field.zero), field.mul(c, v))
-                if w == field.zero:
-                    acc.pop(row, None)
-                else:
-                    acc[row] = w
-            if not acc:
+            if not add_scaled(out.setdefault(q, {}), col, c, self.field):
                 out.pop(q)
         return out
 
@@ -82,15 +68,9 @@ class TensorAction:
         return all(a.get(k, {}) == b.get(k, {}) for k in keys)
 
     def apply(self, op, vec):
-        field = self.field
         out = {}
         for q, c in vec.items():
-            for row, v in op.get(q, {}).items():
-                w = field.add(out.get(row, field.zero), field.mul(v, c))
-                if w == field.zero:
-                    out.pop(row, None)
-                else:
-                    out[row] = w
+            add_scaled(out, op.get(q, {}), c, self.field)
         return out
 
     # -- basis operators -------------------------------------------------
@@ -145,11 +125,18 @@ class TensorAction:
         return op
 
     def based_operator(self, m, mu, alg):
-        """Image of the arrow (m, mu): cut columns down to the weight space."""
+        """Image of the arrow (m, mu): the monomial operator of m on the
+        weight space of mu, built from the projector outward by composing
+        the divided powers on the left in reverse written order, so only
+        weight-mu columns are ever carried."""
         if any(x < 0 for x in mu):
             return {}
-        return self.compose(self.monomial_operator(m, alg),
-                            self.weight_projector(mu))
+        op = self.weight_projector(mu)
+        for a in reversed(alg.written_order):
+            k = m.exps[a]
+            if k:
+                op = self.compose(self.divided_power(*alg.pairs[a], k), op)
+        return op
 
     def group_operator(self, g):
         """r-fold tensor power of an invertible matrix g (rows/cols 0-based)."""
@@ -206,20 +193,16 @@ class TensorAction:
                                                       self.field.zero)
                 if c != self.field.zero:
                     coeffs[key] = c
-        recon = self.zero()
-        for key, c in coeffs.items():
-            ci, cj = self.canonical_pair(key)
-            recon = self.add_scaled(recon, self.xi(ci, cj), c)
-        if not self.equal(recon, op):
+        if not self.equal(self.orbits_to_operator(coeffs), op):
             raise ValueError("operator is not in the span of the xi basis")
         return coeffs
 
     def orbits_to_operator(self, coeffs):
-        op = self.zero()
+        op = {}
         for key, c in coeffs.items():
-            ci, cj = self.canonical_pair(key)
-            op = self.add_scaled(op, self.xi(ci, cj), c)
-        return op
+            for q, col in self.xi(*self.canonical_pair(key)).items():
+                add_scaled(op.setdefault(q, {}), col, c, self.field)
+        return {q: col for q, col in op.items() if col}
 
     def schur_multiply(self, x, y):
         """Product in xi coordinates via operator composition."""
@@ -281,6 +264,12 @@ def verify_isomorphism(n, r, field, borel=None):
     the xi basis, and requires (a) linear independence, (b) the dimension
     of the marginal-matrix count, (c) structure constants matching the
     drop-rule products on every basis pair.
+
+    Each pair multiplies the two image operators it already holds and
+    reads the product back in xi coordinates, reconstructing it to check
+    it lies in the span.  The cost is dim^2 sparse compositions plus one
+    xi per orbit in each nonzero product; an xi costs its number of
+    distinct arrangements r!/prod K_st!, not r!.
     """
     if borel is None:
         borel = BorelAlgebra(n, r, field)
@@ -315,18 +304,13 @@ def verify_isomorphism(n, r, field, borel=None):
     report["triangular"] = ordered
 
     mismatches = 0
-    field_zero = field.zero
     for a in range(borel.dim):
         for b in range(borel.dim):
-            lhs = action.schur_multiply(image_orbits[a], image_orbits[b])
+            lhs = action.operator_to_orbits(
+                action.compose(images[a], images[b]))
             rhs = {}
             for k, c in borel.product_indices(a, b).items():
-                for key, x in image_orbits[k].items():
-                    v = field.add(rhs.get(key, field_zero), field.mul(c, x))
-                    if v == field_zero:
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = v
+                add_scaled(rhs, image_orbits[k], c, field)
             if lhs != rhs:
                 mismatches += 1
                 if len(report["mismatches"]) < 10:

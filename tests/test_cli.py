@@ -1,10 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from borelschur.cli import main
+from borelschur.divided_powers import DividedPowerAlgebra
 
 
 def run_cli(argv, capsys):
@@ -148,10 +151,16 @@ def test_cache_round_trip(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def _signed(header, body):
+    """Cache bytes: the header with the digest of body, a newline, body."""
+    header = dict(header, sha256=hashlib.sha256(body).hexdigest())
+    return json.dumps(header).encode() + b"\n" + body
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
-    json.dumps({"schema": 1, "n": 3, "height": 4,
-                "entries": [[[1], [0, 0, 0], []]]}),
+    _signed({"schema": 2, "n": 3, "height": 4},
+            b"[[[1], [0, 0, 0], []]]").decode(),
 ])
 def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
@@ -163,6 +172,50 @@ def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert code == 0
     assert out == expected
-    payload = json.loads(cache.read_text())
-    assert payload["n"] == 3 and payload["height"] == 4
-    assert all(len(e1) == 3 for e1, _, _ in payload["entries"])
+    header, body = cache.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    assert header["n"] == 3 and header["height"] == 4
+    assert all(len(e1) == 3 for e1, _, _ in json.loads(body))
+
+
+def test_tampered_cache_is_rebuilt(tmp_path, capsys):
+    """Raising 78 coefficients of a rank-3 height-4 cache keeps its shape;
+    the digest still rejects it and the rebuilt run matches the uncached one."""
+    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
+            "--height", "4"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    DividedPowerAlgebra(3).save_cache(cache, 4)
+    header, body = cache.read_bytes().split(b"\n", 1)
+    entries = json.loads(body)
+    terms = [t for _, _, ts in entries for t in ts][:78]
+    assert len(terms) == 78
+    for t in terms:
+        t[1] += 1
+    tampered = json.dumps(entries, separators=(",", ":")).encode()
+
+    # with a matching digest the tampered table loads and changes the answer
+    cache.write_bytes(_signed(json.loads(header), tampered))
+    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+    _, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert out != expected
+
+    # under the stored digest it is refused and rebuilt
+    cache.write_bytes(header + b"\n" + tampered)
+    assert not DividedPowerAlgebra(3).load_cache(cache, 4)
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+
+
+def test_python_dash_m_runs_from_a_source_tree():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "borelschur", "verify-iso", "--n", "2",
+         "--r", "2", "--char", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"]

@@ -1,8 +1,11 @@
 import random
-from itertools import product as iproduct
-from math import comb
+from collections import Counter
+from itertools import combinations, permutations, product as iproduct
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelschur.combinatorics import (
     column_generators,
@@ -191,6 +194,46 @@ def test_orbit_bijection_exhaustive(n, r):
             assert matrix_to_pair(K) in orbit_of_pair(i, j)
             seen.add(K)
     assert seen == set(tri_matrices_all(n, r))
+
+
+@st.composite
+def letter_pairs(draw, max_r):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(0, max_r))
+    word = st.lists(st.integers(1, n), min_size=r, max_size=r)
+    return tuple(draw(word)), tuple(draw(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_pairs(6))
+def test_orbit_of_pair_matches_all_permutations(pair):
+    i, j = pair
+    reference = {(tuple(i[p] for p in perm), tuple(j[p] for p in perm))
+                 for perm in permutations(range(len(i)))}
+    assert orbit_of_pair(i, j) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_pairs(8))
+def test_orbit_of_pair_size_is_multinomial(pair):
+    i, j = pair
+    K = Counter(zip(i, j))
+    expected = factorial(len(i)) // prod(factorial(k) for k in K.values())
+    assert len(orbit_of_pair(i, j)) == expected
+
+
+def test_orbit_of_pair_twelve_letters():
+    # 12! = 479,001,600 permutations, but only C(12, 6) distinct arrangements
+    ones = (1,) * 12
+    got = orbit_of_pair(ones, (1,) * 6 + (2,) * 6)
+    assert len(got) == 924
+    assert got == {(ones, tuple(2 if t in s else 1 for t in range(12)))
+                   for s in combinations(range(12), 6)}
+
+
+def test_orbit_of_pair_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        orbit_of_pair((1, 2), (2,))
 
 
 # --------------------------------------------------------- marginal matrices

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import product as iproduct
@@ -183,8 +184,11 @@ def test_cache_file_round_trip(tmp_path):
 
 
 def _cache_text(entries, n=3, height=4):
-    return json.dumps({"schema": 1, "n": n, "height": height,
-                       "entries": entries})
+    """A cache file in the saved layout, with a digest that matches."""
+    body = json.dumps(entries)
+    header = {"schema": 2, "n": n, "height": height,
+              "sha256": hashlib.sha256(body.encode()).hexdigest()}
+    return json.dumps(header) + "\n" + body
 
 
 @pytest.mark.parametrize("text", [
@@ -196,7 +200,7 @@ def _cache_text(entries, n=3, height=4):
     _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], True]]]]),  # bool
     _cache_text([[[0, 0, -1], [0, 0, 0], []]]),       # negative exponent
     _cache_text("entries"),
-    json.dumps({"schema": 1, "n": 3, "height": "9", "entries": []}),
+    _cache_text([], height="9"),
 ])
 def test_load_cache_rejects_malformed(tmp_path, text):
     path = tmp_path / "cache.json"

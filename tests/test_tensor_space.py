@@ -3,6 +3,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
+from borelschur.arrows import BorelAlgebra
 from borelschur.combinatorics import compositions, weight
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
@@ -81,6 +82,29 @@ def test_schur_multiply_weight_bookkeeping():
             assert prod == x
         else:
             assert prod == {}
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("char", [0, 2])
+def test_held_operator_products_match_schur_multiply(n, r, char):
+    """verify_isomorphism's route (project first, multiply the held images)
+    equals the old one (monomial operator then projector; rebuild both
+    factors from xi coordinates and multiply)."""
+    field = QQ if char == 0 else PrimeField(char)
+    borel = BorelAlgebra(n, r, field)
+    act = TensorAction(n, r, field)
+    images = []
+    for m, mu in borel.arrows:
+        op = act.based_operator(m, mu, borel.alg)
+        old = act.compose(act.monomial_operator(m, borel.alg),
+                          act.weight_projector(mu))
+        assert op == old, (m, mu)
+        images.append(op)
+    orbits = [act.operator_to_orbits(op) for op in images]
+    for a, x in zip(images, orbits):
+        for b, y in zip(images, orbits):
+            assert (act.operator_to_orbits(act.compose(a, b))
+                    == act.schur_multiply(x, y))
 
 
 def dense_matrix(act, op, field):
