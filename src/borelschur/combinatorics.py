@@ -161,10 +161,6 @@ def matrix_to_pair(K):
     return tuple(i), tuple(j)
 
 
-def row_marginals(K):
-    return tuple(sum(row) for row in K)
-
-
 def col_marginals(K):
     n = len(K)
     return tuple(sum(K[s][t] for s in range(t + 1)) for t in range(n))

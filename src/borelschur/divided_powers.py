@@ -92,12 +92,6 @@ class DividedPowerAlgebra:
             exps[self.pair_index[(i, j)]] = k
         return Monomial(self.n, exps)
 
-    def from_exps(self, exps):
-        exps = tuple(exps)
-        if len(exps) != len(self.pairs) or any(k < 0 for k in exps):
-            raise ValueError("bad exponent vector")
-        return Monomial(self.n, exps)
-
     @property
     def unit(self):
         return Monomial(self.n, (0,) * len(self.pairs))

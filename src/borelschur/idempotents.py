@@ -31,6 +31,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, matrix_rank
+from .resolutions import columns
 from .transport import resolve_simple
 
 
@@ -85,9 +86,6 @@ class QuotientAlgebra(BasedAlgebra):
         """Global truncation vector -> local coordinates of its coset."""
         res = self.ideal.reduce(vec)
         return {self.rep_pos[g]: c for g, c in res.items()}
-
-    def lift(self, local):
-        return {self.reps[k]: c for k, c in local.items()}
 
     def indicator_vector(self, y):
         return self.project(self.trunc.indicator_vector(y))
@@ -285,51 +283,22 @@ def tor_dimensions(trunc, r, lam, imax=2, length=None):
     field = trunc.field
     alg = trunc.alg
     res = resolve_simple(trunc, lam, length)
-    kept = {}
+    memo = {}
 
-    def kept_based(w):
-        if w not in kept:
-            inds = [a for a in trunc.based_at(w)
-                    if arrow_is_kept(alg, trunc.arrows[a], r)]
-            kept[w] = {a: k for k, a in enumerate(inds)}
-        return kept[w]
+    def kept(a):
+        if a not in memo:
+            memo[a] = arrow_is_kept(alg, trunc.arrows[a], r)
+        return memo[a]
 
-    pushed_dims = []
-    pushed_cols = []
-    for i in range(len(res.weights)):
-        basis = []
-        for t, w in enumerate(res.weights[i]):
-            for a in kept_based(w):
-                basis.append((t, a))
-        pushed_dims.append(len(basis))
-    for i in range(1, len(res.diffs) + 1):
-        diff = res.diffs[i - 1]
-        by_col = {}
-        for (t, s), entry in diff.items():
-            by_col.setdefault(s, []).append((t, entry))
-        dst = []
-        for t, w in enumerate(res.weights[i - 1]):
-            for a in kept_based(w):
-                dst.append((t, a))
-        dst_index = {b: k for k, b in enumerate(dst)}
-        cols = []
-        for s, w in enumerate(res.weights[i]):
-            for a in kept_based(w):
-                col = {}
-                for t, entry in by_col.get(s, ()):
-                    prod = trunc.product({a: field.one}, entry)
-                    for b, c in prod.items():
-                        # dst holds exactly the kept arrows at each base
-                        k = dst_index.get((t, b))
-                        if k is None:
-                            continue
-                        v = field.add(col.get(k, field.zero), c)
-                        if v == field.zero:
-                            col.pop(k, None)
-                        else:
-                            col[k] = v
-                cols.append(col)
-        pushed_cols.append(cols)
+    def mul(x, y):
+        return {z: c for z, c in trunc.product_indices(x, y).items()
+                if kept(z)}
+
+    bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
+              if kept(a)] for ws in res.weights]
+    pushed_dims = [len(basis) for basis in bases]
+    pushed_cols = [columns(bases[i], bases[i - 1], res.diffs[i - 1], mul, field)
+                   for i in range(1, len(res.diffs) + 1)]
     ranks = [matrix_rank(cols, field) for cols in pushed_cols]
     out = {}
     for i in range(1, imax + 1):

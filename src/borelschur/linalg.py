@@ -9,11 +9,12 @@ kernel basis and coset representative reproducible across runs.
 
 def add_scaled(dst, src, c, field):
     """dst += c * src in place, dropping entries that become zero."""
-    if c == field.zero:
+    zero, add, mul = field.zero, field.add, field.mul
+    if c == zero:
         return dst
     for j, v in src.items():
-        w = field.add(dst.get(j, field.zero), field.mul(c, v))
-        if w == field.zero:
+        w = add(dst.get(j, zero), mul(c, v))
+        if w == zero:
             dst.pop(j, None)
         else:
             dst[j] = w

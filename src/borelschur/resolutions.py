@@ -1,27 +1,162 @@
-"""Minimal graded projective resolutions of the trivial module.
+"""One engine for minimal resolutions by iterated covers of graded kernels.
 
-Everything is computed slice by slice: a free module is a list of
-generator degrees, a degree slice of it is the finite set of pairs
-(generator, monomial) landing in that degree, and kernels are exact
-nullspaces of the slice matrices.  Minimal generators of a kernel are a
-basis of the kernel modulo its radical multiples, picked in a fixed
-slice order with deterministic pivoting, so two runs produce identical
-generator degree data.
+The algebra is split into pieces: a basis element runs from one piece to
+another, and products compose head to tail.  The engine sees the algebra
+only through three things its caller supplies:
+
+- `between(g, p)`: the basis elements from piece g to piece p, empty
+  when there are none;
+- `mul(x, y)`: the product of two basis elements as {basis element:
+  nonzero scalar};
+- the order in which pieces are covered, which fixes the numbering of
+  new generators and so the payloads.
+
+A free module is a list of generator pieces; its piece p has the basis
+of pairs (generator t, element of `between(gens[t], p)`).  A map between
+free modules is {(t, s): {basis element: scalar}}, sending the pair
+(s, x) to the sum over t of (t, x * d[t, s]).  Kernels are exact
+nullspaces piece by piece, and minimal generators are a basis of the
+kernel modulo its radical multiples, with deterministic pivoting, so two
+runs produce identical generators.
+
+Here the pieces are degree coordinates over the simple positive vectors,
+the basis from g to p is the monomials of degree p - g, and pieces are
+covered in (height, lex) order: this resolves the trivial module of the
+divided-power algebra.  `transport.resolve_simple` runs the same engine
+over a based algebra with head weights as pieces.
 
 Cutoffs: `length` bounds the homological degree, `height` bounds the
 degree slices.  Within the height window every slice of every kernel is
 complete, because radical products only ever raise height.
 """
 
+from .divided_powers import Monomial
 from .fields import serialize_scalar as _ser
-from .linalg import Echelon, column_kernel, matrix_rank
+from .linalg import Echelon, add_scaled, column_kernel, matrix_rank
 
 
-def _sub_coords(a, b):
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        return None
-    return out
+def free_basis(gens, piece, between):
+    """Pairs (generator, basis element) spanning one piece of a free module."""
+    return [(t, x) for t, g in enumerate(gens) for x in between(g, piece)]
+
+
+def columns(src, dst, diff, mul, field):
+    """Columns of the map `diff` on the pairs `src`, over positions in `dst`.
+
+    Every product must land in `dst`.
+    """
+    by_col = {}
+    for (t, s), entry in diff.items():
+        by_col.setdefault(s, []).append((t, entry))
+    index = {b: k for k, b in enumerate(dst)}
+    cols = []
+    for s, x in src:
+        col = {}
+        for t, entry in by_col.get(s, ()):
+            for y, c in entry.items():
+                add_scaled(col, {index[(t, z)]: cz
+                                 for z, cz in mul(x, y).items()}, c, field)
+        cols.append(col)
+    return cols
+
+
+def _cover(kernel, between, mul, field, pivoting, order):
+    """Minimal generators of a graded kernel and the map from them onto it.
+
+    `kernel` is {piece: (vectors, basis)}, each vector a dict over
+    positions in the piece's basis.  The radical part of piece p is
+    spanned by the kernel vectors of every other piece g multiplied by
+    the basis elements from g to p, so the new generators at p are the
+    kernel vectors that stay independent of it.
+    """
+    gens = []
+    diff = {}
+    pieces = sorted(kernel, key=order)
+    for p in pieces:
+        vecs, basis = kernel[p]
+        index = {b: k for k, b in enumerate(basis)}
+        rad = Echelon(field, pivoting)
+        for g in pieces:
+            if g == p:
+                continue
+            lower_vecs, lower_basis = kernel[g]
+            for x in between(g, p):
+                for v in lower_vecs:
+                    lifted = {}
+                    for k, c in v.items():
+                        t, y = lower_basis[k]
+                        add_scaled(lifted, {index[(t, z)]: cz
+                                            for z, cz in mul(x, y).items()},
+                                   c, field)
+                    rad.insert(lifted)
+        for v in vecs:
+            residual = rad.reduce(v)
+            if not residual:
+                continue
+            rad.insert(residual)
+            s = len(gens)
+            gens.append(p)
+            for k, c in residual.items():
+                t, y = basis[k]
+                diff.setdefault((t, s), {})[y] = c
+    return gens, diff
+
+
+def resolve(pieces, top, between, mul, field, length, pivoting, order=None):
+    """Minimal free resolution of the one-dimensional module at piece `top`.
+
+    P_0 is free on one generator at `top`; the kernel of the augmentation
+    is every other piece of P_0.  Each step covers the current kernel,
+    with pieces in `order`, then takes the kernel of the new map on every
+    piece in `pieces`; the last step skips that kernel.  Returns the
+    generator pieces of P_0, P_1, ... and the maps d_1, d_2, ...
+    """
+    gens = [[top]]
+    diffs = []
+    kernel = {}
+    for p in pieces:
+        basis = free_basis(gens[0], p, between)
+        if p != top and basis:
+            kernel[p] = ([{k: field.one} for k in range(len(basis))], basis)
+    for step in range(1, length + 1):
+        new, diff = _cover(kernel, between, mul, field, pivoting, order)
+        gens.append(new)
+        diffs.append(diff)
+        if not new or step == length:
+            break
+        kernel = {}
+        for p in pieces:
+            src = free_basis(new, p, between)
+            if not src:
+                continue
+            dst = free_basis(gens[-2], p, between)
+            vecs = column_kernel(columns(src, dst, diff, mul, field), field,
+                                 pivoting)
+            if vecs:
+                kernel[p] = (vecs, src)
+    return gens, diffs
+
+
+def _degree_order(coords):
+    return (sum(coords), coords)
+
+
+def _graded_ops(alg, field):
+    """`between` and `mul` of the divided-power algebra graded by degree."""
+    zero = field.zero
+
+    def between(g, p):
+        return alg.component_basis(tuple(b - a for a, b in zip(g, p)))
+
+    def mul(x, y):
+        out = {}
+        for exps, k in alg.multiply_monomials(x, y):
+            c = field.of(k)
+            if c != zero:
+                out[Monomial(alg.n, exps)] = c
+        return out
+
+    return between, mul
 
 
 class GradedComplex:
@@ -42,6 +177,7 @@ class GradedComplex:
         self.degrees = degrees
         self.diffs = diffs
         self.warnings = warnings
+        self._between, self._mul = _graded_ops(alg, field)
 
     @property
     def n(self):
@@ -53,38 +189,7 @@ class GradedComplex:
 
     def slice_basis(self, i, coords):
         """Pairs (generator, monomial) spanning the degree slice of P_i."""
-        out = []
-        for t, g in enumerate(self.degrees[i]):
-            rem = _sub_coords(coords, g)
-            if rem is None:
-                continue
-            for m in self.alg.component_basis(rem):
-                out.append((t, m))
-        return out
-
-    def _slice_matrix(self, i, coords):
-        """Columns of d_i restricted to one degree slice (i >= 1)."""
-        src = self.slice_basis(i, coords)
-        dst = self.slice_basis(i - 1, coords)
-        dst_index = {b: k for k, b in enumerate(dst)}
-        diff = self.diffs[i - 1]
-        cols = []
-        for s, m in src:
-            col = {}
-            x = {m: self.field.one}
-            for (t, s2), entry in diff.items():
-                if s2 != s:
-                    continue
-                prod = self.alg.multiply(x, entry, self.field)
-                for m2, c in prod.items():
-                    k = dst_index[(t, m2)]
-                    v = self.field.add(col.get(k, self.field.zero), c)
-                    if v == self.field.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = v
-            cols.append(col)
-        return cols, src, dst
+        return free_basis(self.degrees[i], coords, self._between)
 
     def verify_exactness(self):
         """Rank counting on every slice within the height window.
@@ -94,11 +199,12 @@ class GradedComplex:
         """
         steps = len(self.diffs)
         for coords in self.alg.degrees_to_height(self.height):
-            dims = [len(self.slice_basis(i, coords)) for i in range(len(self.degrees))]
-            ranks = []
-            for i in range(1, steps + 1):
-                cols, _, _ = self._slice_matrix(i, coords)
-                ranks.append(matrix_rank(cols, self.field))
+            bases = [self.slice_basis(i, coords) for i in range(len(self.degrees))]
+            dims = [len(b) for b in bases]
+            ranks = [matrix_rank(columns(bases[i], bases[i - 1],
+                                         self.diffs[i - 1], self._mul,
+                                         self.field), self.field)
+                     for i in range(1, steps + 1)]
             aug_ker = dims[0] if any(coords) else 0
             if steps >= 1 and ranks[0] != aug_ker:
                 return False
@@ -142,132 +248,8 @@ def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
     generators chosen minimally (independent modulo radical multiples of
     the kernel).
     """
-    degrees_all = alg.degrees_to_height(height_cut)
-    degrees = [[(0,) * (alg.n - 1)]]
-    diffs = []
-    warnings = []
-
-    # kernel of the augmentation: every positive-degree slice of P_0
-    kernel = {}
-    for coords in degrees_all:
-        if not any(coords):
-            continue
-        basis = [(0, m) for m in alg.component_basis(coords)]
-        kernel[coords] = [{k: field.one} for k in range(len(basis))], basis
-
-    for step in range(1, length + 1):
-        gens, diff = _cover(alg, field, kernel, pivoting)
-        if not gens:
-            if any(vecs for vecs, _ in kernel.values()):
-                warnings.append(
-                    f"step {step}: kernel is nonzero but no generators fit "
-                    f"within height {height_cut}")
-            degrees.append([])
-            diffs.append({})
-            break
-        degrees.append(gens)
-        diffs.append(diff)
-        if step == length:
-            break
-        kernel = _kernel_slices(alg, field, degrees, diffs, degrees_all, pivoting)
-
-    complex_ = GradedComplex(alg, field, length, height_cut, degrees, diffs, warnings)
-    return complex_
-
-
-def _module_slice(alg, gen_degrees, coords):
-    out = []
-    for t, g in enumerate(gen_degrees):
-        rem = _sub_coords(coords, g)
-        if rem is None:
-            continue
-        for m in alg.component_basis(rem):
-            out.append((t, m))
-    return out
-
-
-def _kernel_slices(alg, field, degrees, diffs, degrees_all, pivoting):
-    """Slicewise nullspaces of the last differential."""
-    src_degs = degrees[-1]
-    dst_degs = degrees[-2]
-    diff = diffs[-1]
-    by_col = {}
-    for (t, s), entry in diff.items():
-        by_col.setdefault(s, []).append((t, entry))
-    kernel = {}
-    for coords in degrees_all:
-        src = _module_slice(alg, src_degs, coords)
-        if not src:
-            continue
-        dst = _module_slice(alg, dst_degs, coords)
-        dst_index = {b: k for k, b in enumerate(dst)}
-        cols = []
-        for s, m in src:
-            col = {}
-            x = {m: field.one}
-            for t, entry in by_col.get(s, ()):
-                prod = alg.multiply(x, entry, field)
-                for m2, c in prod.items():
-                    k = dst_index[(t, m2)]
-                    v = field.add(col.get(k, field.zero), c)
-                    if v == field.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = v
-            cols.append(col)
-        vecs = column_kernel(cols, field, pivoting)
-        if vecs:
-            kernel[coords] = (vecs, src)
-    return kernel
-
-
-def _cover(alg, field, kernel, pivoting):
-    """Minimal homogeneous generators of a graded kernel and their lifts.
-
-    Processes slices in (height, lex) order; inside a slice the radical
-    span is generated by lower kernel slices multiplied up by positive
-    monomials, so new generators are exactly the kernel vectors that stay
-    independent of it.
-    """
-    gens = []
-    diff = {}
-    slices = sorted(kernel, key=lambda c: (sum(c), c))
-    for coords in slices:
-        vecs, basis = kernel[coords]
-        basis_index = {b: k for k, b in enumerate(basis)}
-        rad = Echelon(field, pivoting)
-        for lower in slices:
-            if lower == coords:
-                continue
-            d = _sub_coords(coords, lower)
-            if d is None or not any(d):
-                continue
-            lower_vecs, lower_basis = kernel[lower]
-            for m0 in alg.component_basis(d):
-                x0 = {m0: field.one}
-                for v in lower_vecs:
-                    lifted = {}
-                    for col, c in v.items():
-                        t, m = lower_basis[col]
-                        prod = alg.multiply(x0, {m: c}, field)
-                        for m2, c2 in prod.items():
-                            k = basis_index[(t, m2)]
-                            w = field.add(lifted.get(k, field.zero), c2)
-                            if w == field.zero:
-                                lifted.pop(k, None)
-                            else:
-                                lifted[k] = w
-                    rad.insert(lifted)
-        for v in vecs:
-            residual = rad.reduce(v)
-            if not residual:
-                continue
-            rad.insert(residual)
-            s = len(gens)
-            gens.append(coords)
-            for col, c in residual.items():
-                t, m = basis[col]
-                entry = diff.setdefault((t, s), {})
-                entry[m] = field.add(entry.get(m, field.zero), c)
-    return gens, diff
-
+    between, mul = _graded_ops(alg, field)
+    degrees, diffs = resolve(alg.degrees_to_height(height_cut),
+                             (0,) * (alg.n - 1), between, mul, field, length,
+                             pivoting, order=_degree_order)
+    return GradedComplex(alg, field, length, height_cut, degrees, diffs, [])

@@ -9,10 +9,11 @@ result is checked, never trusted: d^2, rank-counted exactness, the
 one-dimensional top and minimality are all verified on the transported
 complex.
 
-The same complex container also hosts minimal resolutions of the
-one-dimensional simples computed directly over any based algebra
-(`resolve_simple`), which gives an independent route to the same Betti
-data.
+`resolve_simple` resolves the one-dimensional simple at lam directly
+over any based algebra with the engine of `resolutions`: the pieces are
+head weights, `between` is the algebra's arrows from one weight to
+another, `mul` is `product_indices`, and pieces are covered in weight
+order.  That is an independent route to the same Ext data.
 """
 
 import csv
@@ -29,7 +30,8 @@ from .combinatorics import (
     point_sub,
     positive_root_coords,
 )
-from .linalg import Echelon, column_kernel, matrix_rank
+from .linalg import add_scaled, matrix_rank
+from .resolutions import columns, resolve
 
 
 class ModuleComplex:
@@ -68,32 +70,6 @@ class ModuleComplex:
     def dims(self):
         return [len(self.module_basis(i)) for i in range(len(self.weights))]
 
-    def _matrix_columns(self, i):
-        """Scalar columns of d_i (1-indexed) over the basis of P_{i-1}."""
-        algebra = self.algebra
-        field = self.field
-        src = self.module_basis(i)
-        dst = self.module_basis(i - 1)
-        dst_index = {b: k for k, b in enumerate(dst)}
-        diff = self.diffs[i - 1]
-        by_col = {}
-        for (t, s), entry in diff.items():
-            by_col.setdefault(s, []).append((t, entry))
-        cols = []
-        for s, a in src:
-            col = {}
-            for t, entry in by_col.get(s, ()):
-                prod = algebra.product({a: field.one}, entry)
-                for b, c in prod.items():
-                    k = dst_index[(t, b)]
-                    v = field.add(col.get(k, field.zero), c)
-                    if v == field.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = v
-            cols.append(col)
-        return cols
-
     def d_squared_is_zero(self):
         algebra = self.algebra
         for i in range(1, len(self.diffs)):
@@ -106,13 +82,8 @@ class ModuleComplex:
                         continue
                     prod = algebra.product(a, b)
                     if prod:
-                        acc = composite.setdefault((t, u), {})
-                        for k, c in prod.items():
-                            v = self.field.add(acc.get(k, self.field.zero), c)
-                            if v == self.field.zero:
-                                acc.pop(k, None)
-                            else:
-                                acc[k] = v
+                        add_scaled(composite.setdefault((t, u), {}), prod,
+                                   self.field.one, self.field)
             if any(entry for entry in composite.values()):
                 return False
         return True
@@ -128,9 +99,11 @@ class ModuleComplex:
     def verify(self):
         """Full report: d^2, exactness by rank counting, top, minimality."""
         field = self.field
-        dims = self.dims()
+        bases = [self.module_basis(i) for i in range(len(self.weights))]
+        dims = [len(b) for b in bases]
         steps = len(self.diffs)
-        ranks = [matrix_rank(self._matrix_columns(i), field)
+        ranks = [matrix_rank(columns(bases[i], bases[i - 1], self.diffs[i - 1],
+                                     self.algebra.product_indices, field), field)
                  for i in range(1, steps + 1)]
         report = {
             "d_squared_zero": self.d_squared_is_zero(),
@@ -288,107 +261,13 @@ def transport_resolution(gc, lam, r, borel=None):
 def resolve_simple(algebra, lam, length, pivoting="first"):
     """Minimal projective resolution of the one-dimensional simple at lam,
     computed directly over a based algebra by iterated projective covers.
-
-    The radical is spanned by the positive-degree arrows, so the cover of
-    a head-graded submodule takes, head by head, the vectors independent
-    of the radical multiples coming from other heads.
     """
     lam = tuple(lam)
-    field = algebra.field
-    weights = [[lam]]
-    diffs = []
-
-    # kernel of the augmentation: radical of P_0, split by head
-    kernel = {}
-    for a in algebra.based_at(lam):
-        if algebra.is_unit_arrow(a):
-            continue
-        kernel.setdefault(algebra.head(a), []).append({(0, a): field.one})
-
-    for _step in range(1, length + 1):
-        gens, diff = _cover_based(algebra, kernel, pivoting)
-        weights.append([w for w in gens])
-        diffs.append(diff)
-        if not gens:
-            break
-        kernel = _kernel_based(algebra, weights[-1], weights[-2], diff, pivoting)
-
-    terminated = not weights[-1]
+    weights, diffs = resolve(sorted(set(algebra.heads)), lam,
+                             algebra.between, algebra.product_indices,
+                             algebra.field, length, pivoting)
     return ModuleComplex(algebra, lam, weights, diffs, complete=True,
-                         terminated=terminated)
-
-
-def _cover_based(algebra, kernel, pivoting):
-    """Minimal generators of a head-graded submodule and their lift matrix."""
-    field = algebra.field
-    gens = []
-    diff = {}
-    all_vecs = [(w, v) for w in sorted(kernel) for v in kernel[w]]
-    for w in sorted(kernel):
-        rad = Echelon(field, pivoting)
-        for w2, v in all_vecs:
-            # radical multiples: positive arrows from w2 to w
-            for b in algebra.between(w2, w):
-                if algebra.is_unit_arrow(b):
-                    continue
-                lifted = {}
-                for (t, a), c in v.items():
-                    for k, ck in algebra.product_indices(b, a).items():
-                        key = (t, k)
-                        x = field.add(lifted.get(key, field.zero),
-                                      field.mul(c, ck))
-                        if x == field.zero:
-                            lifted.pop(key, None)
-                        else:
-                            lifted[key] = x
-                if lifted:
-                    rad.insert(lifted)
-        for v in kernel[w]:
-            residual = rad.reduce(v)
-            if not residual:
-                continue
-            rad.insert(residual)
-            s = len(gens)
-            gens.append(w)
-            for (t, a), c in residual.items():
-                entry = diff.setdefault((t, s), {})
-                entry[a] = field.add(entry.get(a, field.zero), c)
-    return gens, diff
-
-
-def _kernel_based(algebra, src_weights, dst_weights, diff, pivoting):
-    """Head-graded nullspace of the freshly built differential."""
-    field = algebra.field
-    by_col = {}
-    for (t, s), entry in diff.items():
-        by_col.setdefault(s, []).append((t, entry))
-    kernel = {}
-    for w in sorted(set(algebra.heads)):
-        src = [(s, a) for s, ws in enumerate(src_weights)
-               for a in algebra.between(ws, w)]
-        if not src:
-            continue
-        dst = [(t, a) for t, wt in enumerate(dst_weights)
-               for a in algebra.between(wt, w)]
-        dst_index = {b: k for k, b in enumerate(dst)}
-        cols = []
-        for s, a in src:
-            col = {}
-            for t, entry in by_col.get(s, ()):
-                for b, cb in algebra.product({a: field.one}, entry).items():
-                    k = dst_index[(t, b)]
-                    v = field.add(col.get(k, field.zero), cb)
-                    if v == field.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = v
-            cols.append(col)
-        vecs = column_kernel(cols, field, pivoting)
-        if vecs:
-            kernel[w] = [
-                {src[c]: x for c, x in v.items()} for v in vecs
-            ]
-    return kernel
+                         terminated=not weights[-1])
 
 
 def ext_table_csv(complex_):

@@ -10,6 +10,12 @@ from borelschur.cli import main
 from borelschur.divided_powers import DividedPowerAlgebra
 
 
+def source_env():
+    """Environment in which a child interpreter imports this source tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -126,10 +132,27 @@ def test_byte_stability(tmp_path):
         cmd = [sys.executable, "-m", "borelschur.cli", "transport",
                "--n", "2", "--r", "2", "--char", "2", "--lambda", "1,1",
                "--length", "4", "--height", "4", "--out", str(p)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=source_env())
         assert proc.returncode == 0, proc.stderr
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("resolve --n 3 --char 2 --length 4 --height 6",
+     "fb3562d6bb126469a34b4ee54bc5a8cf133b409d29a67d76d5733049553d2c67"),
+    ("transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 5 --height 6",
+     "2c6f3c44650e9b82a4d9e7bcf6a2ff7e4950883e8fb38a86f1ca788964ac0d20"),
+    ("check-ideals --n 3 --r 2 --char 0",
+     "867418482b0cf3af8b9b8a70a310cd96bc896777f1ddfa70c9720fbbd980f247"),
+])
+def test_payload_bytes_are_pinned(argv, digest, capsys):
+    """Payload bytes of jobs that run both resolution routes and the Tor
+    check; a change that alters them changes the program's output."""
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -211,11 +234,9 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_from_a_source_tree():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
         [sys.executable, "-m", "borelschur", "verify-iso", "--n", "2",
          "--r", "2", "--char", "2"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"]

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelschur.arrows import BorelAlgebra, arrow_is_kept
 from borelschur.combinatorics import compositions, coords_to_vector, point_add
 from borelschur.divided_powers import DividedPowerAlgebra
-from borelschur.fields import PrimeField, Rationals
+from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.resolutions import minimal_resolution
 from borelschur.transport import (
     ext_table_csv,
@@ -235,3 +237,34 @@ def test_transport_three_rows_degree_three():
     # frozen spot value: the socle-heaviest simple needs a length-3 resolution
     bc = transport_resolution(gc, (0, 0, 3), 3, borel=borel)
     assert bc.dims()[:4] == [10, 21, 19, 7]
+
+
+@st.composite
+def simples(draw):
+    n = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(0, 3))
+    lam = draw(st.sampled_from(compositions(n, r)))
+    char = draw(st.sampled_from([0, 2, 3]))
+    pivoting = draw(st.sampled_from(["first", "last"]))
+    return n, r, lam, char, pivoting
+
+
+@settings(max_examples=40, deadline=None)
+@given(simples())
+def test_transport_and_direct_covers_agree(case):
+    """The two routes through the resolution engine: the degree-graded
+    resolution transported to the Borel algebra, and the head-graded
+    resolution of the simple computed over it directly."""
+    n, r, lam, char, pivoting = case
+    field = field_of_characteristic(char)
+    height = max_reachable_height(lam, n, r)
+    # every step raises the height of the weight, so height + 1 steps end
+    length = height + 1
+    gc = minimal_resolution(DividedPowerAlgebra(n), field, length, height,
+                            pivoting=pivoting)
+    bc = transport_resolution(gc, lam, r)
+    direct = resolve_simple(BorelAlgebra(n, r, field), lam, length,
+                            pivoting=pivoting)
+    assert bc.verify()["passed"] and direct.verify()["passed"]
+    assert bc.ext_dimensions() == direct.ext_dimensions()
+    assert bc.euler_ok() and direct.euler_ok()
