@@ -26,7 +26,7 @@ from .combinatorics import (
     positive_root_coords,
     tri_matrices_all,
 )
-from .divided_powers import DividedPowerAlgebra, Monomial
+from .divided_powers import DividedPowerAlgebra
 from .fields import serialize_scalar as _ser
 from .linalg import add_scaled
 
@@ -38,21 +38,15 @@ def arrow_head(alg, arrow):
 
 def arrow_product(alg, x, y, field):
     """Bilinear product of arrow elements (dicts {(monomial, base): scalar})."""
-    zero = field.zero
     out = {}
     for (m2, y2), c2 in y.items():
         head2 = arrow_head(alg, (m2, y2))
         for (m1, y1), c1 in x.items():
             if y1 != head2:
                 continue
-            c12 = field.mul(c1, c2)
-            for exps, k in alg.multiply_monomials(m1, m2):
-                key = (Monomial(alg.n, exps), y2)
-                v = field.add(out.get(key, zero), field.mul(c12, field.of(k)))
-                if v == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+            prod = alg.monomial_product(m1, m2, field)
+            add_scaled(out, {(m, y2): c for m, c in prod.items()},
+                       field.mul(c1, c2), field)
     return out
 
 
@@ -161,13 +155,8 @@ class BasedAlgebra:
     def _compose(self, i, j):
         """Product of composable basis arrows i and j as an arrow element."""
         (m1, _), (m2, y2) = self.arrows[i], self.arrows[j]
-        field = self.field
-        out = {}
-        for exps, k in self.alg.multiply_monomials(m1, m2):
-            c = field.of(k)
-            if c != field.zero:
-                out[(Monomial(m1.n, exps), y2)] = c
-        return out
+        return {(m, y2): c for m, c
+                in self.alg.monomial_product(m1, m2, self.field).items()}
 
     def product(self, x, y):
         """Bilinear product of index vectors."""

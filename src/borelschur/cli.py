@@ -151,7 +151,6 @@ def cmd_resolve(args):
     summary = [f"resolution n={args.n} char {args.char} length {args.length} "
                f"height {args.height}: module ranks "
                f"{[len(d) for d in complex_.degrees]}"]
-    summary.extend(f"warning: {w}" for w in complex_.warnings)
     return payload, exact and minimal, summary
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .combinatorics import height
+from .linalg import add_scaled
 
 
 class IntegralityError(ArithmeticError):
@@ -205,24 +206,23 @@ class DividedPowerAlgebra:
         self._products[key] = out
         return out
 
-    def multiply(self, x, y, field):
-        """Bilinear product of elements (dicts Monomial -> scalar)."""
+    def monomial_product(self, m1, m2, field):
+        """Product of two monomials as {Monomial: nonzero scalar} in field."""
         zero = field.zero
         out = {}
+        for exps, k in self.multiply_monomials(m1, m2):
+            c = field.of(k)
+            if c != zero:
+                out[Monomial(self.n, exps)] = c
+        return out
+
+    def multiply(self, x, y, field):
+        """Bilinear product of elements (dicts Monomial -> scalar)."""
+        out = {}
         for m1, c1 in x.items():
-            if c1 == zero:
-                continue
             for m2, c2 in y.items():
-                if c2 == zero:
-                    continue
-                c12 = field.mul(c1, c2)
-                for exps, k in self.multiply_monomials(m1, m2):
-                    m = Monomial(self.n, exps)
-                    v = field.add(out.get(m, zero), field.mul(c12, field.of(k)))
-                    if v == zero:
-                        out.pop(m, None)
-                    else:
-                        out[m] = v
+                add_scaled(out, self.monomial_product(m1, m2, field),
+                           field.mul(c1, c2), field)
         return out
 
     # -- column structure ----------------------------------------------

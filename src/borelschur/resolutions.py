@@ -2,16 +2,16 @@
 
 The algebra is split into pieces: a basis element runs from one piece to
 another, and products compose head to tail.  The engine sees the algebra
-only through three things its caller supplies:
+only through two functions its caller supplies:
 
 - `between(g, p)`: the basis elements from piece g to piece p, empty
   when there are none;
 - `mul(x, y)`: the product of two basis elements as {basis element:
-  nonzero scalar};
-- the order in which pieces are covered, which fixes the numbering of
-  new generators and so the payloads.
+  nonzero scalar}.
 
-A free module is a list of generator pieces; its piece p has the basis
+Pieces are int tuples, covered in (coordinate sum, lex) order; that
+order fixes the numbering of new generators and so the payloads.  A free
+module is a list of generator pieces; its piece p has the basis
 of pairs (generator t, element of `between(gens[t], p)`).  A map between
 free modules is {(t, s): {basis element: scalar}}, sending the pair
 (s, x) to the sum over t of (t, x * d[t, s]).  Kernels are exact
@@ -20,8 +20,8 @@ kernel modulo its radical multiples, with deterministic pivoting, so two
 runs produce identical generators.
 
 Here the pieces are degree coordinates over the simple positive vectors,
-the basis from g to p is the monomials of degree p - g, and pieces are
-covered in (height, lex) order: this resolves the trivial module of the
+covered in (height, lex) order, and the basis from g to p is the
+monomials of degree p - g: this resolves the trivial module of the
 divided-power algebra.  `transport.resolve_simple` runs the same engine
 over a based algebra with head weights as pieces.
 
@@ -30,7 +30,6 @@ degree slices.  Within the height window every slice of every kernel is
 complete, because radical products only ever raise height.
 """
 
-from .divided_powers import Monomial
 from .fields import serialize_scalar as _ser
 from .linalg import Echelon, add_scaled, column_kernel, matrix_rank
 
@@ -60,7 +59,7 @@ def columns(src, dst, diff, mul, field):
     return cols
 
 
-def _cover(kernel, between, mul, field, pivoting, order):
+def _cover(kernel, between, mul, field, pivoting):
     """Minimal generators of a graded kernel and the map from them onto it.
 
     `kernel` is {piece: (vectors, basis)}, each vector a dict over
@@ -71,7 +70,7 @@ def _cover(kernel, between, mul, field, pivoting, order):
     """
     gens = []
     diff = {}
-    pieces = sorted(kernel, key=order)
+    pieces = sorted(kernel, key=lambda p: (sum(p), p))
     for p in pieces:
         vecs, basis = kernel[p]
         index = {b: k for k, b in enumerate(basis)}
@@ -102,13 +101,13 @@ def _cover(kernel, between, mul, field, pivoting, order):
     return gens, diff
 
 
-def resolve(pieces, top, between, mul, field, length, pivoting, order=None):
+def resolve(pieces, top, between, mul, field, length, pivoting):
     """Minimal free resolution of the one-dimensional module at piece `top`.
 
     P_0 is free on one generator at `top`; the kernel of the augmentation
     is every other piece of P_0.  Each step covers the current kernel,
-    with pieces in `order`, then takes the kernel of the new map on every
-    piece in `pieces`; the last step skips that kernel.  Returns the
+    then takes the kernel of the new map on every piece in `pieces`; the
+    last step skips that kernel.  Returns the
     generator pieces of P_0, P_1, ... and the maps d_1, d_2, ...
     """
     gens = [[top]]
@@ -119,7 +118,7 @@ def resolve(pieces, top, between, mul, field, length, pivoting, order=None):
         if p != top and basis:
             kernel[p] = ([{k: field.one} for k in range(len(basis))], basis)
     for step in range(1, length + 1):
-        new, diff = _cover(kernel, between, mul, field, pivoting, order)
+        new, diff = _cover(kernel, between, mul, field, pivoting)
         gens.append(new)
         diffs.append(diff)
         if not new or step == length:
@@ -137,28 +136,6 @@ def resolve(pieces, top, between, mul, field, length, pivoting, order=None):
     return gens, diffs
 
 
-def _degree_order(coords):
-    return (sum(coords), coords)
-
-
-def _graded_ops(alg, field):
-    """`between` and `mul` of the divided-power algebra graded by degree."""
-    zero = field.zero
-
-    def between(g, p):
-        return alg.component_basis(tuple(b - a for a, b in zip(g, p)))
-
-    def mul(x, y):
-        out = {}
-        for exps, k in alg.multiply_monomials(x, y):
-            c = field.of(k)
-            if c != zero:
-                out[Monomial(alg.n, exps)] = c
-        return out
-
-    return between, mul
-
-
 class GradedComplex:
     """P_0 <- P_1 <- ... with generator degrees and homogeneous differentials.
 
@@ -169,19 +146,24 @@ class GradedComplex:
     right multiplication on generator coordinates.
     """
 
-    def __init__(self, alg, field, length, height_cut, degrees, diffs, warnings):
+    def __init__(self, alg, field, length, height_cut, degrees, diffs):
         self.alg = alg
         self.field = field
         self.length = length
         self.height = height_cut
         self.degrees = degrees
         self.diffs = diffs
-        self.warnings = warnings
-        self._between, self._mul = _graded_ops(alg, field)
 
     @property
     def n(self):
         return self.alg.n
+
+    def between(self, g, p):
+        """Monomials of degree p - g, empty when a coordinate is negative."""
+        return self.alg.component_basis(tuple(b - a for a, b in zip(g, p)))
+
+    def mul(self, x, y):
+        return self.alg.monomial_product(x, y, self.field)
 
     def betti(self):
         """Homological index -> sorted list of generator degrees."""
@@ -189,7 +171,7 @@ class GradedComplex:
 
     def slice_basis(self, i, coords):
         """Pairs (generator, monomial) spanning the degree slice of P_i."""
-        return free_basis(self.degrees[i], coords, self._between)
+        return free_basis(self.degrees[i], coords, self.between)
 
     def verify_exactness(self):
         """Rank counting on every slice within the height window.
@@ -202,7 +184,7 @@ class GradedComplex:
             bases = [self.slice_basis(i, coords) for i in range(len(self.degrees))]
             dims = [len(b) for b in bases]
             ranks = [matrix_rank(columns(bases[i], bases[i - 1],
-                                         self.diffs[i - 1], self._mul,
+                                         self.diffs[i - 1], self.mul,
                                          self.field), self.field)
                      for i in range(1, steps + 1)]
             aug_ker = dims[0] if any(coords) else 0
@@ -236,7 +218,7 @@ class GradedComplex:
                 )
                 for diff in self.diffs
             ],
-            "warnings": list(self.warnings),
+            "warnings": [],
         }
 
 
@@ -248,8 +230,8 @@ def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
     generators chosen minimally (independent modulo radical multiples of
     the kernel).
     """
-    between, mul = _graded_ops(alg, field)
-    degrees, diffs = resolve(alg.degrees_to_height(height_cut),
-                             (0,) * (alg.n - 1), between, mul, field, length,
-                             pivoting, order=_degree_order)
-    return GradedComplex(alg, field, length, height_cut, degrees, diffs, [])
+    complex_ = GradedComplex(alg, field, length, height_cut, [], [])
+    complex_.degrees, complex_.diffs = resolve(
+        alg.degrees_to_height(height_cut), (0,) * (alg.n - 1),
+        complex_.between, complex_.mul, field, length, pivoting)
+    return complex_
