@@ -28,6 +28,13 @@ def _prime_or_zero(text):
     return value
 
 
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _parse_lambda(text):
     try:
         return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
@@ -45,9 +52,9 @@ def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False):
         p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
                        help="weight as comma-separated integers, e.g. 1,1")
     if need_cutoffs:
-        p.add_argument("--length", type=int, default=4,
+        p.add_argument("--length", type=_non_negative, default=4,
                        help="homological length cutoff (default 4)")
-        p.add_argument("--height", type=int, default=4,
+        p.add_argument("--height", type=_non_negative, default=4,
                        help="degree height cutoff (default 4)")
     p.add_argument("--cache", help="path to the structure-constant cache file")
     p.add_argument("--out", help="write the payload to this file")

@@ -19,8 +19,8 @@ import json
 import os
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
-from .combinatorics import height
 from .linalg import add_scaled
 
 
@@ -71,6 +71,7 @@ class DividedPowerAlgebra:
         self.n = n
         self.pairs = _pairs(n)
         self.pair_index = {p: a for a, p in enumerate(self.pairs)}
+        self.pair_heights = [j - i for i, j in self.pairs]
         # canonical written position: leftmost factor has the largest (j, i)
         by_written = sorted(range(len(self.pairs)),
                             key=lambda a: (self.pairs[a][1], self.pairs[a][0]),
@@ -113,7 +114,7 @@ class DividedPowerAlgebra:
         return tuple(c)
 
     def monomial_height(self, m):
-        return height(self.degree(m))
+        return _exps_height(m.exps, self.pair_heights)
 
     # -- canonical word and straightening ------------------------------
 
@@ -299,53 +300,66 @@ class DividedPowerAlgebra:
 
     def fill_cache(self, h):
         """Precompute products of all monomial pairs of total height <= h."""
-        monos = self.monomials_to_height(h)
-        for m1 in monos:
-            h1 = self.monomial_height(m1)
-            for m2 in monos:
-                if h1 + self.monomial_height(m2) <= h:
+        monos = [(m, self.monomial_height(m))
+                 for m in self.monomials_to_height(h)]
+        for m1, h1 in monos:
+            for m2, h2 in monos:
+                if h1 + h2 <= h:
                     self.multiply_monomials(m1, m2)
 
     # -- cache persistence ----------------------------------------------
 
-    CACHE_SCHEMA = 2
+    CACHE_SCHEMA = 3
 
     def save_cache(self, path, h):
         """Write the full product table up to pair height h.
 
         The file is a one-line JSON header {schema, n, height, sha256},
-        then the entries as JSON; sha256 is the digest of those bytes.
+        then h + 1 lines: line k is the JSON list of the entries whose two
+        factors' heights add up to k.  sha256 is the digest of those lines.
         """
         self.fill_cache(h)
-        entries = []
-        for (e1, e2), terms in sorted(self._products.items()):
-            m1 = Monomial(self.n, e1)
-            m2 = Monomial(self.n, e2)
-            if self.monomial_height(m1) + self.monomial_height(m2) > h:
-                continue
-            entries.append(json.dumps([e1, e2, terms], separators=(",", ":")))
-        body = f"[{','.join(entries)}]".encode()
+        by_height = [[] for _ in range(h + 1)]
+        weights = self.pair_heights
+        for key, terms in sorted(self._products.items()):
+            k = _exps_height(key[0], weights) + _exps_height(key[1], weights)
+            if k <= h:
+                by_height[k].append((key, terms))
         header = {"schema": self.CACHE_SCHEMA, "n": self.n, "height": h,
-                  "sha256": hashlib.sha256(body).hexdigest()}
+                  "sha256": "0" * 64}
+        digest = hashlib.sha256()
         path = os.fspath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header, sort_keys=True,
-                                    separators=(",", ":")).encode())
-                fh.write(b"\n" + body)
+                fh.write(_header_line(header))
+                for entries in by_height:
+                    line = ("[" + ",".join(
+                        json.dumps([e1, e2, terms], separators=(",", ":"))
+                        for (e1, e2), terms in entries) + "]\n").encode()
+                    digest.update(line)
+                    fh.write(line)
+                # a hex digest has a fixed length, so the header keeps its
+                # size and is rewritten in place
+                header["sha256"] = digest.hexdigest()
+                fh.seek(0)
+                fh.write(_header_line(header))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # only when writing or replacing failed
                 os.remove(tmp)
 
     def load_cache(self, path, h):
-        """Load a cache file; returns False if it does not cover (n, h),
-        fails its digest or is malformed, and then nothing is loaded.
+        """Load the entries of pair height <= h from a cache file.
 
-        The entries' bytes must hash to the header's sha256, and every
-        entry must be a triple (exponents, exponents, terms) with exponent
-        vectors of length n(n-1)/2 and integer coefficients.
+        Returns False if the file does not cover (n, h), fails its digest
+        or is malformed, and then nothing is loaded.  The body's bytes must
+        hash to the header's sha256 and hold one line per pair height up
+        to the header's height.  Only lines 0..h are parsed: every entry
+        there must be a triple (exponents, exponents, terms) with exponent
+        vectors of length n(n-1)/2 whose heights add up to its line number,
+        and integer coefficients.  Higher lines are checked by the load
+        that needs them.
         """
         try:
             with open(path, "rb") as fh:
@@ -360,15 +374,29 @@ class DividedPowerAlgebra:
                 or header["height"] < h
                 or header.get("sha256") != hashlib.sha256(body).hexdigest()):
             return False
-        try:
-            entries = json.loads(body)
-        except ValueError:
+        lines = body.split(b"\n")
+        if len(lines) != header["height"] + 2 or lines[-1]:
             return False
-        table = _parse_entries(entries, len(self.pairs))
-        if table is None:
-            return False
+        table = {}
+        for k in range(h + 1):
+            try:
+                entries = json.loads(lines[k])
+            except ValueError:
+                return False
+            if not _parse_entries(entries, self.pair_heights, k, table):
+                return False
         self._products.update(table)
         return True
+
+
+def _header_line(header):
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return text.encode() + b"\n"
+
+
+def _exps_height(exps, weights):
+    """Height of the monomial with these exponents; e_ij has height j - i."""
+    return sum(map(mul, exps, weights))
 
 
 def _exps(value, length):
@@ -381,26 +409,28 @@ def _exps(value, length):
     return tuple(value)
 
 
-def _parse_entries(entries, length):
-    """Cache entries -> product table, or None if any entry is malformed."""
+def _parse_entries(entries, weights, k, table):
+    """Add the cache entries of pair height k to table; False if any is
+    malformed or of another pair height."""
     if type(entries) is not list:
-        return None
-    table = {}
+        return False
+    length = len(weights)
     for entry in entries:
         if type(entry) is not list or len(entry) != 3:
-            return None
+            return False
         e1, e2, terms = entry
         e1, e2 = _exps(e1, length), _exps(e2, length)
-        if e1 is None or e2 is None or type(terms) is not list:
-            return None
+        if (e1 is None or e2 is None or type(terms) is not list
+                or _exps_height(e1, weights) + _exps_height(e2, weights) != k):
+            return False
         out = []
         for term in terms:
             if type(term) is not list or len(term) != 2:
-                return None
+                return False
             e, c = term
             e = _exps(e, length)
             if e is None or type(c) is not int:
-                return None
+                return False
             out.append((e, c))
         table[(e1, e2)] = tuple(out)
-    return table
+    return True

@@ -10,7 +10,8 @@ only through two functions its caller supplies:
   nonzero scalar}.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
-order fixes the numbering of new generators and so the payloads.  A free
+order fixes the numbering of new generators and so the payloads, and
+`between(g, p)` must be empty when g comes after p in it.  A free
 module is a list of generator pieces; its piece p has the basis
 of pairs (generator t, element of `between(gens[t], p)`).  A map between
 free modules is {(t, s): {basis element: scalar}}, sending the pair
@@ -64,20 +65,20 @@ def _cover(kernel, between, mul, field, pivoting):
 
     `kernel` is {piece: (vectors, basis)}, each vector a dict over
     positions in the piece's basis.  The radical part of piece p is
-    spanned by the kernel vectors of every other piece g multiplied by
+    spanned by the kernel vectors of every earlier piece g multiplied by
     the basis elements from g to p, so the new generators at p are the
     kernel vectors that stay independent of it.
     """
     gens = []
     diff = {}
     pieces = sorted(kernel, key=lambda p: (sum(p), p))
-    for p in pieces:
+    for i, p in enumerate(pieces):
         vecs, basis = kernel[p]
         index = {b: k for k, b in enumerate(basis)}
         rad = Echelon(field, pivoting)
-        for g in pieces:
-            if g == p:
-                continue
+        # between(g, p) with g != p is empty unless g comes first: p - g is
+        # a nonzero degree, or head weight p strictly dominates its base g
+        for g in pieces[:i]:
             lower_vecs, lower_basis = kernel[g]
             for x in between(g, p):
                 for v in lower_vecs:

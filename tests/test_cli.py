@@ -180,11 +180,22 @@ def _signed(header, body):
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _cache_lines(path):
+    """Header and body lines of a cache file, parsed."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), [json.loads(line) for line in body.splitlines()]
+
+
+def _line_bytes(lines):
+    return b"".join(json.dumps(line, separators=(",", ":")).encode() + b"\n"
+                    for line in lines)
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
-    _signed({"schema": 2, "n": 3, "height": 4},
-            b"[[[1], [0, 0, 0], []]]").decode(),
-])
+    _signed({"schema": 3, "n": 3, "height": 4},
+            b"[]\n[[[1], [0, 0, 0], []]]\n[]\n[]\n[]\n").decode(),
+], ids=["[1]", "short-exponents"])
 def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
             "--height", "4"]
@@ -195,10 +206,9 @@ def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert code == 0
     assert out == expected
-    header, body = cache.read_bytes().split(b"\n", 1)
-    header = json.loads(header)
-    assert header["n"] == 3 and header["height"] == 4
-    assert all(len(e1) == 3 for e1, _, _ in json.loads(body))
+    header, lines = _cache_lines(cache)
+    assert header["n"] == 3 and header["height"] == 4 and len(lines) == 5
+    assert all(len(e1) == 3 for line in lines for e1, _, _ in line)
 
 
 def test_tampered_cache_is_rebuilt(tmp_path, capsys):
@@ -210,27 +220,77 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     assert code == 0
     cache = tmp_path / "cache.json"
     DividedPowerAlgebra(3).save_cache(cache, 4)
-    header, body = cache.read_bytes().split(b"\n", 1)
-    entries = json.loads(body)
-    terms = [t for _, _, ts in entries for t in ts][:78]
+    header, lines = _cache_lines(cache)
+    terms = [t for line in lines for _, _, ts in line for t in ts][:78]
     assert len(terms) == 78
     for t in terms:
         t[1] += 1
-    tampered = json.dumps(entries, separators=(",", ":")).encode()
+    tampered = _line_bytes(lines)
 
     # with a matching digest the tampered table loads and changes the answer
-    cache.write_bytes(_signed(json.loads(header), tampered))
+    cache.write_bytes(_signed(header, tampered))
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
     _, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert out != expected
 
     # under the stored digest it is refused and rebuilt
-    cache.write_bytes(header + b"\n" + tampered)
+    cache.write_bytes(json.dumps(header).encode() + b"\n" + tampered)
     assert not DividedPowerAlgebra(3).load_cache(cache, 4)
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert code == 0
     assert out == expected
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
+
+
+def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,
+                                                              capsys):
+    """A signed file with a malformed entry on line 5 serves height 4,
+    is refused at height 5, and the CLI rebuilds it there."""
+    cache = tmp_path / "cache.json"
+    DividedPowerAlgebra(3).save_cache(cache, 6)
+    header, lines = _cache_lines(cache)
+    lines[5][0][2][0][1] = 1.5
+    cache.write_bytes(_signed(header, _line_bytes(lines)))
+    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+    assert not DividedPowerAlgebra(3).load_cache(cache, 5)
+    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
+            "--height", "5"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    assert _cache_lines(cache)[0]["height"] == 5
+    assert DividedPowerAlgebra(3).load_cache(cache, 5)
+
+
+def test_transport_reads_a_higher_cache(tmp_path, capsys):
+    """A height-8 job on a height-16 file reads only lines 0..8, uses the
+    file as it is and prints the bytes of the uncached run."""
+    argv = ["transport", "--n", "3", "--r", "4", "--lambda", "2,1,1",
+            "--length", "6", "--height", "8"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    DividedPowerAlgebra(3).save_cache(cache, 16)
+    saved = cache.read_bytes()
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    assert cache.read_bytes() == saved
+
+
+@pytest.mark.parametrize("argv", [
+    "resolve --n 3 --height -1",
+    "resolve --n 3 --length -2",
+    "transport --n 3 --r 4 --lambda 2,1,1 --height -3",
+    "transport --n 3 --r 4 --lambda 2,1,1 --length -1",
+])
+def test_negative_cutoffs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_from_a_source_tree():

@@ -183,25 +183,41 @@ def test_cache_file_round_trip(tmp_path):
     assert not a4.load_cache(path, 6)
 
 
-def _cache_text(entries, n=3, height=4):
-    """A cache file in the saved layout, with a digest that matches."""
-    body = json.dumps(entries)
-    header = {"schema": 2, "n": n, "height": height,
+def _signed_lines(lines, n=3, height=4):
+    """A cache file whose body holds `lines`, one JSON value per line,
+    with a digest that matches."""
+    body = "".join(json.dumps(line) + "\n" for line in lines)
+    header = {"schema": 3, "n": n, "height": height,
               "sha256": hashlib.sha256(body.encode()).hexdigest()}
     return json.dumps(header) + "\n" + body
+
+
+def _pair_height(entry, n=3):
+    weights = DividedPowerAlgebra(n).pair_heights
+    return sum(k * w for e in entry[:2] for k, w in zip(e, weights))
+
+
+def _cache_text(entries, n=3, height=4):
+    """A cache file in the saved layout: each entry on the line of its
+    pair height, with a digest that matches."""
+    lines = [[] for _ in range(height + 1)]
+    for entry in entries:
+        lines[_pair_height(entry, n)].append(entry)
+    return _signed_lines(lines, n, height)
 
 
 @pytest.mark.parametrize("text", [
     "[1]",
     "null",
-    _cache_text([[[1], [0, 0, 0], []]]),              # exponents too short
-    _cache_text([[[0, 0, 0], [0, 0, 0]]]),            # not a triple
-    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], 2.0]]]]),  # float
-    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], True]]]]),  # bool
-    _cache_text([[[0, 0, -1], [0, 0, 0], []]]),       # negative exponent
-    _cache_text("entries"),
-    _cache_text([], height="9"),
-])
+    _cache_text([[[1], [0, 0, 0], []]]),
+    _cache_text([[[0, 0, 0], [0, 0, 0]]]),
+    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], 2.0]]]]),
+    _cache_text([[[0, 0, 1], [0, 0, 1], [[[0, 0, 2], True]]]]),
+    _cache_text([[[0, 0, -1], [0, 0, 2], []]]),
+    _signed_lines(["entries", [], [], [], []]),
+    _signed_lines([[], [], [], [], []], height="9"),
+], ids=["[1]", "null", "short-exponents", "not-a-triple", "float", "bool",
+        "negative-exponent", "line-not-a-list", "height-not-int"])
 def test_load_cache_rejects_malformed(tmp_path, text):
     path = tmp_path / "cache.json"
     path.write_text(text)
@@ -220,6 +236,52 @@ def test_load_cache_loads_nothing_from_a_partly_bad_file(tmp_path):
     path.write_text(_cache_text([good]))
     assert alg.load_cache(path, 4)
     assert alg._products == {((0, 0, 1), (0, 0, 1)): (((0, 0, 2), 2),)}
+
+
+@pytest.mark.parametrize("n,top", [(2, 8), (3, 6)])
+def test_load_cache_reads_the_pairs_up_to_its_height(tmp_path, n, top):
+    path = tmp_path / "cache.json"
+    DividedPowerAlgebra(n).save_cache(path, top)
+    for h in range(top + 1):
+        loaded = DividedPowerAlgebra(n)
+        assert loaded.load_cache(path, h)
+        filled = DividedPowerAlgebra(n)
+        filled.fill_cache(h)
+        assert loaded._products == filled._products
+
+
+def _saved_lines(path, h):
+    DividedPowerAlgebra(3).save_cache(path, h)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    return [json.loads(line) for line in body.splitlines()]
+
+
+@pytest.mark.parametrize("to", [2, 4])
+def test_load_cache_rejects_an_entry_on_the_wrong_line(tmp_path, to):
+    path = tmp_path / "cache.json"
+    lines = _saved_lines(path, 4)
+    assert lines[3] and all(_pair_height(e) == 3 for e in lines[3])
+    lines[to].append(lines[3].pop())
+    path.write_text(_signed_lines(lines))
+    assert DividedPowerAlgebra(3).load_cache(path, to - 1)
+    alg = DividedPowerAlgebra(3)
+    assert not alg.load_cache(path, to)
+    assert alg._products == {}
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_load_cache_rejects_a_wrong_line_count(tmp_path, change):
+    path = tmp_path / "cache.json"
+    lines = _saved_lines(path, 4)
+    if change == "drop":
+        lines.pop()
+    else:
+        lines.append([])
+    path.write_text(_signed_lines(lines))
+    for h in (0, 4):
+        alg = DividedPowerAlgebra(3)
+        assert not alg.load_cache(path, h)
+        assert alg._products == {}
 
 
 def test_save_cache_replaces_the_file_whole(tmp_path):
