@@ -2,8 +2,10 @@
 
 Vectors are dicts {index: nonzero scalar}.  The index type only needs a
 total order; deterministic pivot selection (always the least index, or
-always the greatest under the "last" strategy) makes every reduction,
-kernel basis and coset representative reproducible across runs.
+always the greatest under the "last" strategy) makes every reduction and
+coset representative reproducible across runs.  `Echelon` is the one
+elimination loop; `column_kernel` reads its basis off a reduced echelon
+form, so that basis depends only on the matrix, not on any pivoting.
 """
 
 
@@ -19,12 +21,6 @@ def add_scaled(dst, src, c, field):
         else:
             dst[j] = w
     return dst
-
-
-def scale(vec, c, field):
-    if c == field.zero:
-        return {}
-    return {j: field.mul(c, v) for j, v in vec.items()}
 
 
 class Echelon:
@@ -69,18 +65,16 @@ class Echelon:
         work = {j: v for j, v in vec.items() if v != zero}
         out = {}
         coords = {}
+        # a row's other entries come after its pivot in picking order,
+        # so no index is picked twice
         while work:
             idx = self._pick(work)
             c = work.pop(idx)
-            if c == zero:
-                continue
             row = self.rows.get(idx)
             if row is None:
-                out[idx] = field.add(out.get(idx, zero), c)
-                if out[idx] == zero:
-                    del out[idx]
+                out[idx] = c
             else:
-                coords[idx] = field.add(coords.get(idx, zero), c)
+                coords[idx] = c
                 for j, rj in row.items():
                     if j == idx:
                         continue
@@ -112,41 +106,30 @@ class Echelon:
         return not self.reduce(vec)
 
 
-def column_kernel(columns, field, pivoting="first"):
+def column_kernel(columns, field):
     """Nullspace of the linear map sending unit column j to columns[j].
 
-    Returns a list of dicts over column indices, in a deterministic order.
-    Plain (non-reduced) elimination with combination tracking.
+    One vector per column j that depends on the columns before it: e_j
+    minus the unique expression of column j over the earlier independent
+    columns, listed by increasing j.  It is read off the reduced echelon
+    form of the matrix's rows: the dependent columns are its free
+    columns, and the coefficient at pivot k is minus row k's entry at j.
     """
-    zero = field.zero
-    one = field.one
-    pick = (lambda s: min(s)) if pivoting == "first" else (lambda s: max(s))
-    rows = {}   # pivot -> row vector over row indices
-    combos = {}  # pivot -> combination over column indices producing that row
-    kernel = []
+    ech = Echelon(field)
+    rows = {}
     for j, col in enumerate(columns):
-        work = {i: v for i, v in col.items() if v != zero}
-        combo = {j: one}
-        while work:
-            idx = pick(work)
-            c = work.pop(idx)
-            if c == zero:
-                continue
-            row = rows.get(idx)
-            if row is None:
-                inv = field.inv(c)
-                new_row = {i: field.mul(inv, v) for i, v in work.items()}
-                new_row[idx] = one
-                rows[idx] = new_row
-                combos[idx] = scale(combo, inv, field)
-                combo = None
-                break
-            add_scaled(work, row, field.neg(c), field)
-            work.pop(idx, None)
-            add_scaled(combo, combos[idx], field.neg(c), field)
-        if combo is not None:
-            kernel.append(combo)
-    return kernel
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    for row in rows.values():
+        ech.insert(row)
+    kernel = {j: {} for j in range(len(columns)) if j not in ech.rows}
+    for k in sorted(ech.rows):
+        for j, v in ech.rows[k].items():
+            if j != k:
+                kernel[j][k] = field.neg(v)
+    for j, vec in kernel.items():
+        vec[j] = field.one
+    return list(kernel.values())
 
 
 def matrix_rank(columns, field):
@@ -154,57 +137,3 @@ def matrix_rank(columns, field):
     for col in columns:
         ech.insert(col)
     return ech.rank
-
-
-class SpanSolver:
-    """Expresses vectors as combinations of a fixed independent list.
-
-    Plain echelon with combination tracking; `express` returns None for
-    vectors outside the span.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}
-        self.combos = {}
-        self.count = 0
-
-    def add(self, vec):
-        field = self.field
-        work = {j: v for j, v in vec.items() if v != field.zero}
-        combo = {self.count: field.one}
-        while work:
-            idx = min(work)
-            c = work.pop(idx)
-            if c == field.zero:
-                continue
-            row = self.rows.get(idx)
-            if row is None:
-                inv = field.inv(c)
-                new_row = {j: field.mul(inv, v) for j, v in work.items()}
-                new_row[idx] = field.one
-                self.rows[idx] = new_row
-                self.combos[idx] = scale(combo, inv, field)
-                self.count += 1
-                return
-            add_scaled(work, row, field.neg(c), field)
-            work.pop(idx, None)
-            add_scaled(combo, self.combos[idx], field.neg(c), field)
-        raise ValueError("vector is dependent on the ones already added")
-
-    def express(self, vec):
-        field = self.field
-        work = {j: v for j, v in vec.items() if v != field.zero}
-        out = {}
-        while work:
-            idx = min(work)
-            c = work.pop(idx)
-            if c == field.zero:
-                continue
-            row = self.rows.get(idx)
-            if row is None:
-                return None
-            add_scaled(work, row, field.neg(c), field)
-            work.pop(idx, None)
-            add_scaled(out, self.combos[idx], c, field)
-        return out

@@ -130,8 +130,7 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
             if not src:
                 continue
             dst = free_basis(gens[-2], p, between)
-            vecs = column_kernel(columns(src, dst, diff, mul, field), field,
-                                 pivoting)
+            vecs = column_kernel(columns(src, dst, diff, mul, field), field)
             if vecs:
                 kernel[p] = (vecs, src)
     return gens, diffs
@@ -175,19 +174,28 @@ class GradedComplex:
         return free_basis(self.degrees[i], coords, self.between)
 
     def verify_exactness(self):
-        """Rank counting on every slice within the height window.
+        """d_i d_{i+1} = 0 and rank counting on every slice within the
+        height window.
 
         Checks ker(augmentation) = im(d_1) and exactness at the interior
         homological spots; the last spot has no incoming map to compare.
         """
+        field = self.field
         steps = len(self.diffs)
         for coords in self.alg.degrees_to_height(self.height):
             bases = [self.slice_basis(i, coords) for i in range(len(self.degrees))]
             dims = [len(b) for b in bases]
-            ranks = [matrix_rank(columns(bases[i], bases[i - 1],
-                                         self.diffs[i - 1], self.mul,
-                                         self.field), self.field)
-                     for i in range(1, steps + 1)]
+            cols = [columns(bases[i], bases[i - 1], self.diffs[i - 1],
+                            self.mul, field)
+                    for i in range(1, steps + 1)]
+            for lower, upper in zip(cols, cols[1:]):
+                for col in upper:
+                    composite = {}
+                    for k, c in col.items():
+                        add_scaled(composite, lower[k], c, field)
+                    if composite:
+                        return False
+            ranks = [matrix_rank(c, field) for c in cols]
             aug_ker = dims[0] if any(coords) else 0
             if steps >= 1 and ranks[0] != aug_ker:
                 return False

@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
 from .combinatorics import matrix_to_pair, orbit_of_pair, weight
-from .linalg import Echelon, SpanSolver, add_scaled
+from .linalg import Echelon, add_scaled, column_kernel
 
 TENSOR_DIMENSION_CAP = 300_000
 
@@ -221,36 +221,36 @@ def upper_table_json(n, r, field, basis="image"):
     """
     borel = BorelAlgebra(n, r, field)
     action = TensorAction(n, r, field)
-    ops = []
     if basis == "orbit":
-        key_to_index = {}
-        for k, K in enumerate(borel.matrices):
-            i, j = matrix_to_pair(K)
-            ops.append(action.xi(i, j))
-            key_to_index[action.orbit_key(i, j)] = k
-
-        def express(coeffs):
-            return {key_to_index[key]: c for key, c in coeffs.items()}
+        pairs = [matrix_to_pair(K) for K in borel.matrices]
+        ops = [action.xi(i, j) for i, j in pairs]
+        key_to_index = {action.orbit_key(i, j): k for k, (i, j) in enumerate(pairs)}
     elif basis == "image":
-        solver = SpanSolver(field)
-        for m, mu in borel.arrows:
-            op = action.based_operator(m, mu, borel.alg)
-            ops.append(op)
-            solver.add(action.operator_to_orbits(op))
-
-        def express(coeffs):
-            out = solver.express(coeffs)
-            if out is None:
-                raise ValueError("product left the image span")
-            return out
+        ops = [action.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     else:
         raise ValueError(f"unknown basis {basis!r}")
+    products = [action.operator_to_orbits(action.compose(x, y))
+                for x in ops for y in ops]
+    dim = len(ops)
+    if basis == "orbit":
+        expressed = [{key_to_index[key]: c for key, c in coeffs.items()}
+                     for coeffs in products]
+    else:
+        # with the images independent, each product column depends on the
+        # image columns before it: its kernel vector is e_j minus its
+        # expression over them
+        images = [action.operator_to_orbits(op) for op in ops]
+        kernel = column_kernel(images + products, field)
+        if any(max(v) < dim for v in kernel):
+            raise ValueError("image operators are linearly dependent")
+        if len(kernel) != len(products):
+            raise ValueError("product left the image span")
+        expressed = [{k: field.neg(c) for k, c in v.items() if k < dim}
+                     for v in kernel]
     triples = []
-    for a in range(len(ops)):
-        for b in range(len(ops)):
-            coeffs = action.operator_to_orbits(action.compose(ops[a], ops[b]))
-            for k, c in sorted(express(coeffs).items()):
-                triples.append([a, b, k, _ser(c)])
+    for ab, coeffs in enumerate(expressed):
+        for k, c in sorted(coeffs.items()):
+            triples.append([*divmod(ab, dim), k, _ser(c)])
     payload = borel.to_json()
     payload["products"] = triples
     payload["table_basis"] = basis

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelschur.fields import PrimeField, Rationals
-from borelschur.linalg import Echelon, column_kernel, matrix_rank
+from borelschur.linalg import Echelon, add_scaled, column_kernel, matrix_rank
 
 
 def apply_columns(cols, vec, field):
@@ -114,41 +114,6 @@ def test_reduce_depends_only_on_the_span():
             assert outs == reference
 
 
-def test_span_solver_round_trip():
-    from borelschur.linalg import SpanSolver
-
-    field = PrimeField(5)
-    rng = random.Random(4)
-    gens = [{0: 1, 1: 2}, {1: 1, 2: 3}, {3: 4}]
-    solver = SpanSolver(field)
-    for g in gens:
-        solver.add(dict(g))
-    for _ in range(20):
-        coeffs = [rng.randrange(5) for _ in gens]
-        target = {}
-        for c, g in zip(coeffs, gens):
-            for j, v in g.items():
-                target[j] = (target.get(j, 0) + c * v) % 5
-        target = {j: v for j, v in target.items() if v}
-        expressed = solver.express(target)
-        assert expressed == {k: c for k, c in enumerate(coeffs) if c}
-    assert solver.express({4: 1}) is None
-
-
-def test_column_kernel_pivoting_strategies_agree_on_dimension():
-    rng = random.Random(13)
-    field = Rationals()
-    for _ in range(20):
-        cols = [{i: field.of(rng.randint(-2, 2)) for i in range(4)}
-                for _ in range(5)]
-        cols = [{i: v for i, v in col.items() if v != field.zero} for col in cols]
-        k1 = column_kernel(cols, field, pivoting="first")
-        k2 = column_kernel(cols, field, pivoting="last")
-        assert len(k1) == len(k2)
-        for v in k1 + k2:
-            assert apply_columns(cols, v, field) == {}
-
-
 def _field_and_vectors(data):
     """A field (QQ or GF(p)) and a short list of sparse vectors over it."""
     p = data.draw(st.sampled_from([0, 2, 3, 7]), label="char")
@@ -174,3 +139,27 @@ def test_echelon_rows_do_not_depend_on_insert_order(data):
             b.insert(vecs[k])
         assert a.rows == b.rows
         assert a.pivots == b.pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_kernel_basis_is_pinned_by_the_matrix(data):
+    """Each kernel vector is e_j minus the expression of column j over
+    the independent columns before it, one per dependent column j."""
+    field, cols = _field_and_vectors(data)
+    # add a few combinations of earlier columns so dependencies are common
+    for _ in range(data.draw(st.integers(0, 3), label="extra")):
+        if not cols:
+            break
+        a, b = (data.draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+        col = dict(cols[a])
+        add_scaled(col, cols[b], field.of(data.draw(st.integers(-3, 3))), field)
+        cols.append(col)
+    kernel = column_kernel(cols, field)
+    dependent = [max(v) for v in kernel]
+    assert dependent == sorted(set(dependent))
+    for v, j in zip(kernel, dependent):
+        assert v[j] == field.one
+        assert all(k == j or k not in v for k in dependent)
+        assert apply_columns(cols, v, field) == {}
+    assert len(kernel) == len(cols) - matrix_rank(cols, field)

@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
-from borelschur.divided_powers import DividedPowerAlgebra
+from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
-from borelschur.resolutions import minimal_resolution
+from borelschur.resolutions import GradedComplex, minimal_resolution
 
 QQ = Rationals()
 
@@ -92,6 +92,23 @@ def test_exactness_tripwire():
     entry.clear()
     assert not c.verify_exactness()
     entry.update(saved)
+    assert c.verify_exactness()
+
+
+def test_exactness_requires_differentials_to_compose_to_zero():
+    """Rank counting alone accepts this map: one coefficient of d_2 is
+    changed so that d_1 d_2 is nonzero on generator 5, yet every slice
+    keeps its ranks."""
+    alg = DividedPowerAlgebra(3)
+    field = PrimeField(3)
+    c = minimal_resolution(alg, field, 3, 5)
+    m = Monomial(3, (1, 0, 2))
+    assert c.diffs[1][(0, 5)] == {m: 2}
+    diffs = [dict(d) for d in c.diffs]
+    diffs[1][(0, 5)] = {m: 1}
+    bad = GradedComplex(alg, field, c.length, c.height, c.degrees, diffs)
+    assert bad.verify_minimality()
+    assert not bad.verify_exactness()
     assert c.verify_exactness()
 
 

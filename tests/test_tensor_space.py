@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations, product as iproduct
 
@@ -262,3 +264,45 @@ def test_table_export_diffs_clean(n, r, char):
     assert img["products"] == direct["products"]
     orb = upper_table_json(n, r, field, basis="orbit")
     assert {"n", "r", "char", "basis", "products"} <= set(orb)
+
+
+# sha256 of json.dumps(upper_table_json(n, r, field, basis), sort_keys=True)
+TABLE_DIGESTS = {
+    (2, 3, 0, "image"): "258ad0cdb50bf6f6cae7ce44418ef78a42afdd8cfeca03220ebb3795ffd158f1",
+    (2, 3, 0, "orbit"): "ba2b36e61634c5992c1cb8bce17d23f9334e83cb82654931d40184152382e6c8",
+    (2, 3, 2, "image"): "09e601f8f3dc24eb0260bda26837e3107b3f98b1b1f728645d7462974ed5683b",
+    (2, 3, 2, "orbit"): "61f797efe16726678b5b6c547e167e54ff51259935f4903a93e8ba2f6132c4bb",
+    (3, 2, 0, "image"): "fd96144eaf96a12793f6829e0edc3a2f5ecb0b0a9401159d8a62ca15f643dde2",
+    (3, 2, 0, "orbit"): "6c22b298a7254b1453978531734be08c31012a92e979f72bcf1a6c2d80983cdd",
+    (3, 2, 2, "image"): "23d205ef4fcff307196f8b3c111f7a9dd19399fb75ba5fdec8626d29a2d26a86",
+    (3, 2, 2, "orbit"): "47c30f7e0d6a30981fb7104359244470fd0f121f49ef968416fbe81bb9d3b009",
+}
+
+
+@pytest.mark.parametrize("n,r,char,basis", sorted(TABLE_DIGESTS))
+def test_table_payload_is_pinned(n, r, char, basis):
+    field = QQ if char == 0 else PrimeField(char)
+    text = json.dumps(upper_table_json(n, r, field, basis), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TABLE_DIGESTS[n, r, char, basis]
+
+
+@pytest.mark.parametrize("replacement,message", [
+    (lambda act, ops: ops[0], "linearly dependent"),
+    (lambda act, ops: act.xi((2, 2), (1, 1)), "left the image span"),
+])
+def test_image_table_rejects_a_bad_image(monkeypatch, replacement, message):
+    """One image swapped for a copy of another, or for a lower-triangular
+    orbit sum whose products leave the span, must be refused."""
+    based = TensorAction.based_operator
+    arrows = BorelAlgebra(2, 2, QQ).arrows
+
+    def tampered(act, m, mu, alg):
+        if (m, mu) != arrows[2]:
+            return based(act, m, mu, alg)
+        ops = [based(act, *arrow, alg) for arrow in arrows]
+        return replacement(act, ops)
+
+    monkeypatch.setattr(TensorAction, "based_operator", tampered)
+    with pytest.raises(ValueError, match=message):
+        upper_table_json(2, 2, QQ, basis="image")
