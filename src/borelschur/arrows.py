@@ -104,12 +104,13 @@ class BasedAlgebra:
     """Index and multiplication shared by algebras with a basis of arrows.
 
     A subclass sets `field`, `arrows` (pairs (monomial, base)) and
-    `heads`, calls `_index_arrows` once, and supplies `product_indices`.
-    The index answers "which arrows start at y", "which end at w" and
-    "which run from y to w" by lookup; each answer lists indices in
-    increasing order.  Basis arrows i and j compose only when
-    base(i) == head(j); every other product is zero by grading and is
-    skipped without a table lookup.
+    `heads`, calls `_index_arrows` once, and supplies `_product(i, j)`,
+    the product of composable basis arrows as a vector over basis
+    indices; `product_indices` caches it.  The index answers "which
+    arrows start at y", "which end at w" and "which run from y to w" by
+    lookup; each answer lists indices in increasing order.  Basis arrows
+    i and j compose only when base(i) == head(j); every other product is
+    zero by grading and is skipped without a table lookup.
     """
 
     def _index_arrows(self):
@@ -122,6 +123,7 @@ class BasedAlgebra:
         self._by_base = {y: tuple(v) for y, v in by_base.items()}
         self._by_head = {w: tuple(v) for w, v in by_head.items()}
         self._by_pair = {k: tuple(v) for k, v in by_pair.items()}
+        self._ptable = {}
 
     @property
     def dim(self):
@@ -151,6 +153,18 @@ class BasedAlgebra:
     def unit(self):
         one = self.field.one
         return {i: one for i in range(self.dim) if self.is_unit_arrow(i)}
+
+    def indicator_vector(self, y):
+        return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
+
+    def product_indices(self, i, j):
+        """Product of basis arrows i and j as a vector over basis indices."""
+        if self.bases[i] != self.heads[j]:
+            return {}
+        hit = self._ptable.get((i, j))
+        if hit is None:
+            hit = self._ptable[(i, j)] = self._product(i, j)
+        return dict(hit)
 
     def _compose(self, i, j):
         """Product of composable basis arrows i and j as an arrow element."""
@@ -209,21 +223,10 @@ class ConvexTruncation(BasedAlgebra):
         self.heads = [w for _, w, _ in arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
         self._index_arrows()
-        self._ptable = {}
 
-    def indicator_vector(self, y):
-        return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
-
-    def product_indices(self, i, j):
-        """Product of basis arrows i and j as a vector over basis indices."""
-        if self.bases[i] != self.heads[j]:
-            return {}
-        hit = self._ptable.get((i, j))
-        if hit is None:
-            index = self.index
-            hit = self._ptable[(i, j)] = {
-                index[a]: c for a, c in self._compose(i, j).items()}
-        return dict(hit)
+    def _product(self, i, j):
+        index = self.index
+        return {index[a]: c for a, c in self._compose(i, j).items()}
 
     def to_json(self, with_products=True):
         payload = {
@@ -259,10 +262,6 @@ class BorelAlgebra(BasedAlgebra):
         self.heads = [arrow_head(self.alg, a) for a in self.arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
         self._index_arrows()
-        self._ptable = {}
-
-    def indicator_vector(self, mu):
-        return {self.index[indicator(self.alg, tuple(mu))]: self.field.one}
 
     def reduce_element(self, element):
         """Arrow element -> index vector, dropping non-kept arrows."""
@@ -272,14 +271,8 @@ class BorelAlgebra(BasedAlgebra):
                 out[self.index[a]] = c
         return out
 
-    def product_indices(self, i, j):
-        if self.bases[i] != self.heads[j]:
-            return {}
-        hit = self._ptable.get((i, j))
-        if hit is None:
-            hit = self._ptable[(i, j)] = self.reduce_element(
-                self._compose(i, j))
-        return dict(hit)
+    def _product(self, i, j):
+        return self.reduce_element(self._compose(i, j))
 
     def projective_indices(self, mu):
         """Basis of the projective carried by a composition: arrows based there."""

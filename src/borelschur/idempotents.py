@@ -30,8 +30,8 @@ from .combinatorics import (
     tri_count,
 )
 from .divided_powers import DividedPowerAlgebra
-from .linalg import Echelon, matrix_rank
-from .resolutions import columns
+from .linalg import Echelon
+from .resolutions import chain_ranks
 from .transport import resolve_simple
 
 
@@ -76,7 +76,6 @@ class QuotientAlgebra(BasedAlgebra):
         self.arrows = [trunc.arrows[g] for g in self.reps]
         self.heads = [trunc.heads[g] for g in self.reps]
         self._index_arrows()
-        self._ptable = {}
 
     @property
     def alg(self):
@@ -90,14 +89,9 @@ class QuotientAlgebra(BasedAlgebra):
     def indicator_vector(self, y):
         return self.project(self.trunc.indicator_vector(y))
 
-    def product_indices(self, i, j):
-        if self.bases[i] != self.heads[j]:
-            return {}
-        hit = self._ptable.get((i, j))
-        if hit is None:
-            hit = self._ptable[(i, j)] = self.project(
-                self.trunc.product_indices(self.reps[i], self.reps[j]))
-        return dict(hit)
+    def _product(self, i, j):
+        return self.project(
+            self.trunc.product_indices(self.reps[i], self.reps[j]))
 
 
 def quotient_algebra(trunc, removed):
@@ -271,18 +265,15 @@ def check_layer_hypotheses(n, r):
     return {"zj_condition": ok_z, "yj_condition": ok_y, "cases": cases}
 
 
-def tor_dimensions(trunc, r, lam, imax=2, length=None):
+def tor_dimensions(trunc, r, lam, imax=2):
     """dim Tor_i of (interval algebra / composition ideal, simple at lam).
 
     Resolves the simple over the interval algebra by projective covers and
     pushes the resolution through the quotient (the drop rule); Tor is the
     homology of the pushed-down complex.
     """
-    if length is None:
-        length = imax + 1
-    field = trunc.field
     alg = trunc.alg
-    res = resolve_simple(trunc, lam, length)
+    res = resolve_simple(trunc, lam, imax + 1)
     memo = {}
 
     def kept(a):
@@ -296,18 +287,16 @@ def tor_dimensions(trunc, r, lam, imax=2, length=None):
 
     bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
               if kept(a)] for ws in res.weights]
-    pushed_dims = [len(basis) for basis in bases]
-    pushed_cols = [columns(bases[i], bases[i - 1], res.diffs[i - 1], mul, field)
-                   for i in range(1, len(res.diffs) + 1)]
-    ranks = [matrix_rank(cols, field) for cols in pushed_cols]
+    ranks, d2 = chain_ranks(bases, res.diffs, mul, trunc.field)
+    if not d2:
+        raise ArithmeticError("the pushed-down resolution is not a complex")
     out = {}
     for i in range(1, imax + 1):
-        if i >= len(pushed_cols):
-            out[i] = 0
+        if i >= len(ranks):
+            out[i] = 0  # the resolution ended early: P_i = 0
             continue
         # H_i = dim ker(d_i^push) - rank(d_{i+1}^push)
-        ker = pushed_dims[i] - ranks[i - 1]
-        out[i] = ker - (ranks[i] if i < len(ranks) else 0)
+        out[i] = len(bases[i]) - ranks[i - 1] - ranks[i]
     return out
 
 

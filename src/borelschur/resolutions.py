@@ -29,6 +29,10 @@ over a based algebra with head weights as pieces.
 Cutoffs: `length` bounds the homological degree, `height` bounds the
 degree slices.  Within the height window every slice of every kernel is
 complete, because radical products only ever raise height.
+
+`chain_ranks` is the one checker of a complex: it tests d_i d_{i+1} = 0
+and counts ranks between given bases.  It is behind `resolve`'s `exact`
+verdict, `transport`'s verification and the Tor check of `idempotents`.
 """
 
 from .fields import serialize_scalar as _ser
@@ -58,6 +62,23 @@ def columns(src, dst, diff, mul, field):
                                  for z, cz in mul(x, y).items()}, c, field)
         cols.append(col)
     return cols
+
+
+def chain_ranks(bases, diffs, mul, field):
+    """Ranks of d_1, d_2, ... between the bases of P_0, P_1, ..., and
+    whether every composite d_i d_{i+1} vanishes on them."""
+    cols = [columns(bases[i + 1], bases[i], diff, mul, field)
+            for i, diff in enumerate(diffs)]
+
+    def vanishes(lower, col):
+        composite = {}
+        for k, c in col.items():
+            add_scaled(composite, lower[k], c, field)
+        return not composite
+
+    d2 = all(vanishes(lower, col)
+             for lower, upper in zip(cols, cols[1:]) for col in upper)
+    return [matrix_rank(c, field) for c in cols], d2
 
 
 def _cover(kernel, between, mul, field, pivoting):
@@ -169,10 +190,6 @@ class GradedComplex:
         """Homological index -> sorted list of generator degrees."""
         return {i: sorted(degs) for i, degs in enumerate(self.degrees)}
 
-    def slice_basis(self, i, coords):
-        """Pairs (generator, monomial) spanning the degree slice of P_i."""
-        return free_basis(self.degrees[i], coords, self.between)
-
     def verify_exactness(self):
         """d_i d_{i+1} = 0 and rank counting on every slice within the
         height window.
@@ -180,27 +197,18 @@ class GradedComplex:
         Checks ker(augmentation) = im(d_1) and exactness at the interior
         homological spots; the last spot has no incoming map to compare.
         """
-        field = self.field
         steps = len(self.diffs)
         for coords in self.alg.degrees_to_height(self.height):
-            bases = [self.slice_basis(i, coords) for i in range(len(self.degrees))]
-            dims = [len(b) for b in bases]
-            cols = [columns(bases[i], bases[i - 1], self.diffs[i - 1],
-                            self.mul, field)
-                    for i in range(1, steps + 1)]
-            for lower, upper in zip(cols, cols[1:]):
-                for col in upper:
-                    composite = {}
-                    for k, c in col.items():
-                        add_scaled(composite, lower[k], c, field)
-                    if composite:
-                        return False
-            ranks = [matrix_rank(c, field) for c in cols]
-            aug_ker = dims[0] if any(coords) else 0
+            bases = [free_basis(degs, coords, self.between)
+                     for degs in self.degrees]
+            ranks, d2 = chain_ranks(bases, self.diffs, self.mul, self.field)
+            if not d2:
+                return False
+            aug_ker = len(bases[0]) if any(coords) else 0
             if steps >= 1 and ranks[0] != aug_ker:
                 return False
             for i in range(1, steps):
-                if ranks[i - 1] + ranks[i] != dims[i]:
+                if ranks[i - 1] + ranks[i] != len(bases[i]):
                     return False
         return True
 

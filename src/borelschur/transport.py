@@ -30,8 +30,7 @@ from .combinatorics import (
     point_sub,
     positive_root_coords,
 )
-from .linalg import add_scaled, matrix_rank
-from .resolutions import columns, resolve
+from .resolutions import chain_ranks, resolve
 
 
 class ModuleComplex:
@@ -70,24 +69,6 @@ class ModuleComplex:
     def dims(self):
         return [len(self.module_basis(i)) for i in range(len(self.weights))]
 
-    def d_squared_is_zero(self):
-        algebra = self.algebra
-        for i in range(1, len(self.diffs)):
-            lower = self.diffs[i - 1]   # d_i
-            upper = self.diffs[i]       # d_{i+1}
-            composite = {}
-            for (s, u), a in upper.items():
-                for (t, s2), b in lower.items():
-                    if s2 != s:
-                        continue
-                    prod = algebra.product(a, b)
-                    if prod:
-                        add_scaled(composite.setdefault((t, u), {}), prod,
-                                   self.field.one, self.field)
-            if any(entry for entry in composite.values()):
-                return False
-        return True
-
     def is_minimal(self):
         for diff in self.diffs:
             for entry in diff.values():
@@ -98,15 +79,13 @@ class ModuleComplex:
 
     def verify(self):
         """Full report: d^2, exactness by rank counting, top, minimality."""
-        field = self.field
         bases = [self.module_basis(i) for i in range(len(self.weights))]
         dims = [len(b) for b in bases]
         steps = len(self.diffs)
-        ranks = [matrix_rank(columns(bases[i], bases[i - 1], self.diffs[i - 1],
-                                     self.algebra.product_indices, field), field)
-                 for i in range(1, steps + 1)]
+        ranks, d2 = chain_ranks(bases, self.diffs, self.algebra.product_indices,
+                                self.field)
         report = {
-            "d_squared_zero": self.d_squared_is_zero(),
+            "d_squared_zero": d2,
             "minimal": self.is_minimal(),
             "complete": self.complete,
             "terminated": self.terminated,

@@ -272,5 +272,9 @@ def test_zero_by_grading_skips_the_table(kind, char):
             elif kind == "truncation" and char == 0:
                 # over QQ the arrow algebra has no zero divisors among arrows
                 assert prod
+            # the caller owns the returned vector; the cached one is kept
+            kept = dict(prod)
+            prod.clear()
+            assert A.product_indices(i, j) == kept
     assert A._ptable
     assert all(A.base(i) == A.head(j) for i, j in A._ptable)

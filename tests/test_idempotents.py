@@ -1,5 +1,6 @@
 import pytest
 
+from borelschur import idempotents
 from borelschur.arrows import BorelAlgebra, ConvexTruncation
 from borelschur.combinatorics import compositions, interval_points, tri_count
 from borelschur.divided_powers import DividedPowerAlgebra
@@ -14,6 +15,7 @@ from borelschur.idempotents import (
     two_idempotent_report,
 )
 from borelschur.linalg import Echelon
+from borelschur.transport import resolve_simple
 
 QQ = Rationals()
 
@@ -134,6 +136,24 @@ def test_tor_vanishing_direct():
     for lam in compositions(3, 2):
         tor = tor_dimensions(T, 2, lam, imax=2)
         assert tor == {1: 0, 2: 0}, (lam, tor)
+
+
+def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
+    # one coefficient of d_2 changed before the push-down: homology would
+    # be meaningless, so Tor must refuse rather than count ranks
+    T = interval_truncation(3, 2, PrimeField(3))
+    assert tor_dimensions(T, 2, (0, 0, 2)) == {1: 0, 2: 0}
+
+    def corrupted(algebra, lam, length):
+        res = resolve_simple(algebra, lam, length)
+        entry = res.diffs[1][(0, 0)]
+        assert entry[18] == 1
+        entry[18] = 2
+        return res
+
+    monkeypatch.setattr(idempotents, "resolve_simple", corrupted)
+    with pytest.raises(ArithmeticError):
+        tor_dimensions(T, 2, (0, 0, 2))
 
 
 def test_chain_report_vacuous_for_two_rows():

@@ -6,6 +6,7 @@ from borelschur.arrows import BorelAlgebra, arrow_is_kept
 from borelschur.combinatorics import compositions, coords_to_vector, point_add
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
+from borelschur.linalg import add_scaled
 from borelschur.resolutions import minimal_resolution
 from borelschur.transport import (
     ext_table_csv,
@@ -91,6 +92,22 @@ def test_minimality_tripwire():
     assert not bc.verify()["minimal"]
     del entry[unit_idx]
     assert bc.verify()["minimal"]
+
+
+def test_d_squared_tripwire():
+    # one coefficient of d_2 changed: still minimal with the same ranks,
+    # but d_1 d_2 no longer vanishes
+    gc = minimal_resolution(DividedPowerAlgebra(3), F3, 4, 6)
+    bc = transport_resolution(gc, (0, 1, 1), 2)
+    entry = bc.diffs[1][(0, 0)]
+    assert entry[14] == 1
+    entry[14] = 2
+    report = bc.verify()
+    assert not report["d_squared_zero"] and not report["passed"]
+    assert report["minimal"]
+    assert report["ranks"] == [5, 1, 0, 0]
+    entry[14] = 1
+    assert bc.verify()["passed"]
 
 
 def test_starved_cutoff_is_flagged_incomplete():
@@ -268,3 +285,47 @@ def test_transport_and_direct_covers_agree(case):
     assert bc.verify()["passed"] and direct.verify()["passed"]
     assert bc.ext_dimensions() == direct.ext_dimensions()
     assert bc.euler_ok() and direct.euler_ok()
+
+
+def d_squared_oracle(bc):
+    """d_i d_{i+1} = 0 entry by entry: the composite's entry at (t, u) is
+    the sum over s of the algebra products d_{i+1}[s, u] * d_i[t, s]."""
+    algebra, field = bc.algebra, bc.field
+    for lower, upper in zip(bc.diffs, bc.diffs[1:]):
+        composite = {}
+        for (s, u), a in upper.items():
+            for (t, s2), b in lower.items():
+                if s2 == s:
+                    add_scaled(composite.setdefault((t, u), {}),
+                               algebra.product(a, b), field.one, field)
+        if any(composite.values()):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(simples(), st.data())
+def test_verify_d_squared_matches_entry_oracle(case, data):
+    """`verify` composes column lists; the oracle multiplies entries."""
+    n, r, lam, char, _ = case
+    field = field_of_characteristic(char)
+    height = max_reachable_height(lam, n, r)
+    gc = minimal_resolution(DividedPowerAlgebra(n), field, height + 1, height)
+    bc = transport_resolution(gc, lam, r)
+    # a coefficient of a diff that composes with a nonempty neighbour
+    nonempty = [i for i, diff in enumerate(bc.diffs) if diff]
+    slots = [(i, key, a) for i in nonempty
+             if i - 1 in nonempty or i + 1 in nonempty
+             for key, entry in bc.diffs[i].items() for a in entry]
+    if slots and data.draw(st.booleans(), label="corrupt"):
+        i, key, a = data.draw(st.sampled_from(slots), label="slot")
+        entry = bc.diffs[i][key]
+        c = field.add(entry[a], field.of(data.draw(st.integers(1, 2))))
+        if c == field.zero:
+            del entry[a]
+        else:
+            entry[a] = c
+    report = bc.verify()
+    assert report["d_squared_zero"] == d_squared_oracle(bc)
+    assert report["dims"] == [
+        sum(len(bc.algebra.based_at(w)) for w in ws) for ws in bc.weights]
