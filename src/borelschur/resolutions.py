@@ -7,7 +7,8 @@ only through two functions its caller supplies:
 - `between(g, p)`: the basis elements from piece g to piece p, empty
   when there are none;
 - `mul(x, y)`: the product of two basis elements as {basis element:
-  nonzero scalar}.
+  nonzero scalar}.  It must be associative: the cover spans the radical
+  at a piece by lifts of the generators found at earlier pieces only.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
@@ -85,42 +86,37 @@ def _cover(kernel, between, mul, field, pivoting):
     """Minimal generators of a graded kernel and the map from them onto it.
 
     `kernel` is {piece: (vectors, basis)}, each vector a dict over
-    positions in the piece's basis.  The radical part of piece p is
-    spanned by the kernel vectors of every earlier piece g multiplied by
-    the basis elements from g to p, so the new generators at p are the
-    kernel vectors that stay independent of it.
+    positions in the piece's basis.  Each earlier piece g of the kernel is
+    spanned by lifts of the generators found up to g, and `mul` is
+    associative, so the radical part of piece p is spanned by each
+    generator's residual times the basis elements from its piece to p.
+    The new generators at p are the kernel vectors independent of it.
     """
-    gens = []
     diff = {}
-    pieces = sorted(kernel, key=lambda p: (sum(p), p))
-    for i, p in enumerate(pieces):
+    found = []  # (piece, residual, basis) of each new generator
+    for p in sorted(kernel, key=lambda p: (sum(p), p)):
         vecs, basis = kernel[p]
         index = {b: k for k, b in enumerate(basis)}
         rad = Echelon(field, pivoting)
-        # between(g, p) with g != p is empty unless g comes first: p - g is
-        # a nonzero degree, or head weight p strictly dominates its base g
-        for g in pieces[:i]:
-            lower_vecs, lower_basis = kernel[g]
+        for g, lower, lower_basis in found:
             for x in between(g, p):
-                for v in lower_vecs:
-                    lifted = {}
-                    for k, c in v.items():
-                        t, y = lower_basis[k]
-                        add_scaled(lifted, {index[(t, z)]: cz
-                                            for z, cz in mul(x, y).items()},
-                                   c, field)
-                    rad.insert(lifted)
+                lifted = {}
+                for k, c in lower.items():
+                    t, y = lower_basis[k]
+                    add_scaled(lifted, {index[(t, z)]: cz
+                                        for z, cz in mul(x, y).items()},
+                               c, field)
+                rad.insert(lifted)
         for v in vecs:
             residual = rad.reduce(v)
             if not residual:
                 continue
             rad.insert(residual)
-            s = len(gens)
-            gens.append(p)
             for k, c in residual.items():
                 t, y = basis[k]
-                diff.setdefault((t, s), {})[y] = c
-    return gens, diff
+                diff.setdefault((t, len(found)), {})[y] = c
+            found.append((p, residual, basis))
+    return [g for g, _, _ in found], diff
 
 
 def resolve(pieces, top, between, mul, field, length, pivoting):
@@ -180,7 +176,10 @@ class GradedComplex:
         return self.alg.n
 
     def between(self, g, p):
-        """Monomials of degree p - g, empty when a coordinate is negative."""
+        """Monomials of degree p - g, empty unless g <= p coordinatewise."""
+        for a, b in zip(g, p):
+            if a > b:
+                return []
         return self.alg.component_basis(tuple(b - a for a, b in zip(g, p)))
 
     def mul(self, x, y):

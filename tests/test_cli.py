@@ -146,6 +146,12 @@ def test_byte_stability(tmp_path):
      "2c6f3c44650e9b82a4d9e7bcf6a2ff7e4950883e8fb38a86f1ca788964ac0d20"),
     ("check-ideals --n 3 --r 2 --char 0",
      "867418482b0cf3af8b9b8a70a310cd96bc896777f1ddfa70c9720fbbd980f247"),
+    ("resolve --n 3 --char 2 --length 2 --height 16",
+     "863b4ba1570535676b2c80c9ba830b884e146afe0fecb121ad5514c4eafab61b"),
+    ("check-ideals --n 4 --r 3 --char 2",
+     "86081c815eca1efba3c765afeadb6332616b7668b7e79788b1312a851027ec94"),
+    ("transport --n 4 --r 3 --char 3 --lambda 1,1,1,0 --length 4 --height 6",
+     "d0632a9f7a380042e8c23fde87beb3881309e6002139f51474f155c38b6a9ea7"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes and the Tor

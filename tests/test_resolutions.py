@@ -1,10 +1,17 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from borelschur import resolutions
+from borelschur.arrows import BorelAlgebra
+from borelschur.combinatorics import compositions
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
-from borelschur.fields import PrimeField, Rationals
+from borelschur.fields import PrimeField, Rationals, field_of_characteristic
+from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import GradedComplex, free_basis, minimal_resolution
+from borelschur.transport import max_reachable_height, resolve_simple
 
 QQ = Rationals()
 
@@ -177,3 +184,75 @@ def test_json_round_shape():
     assert data["n"] == 2 and data["char"] == 0
     assert data["modules"][0] == [[0]]
     assert isinstance(data["differentials"], list)
+
+
+def all_kernel_cover(kernel, between, mul, field, pivoting):
+    """The cover's oracle: the radical at piece p is spanned by every
+    kernel vector of every earlier piece g times the basis elements from
+    g to p, which needs no associativity."""
+    gens = []
+    diff = {}
+    pieces = sorted(kernel, key=lambda p: (sum(p), p))
+    for i, p in enumerate(pieces):
+        vecs, basis = kernel[p]
+        index = {b: k for k, b in enumerate(basis)}
+        rad = Echelon(field, pivoting)
+        for g in pieces[:i]:
+            lower_vecs, lower_basis = kernel[g]
+            for x in between(g, p):
+                for v in lower_vecs:
+                    lifted = {}
+                    for k, c in v.items():
+                        t, y = lower_basis[k]
+                        add_scaled(lifted, {index[(t, z)]: cz
+                                            for z, cz in mul(x, y).items()},
+                                   c, field)
+                    rad.insert(lifted)
+        for v in vecs:
+            residual = rad.reduce(v)
+            if not residual:
+                continue
+            rad.insert(residual)
+            s = len(gens)
+            gens.append(p)
+            for k, c in residual.items():
+                t, y = basis[k]
+                diff.setdefault((t, s), {})[y] = c
+    return gens, diff
+
+
+def with_oracle_cover(build):
+    """build() with the engine's cover replaced by the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolutions, "_cover", all_kernel_cover)
+        return build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([0, 2, 3]),
+       st.integers(0, 4), st.integers(0, 6), st.sampled_from(["first", "last"]))
+def test_cover_matches_all_kernel_oracle_on_degrees(n, char, length, height,
+                                                    pivoting):
+    def build():
+        c = minimal_resolution(DividedPowerAlgebra(n),
+                               field_of_characteristic(char), length, height,
+                               pivoting=pivoting)
+        return c.degrees, c.diffs
+
+    assert build() == with_oracle_cover(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.sampled_from([0, 2, 3]),
+       st.sampled_from(["first", "last"]))
+def test_cover_matches_all_kernel_oracle_on_heads(n, r, char, pivoting):
+    borel = BorelAlgebra(n, r, field_of_characteristic(char))
+    for lam in compositions(n, r):
+        # every step raises the height of the weight
+        length = max_reachable_height(lam, n, r) + 1
+
+        def build():
+            c = resolve_simple(borel, lam, length, pivoting=pivoting)
+            return c.weights, c.diffs
+
+        assert build() == with_oracle_cover(build)
