@@ -14,7 +14,7 @@ from .arrows import (
     arrow_product,
     reduce_to_compositions,
 )
-from .divided_powers import DividedPowerAlgebra, IntegralityError, Monomial
+from .divided_powers import DividedPowerAlgebra, Monomial
 from .fields import PrimeField, Rationals, field_of_characteristic
 from .idempotents import (
     chain_report,
@@ -36,7 +36,6 @@ __all__ = [
     "ConvexTruncation",
     "DividedPowerAlgebra",
     "GradedComplex",
-    "IntegralityError",
     "ModuleComplex",
     "Monomial",
     "PrimeField",

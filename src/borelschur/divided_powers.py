@@ -3,29 +3,26 @@
 Basis monomials are products of divided powers e_ij^(k) = e_ij^k / k! of
 the elementary matrices e_ij (i < j), written in a fixed canonical order:
 columns from the right, and within a column the row index descending.
-Products are computed over the rationals by expanding divided powers,
-straightening with the commutator rule
+These monomials span Kostant's Z-form, so products are computed over the
+integers, on words of syllables e_ij^(k), by three rules:
 
-    e_ij e_kl = e_kl e_ij + delta_jk e_il - delta_li e_kj,
+    e_ij^(p) e_ij^(q) = C(p+q, p) e_ij^(p+q),
+    e_ij^(p) e_kl^(q) = e_kl^(q) e_ij^(p)          when j != k and l != i,
+    e_ij^(p) e_jl^(q) = sum_{t=0}^{min(p,q)} e_jl^(q-t) e_il^(t) e_ij^(p-t).
 
-regrouping into divided powers, and asserting that every structure
-constant is an integer before reducing into the coefficient field.
-Structure constants are cached once over the integers, so all
-characteristics share a single table.
+No factorials and no rationals are involved, and every structure
+constant is a non-negative integer by construction.  Structure constants
+are cached once over the integers, so all characteristics share a single
+table.
 """
 
 import hashlib
 import json
 import os
-from fractions import Fraction
-from math import factorial
+from math import comb
 from operator import mul
 
 from .linalg import add_scaled
-
-
-class IntegralityError(ArithmeticError):
-    """A structure constant failed to be an integer: an implementation bug."""
 
 
 class Monomial:
@@ -60,9 +57,10 @@ def _pairs(n):
 class DividedPowerAlgebra:
     """Multiplication, grading and column structure for one rank n.
 
-    The product table is the only mutable state and follows a
-    compute-once/read-many contract: entries are written at most once and
-    never change, so concurrent readers are safe.
+    The only mutable state is three compute-once/read-many tables: the
+    product table, the straightening memo and the graded components.
+    Entries are written at most once and never change, so concurrent
+    readers are safe.
     """
 
     def __init__(self, n):
@@ -124,88 +122,74 @@ class DividedPowerAlgebra:
             letters.extend([a] * m.exps[a])
         return tuple(letters)
 
-    def _commutator(self, a, b):
-        """[e_A, e_B] as a list of (pair index, sign)."""
-        i, j = self.pairs[a]
-        k, l = self.pairs[b]
-        out = []
-        if j == k:
-            out.append((self.pair_index[(i, l)], 1))
-        if l == i:
-            out.append((self.pair_index[(k, j)], -1))
-        return out
+    def _syllables(self, exps):
+        """The canonical word of e_A^(k) syllables, as (pair index, k)."""
+        return tuple((a, exps[a]) for a in self.written_order if exps[a])
 
     def _straighten(self, word):
-        """Rewrite a word in the e_ij into canonically ordered words.
+        """Rewrite a word of syllables (a, k), each standing for e_A^(k),
+        as {canonical exponent vector: integer coefficient}.
 
-        Returns {sorted word: integer coefficient}.  Terminates because a
-        swap removes one inversion and a bracket shortens the word.
+        The first adjacent pair out of canonical order is rewritten: equal
+        pairs merge, commuting pairs swap, and e_ij^(p) e_jl^(q) expands
+        by the Heisenberg rule (the one non-commuting pair that can be out
+        of order: e_ij before e_ki is in order).  Terminates because each
+        rewrite shortens the word's expansion into letters, removes
+        inversions from it, or merges two syllables.
         """
         memo = self._straighten_memo
         hit = memo.get(word)
         if hit is not None:
             return hit
         rank = self.written_rank
-        spot = -1
-        for l in range(len(word) - 1):
-            if rank[word[l]] > rank[word[l + 1]]:
-                spot = l
+        for pos in range(len(word) - 1):
+            (a, p), (b, q) = word[pos], word[pos + 1]
+            if rank[a] >= rank[b]:
                 break
-        if spot < 0:
-            result = {word: 1}
         else:
-            result = {}
-            a, b = word[spot], word[spot + 1]
-            swapped = word[:spot] + (b, a) + word[spot + 2:]
-            for w, c in self._straighten(swapped).items():
-                result[w] = result.get(w, 0) + c
-            for p, sign in self._commutator(a, b):
-                shorter = word[:spot] + (p,) + word[spot + 2:]
-                for w, c in self._straighten(shorter).items():
-                    result[w] = result.get(w, 0) + sign * c
-            result = {w: c for w, c in result.items() if c}
+            exps = [0] * len(self.pairs)
+            for a, k in word:
+                exps[a] = k
+            memo[word] = result = {tuple(exps): 1}
+            return result
+        head, tail = word[:pos], word[pos + 2:]
+        (i, j), (k, l) = self.pairs[a], self.pairs[b]
+        if a == b:    # e^(p) e^(q) = C(p+q, p) e^(p+q)
+            rewrites = [(comb(p + q, p), ((a, p + q),))]
+        elif j != k:  # commuting pairs
+            rewrites = [(1, ((b, q), (a, p)))]
+        else:         # sum over t of e_jl^(q-t) e_il^(t) e_ij^(p-t)
+            c = self.pair_index[(i, l)]
+            rewrites = []
+            for t in range(min(p, q) + 1):
+                middle = ((b, q - t), (c, t), (a, p - t))
+                rewrites.append((1, tuple(s for s in middle if s[1])))
+        result = {}
+        for coeff, middle in rewrites:
+            for exps, x in self._straighten(head + middle + tail).items():
+                result[exps] = result.get(exps, 0) + coeff * x
         memo[word] = result
         return result
-
-    def _word_exps(self, word):
-        exps = [0] * len(self.pairs)
-        for a in word:
-            exps[a] += 1
-        return tuple(exps)
 
     # -- multiplication ------------------------------------------------
 
     def multiply_monomials(self, m1, m2):
         """Integer structure constants of a monomial product.
 
-        Returns a tuple of (exponent vector, integer coefficient); cached.
+        Returns a tuple of (exponent vector, integer coefficient), sorted by
+        the canonical word of the exponent vector; cached.
         """
         key = (m1.exps, m2.exps)
         hit = self._products.get(key)
-        if hit is not None:
-            return hit
-        den = 1
-        for k in m1.exps:
-            den *= factorial(k)
-        for k in m2.exps:
-            den *= factorial(k)
-        word = self.word(m1) + self.word(m2)
-        out = []
-        for w, c in sorted(self._straighten(word).items()):
-            exps = self._word_exps(w)
-            num = c
-            for k in exps:
-                num *= factorial(k)
-            coeff = Fraction(num, den)
-            if coeff.denominator != 1:
-                raise IntegralityError(
-                    f"non-integral structure constant {coeff} in "
-                    f"{m1.exps} * {m2.exps}")
-            if coeff:
-                out.append((exps, int(coeff)))
-        out = tuple(out)
-        self._products[key] = out
-        return out
+        if hit is None:
+            hit = self._products[key] = self._product_terms(*key)
+        return hit
+
+    def _product_terms(self, e1, e2):
+        """The terms of multiply_monomials, straightened without the table."""
+        terms = self._straighten(self._syllables(e1) + self._syllables(e2))
+        return tuple(sorted(terms.items(),
+                            key=lambda t: self.word(Monomial(self.n, t[0]))))
 
     def monomial_product(self, m1, m2, field):
         """Product of two monomials as {Monomial: nonzero scalar} in field."""
@@ -359,7 +343,9 @@ class DividedPowerAlgebra:
         there must be a triple (exponents, exponents, terms) with exponent
         vectors of length n(n-1)/2 whose heights add up to its line number,
         and integer coefficients.  Higher lines are checked by the load
-        that needs them.
+        that needs them.  A digest only catches accidental edits, so the
+        last entry of every parsed line is also straightened again and
+        must equal its stored terms.
         """
         try:
             with open(path, "rb") as fh:
@@ -385,6 +371,10 @@ class DividedPowerAlgebra:
                 return False
             if not _parse_entries(entries, self.pair_heights, k, table):
                 return False
+            if entries:
+                last = (tuple(entries[-1][0]), tuple(entries[-1][1]))
+                if table[last] != self._product_terms(*last):
+                    return False
         self._products.update(table)
         return True
 

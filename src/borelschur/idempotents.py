@@ -30,7 +30,7 @@ from .combinatorics import (
     tri_count,
 )
 from .divided_powers import DividedPowerAlgebra
-from .linalg import Echelon
+from .linalg import Echelon, add_scaled
 from .resolutions import chain_ranks
 from .transport import resolve_simple
 
@@ -166,6 +166,7 @@ def two_idempotent_report(algebra, e):
 
     # tensor over eAe: kill (u s) (x) w - u (x) (s w)
     relations = Echelon(field)
+    minus_one = field.neg(field.one)
     for u_idx, u in enumerate(ae_basis):
         for s in eae_basis:
             us = algebra.product(u, s)
@@ -173,20 +174,14 @@ def two_idempotent_report(algebra, e):
             if res:
                 raise AssertionError("Ae is not right eAe-stable")
             for w_idx, w in enumerate(ea_basis):
-                rel = {}
-                for piv, c in coords_us.items():
-                    rel[(ae_pos[piv], w_idx)] = c
+                rel = {(ae_pos[piv], w_idx): c for piv, c in coords_us.items()}
                 sw = algebra.product(s, w)
                 coords_sw, res2 = ea.coordinates(sw)
                 if res2:
                     raise AssertionError("eA is not left eAe-stable")
-                for piv, c in coords_sw.items():
-                    key = (u_idx, ea_pos[piv])
-                    x = field.sub(rel.get(key, field.zero), c)
-                    if x == field.zero:
-                        rel.pop(key, None)
-                    else:
-                        rel[key] = x
+                add_scaled(rel, {(u_idx, ea_pos[piv]): c
+                                 for piv, c in coords_sw.items()},
+                           minus_one, field)
                 if rel:
                     relations.insert(rel)
     dim_tensor = p * q - relations.rank

@@ -153,11 +153,7 @@ class TensorAction:
                 for row, x in zip(rows, idx):
                     c = field.mul(c, g[row][x - 1])
                 p = self.position[tuple(t + 1 for t in rows)]
-                v = field.add(col.get(p, field.zero), c)
-                if v == field.zero:
-                    col.pop(p, None)
-                else:
-                    col[p] = v
+                add_scaled(col, {p: c}, field.one, field)
             if col:
                 op[q] = col
         return op

@@ -22,12 +22,13 @@ from borelschur.combinatorics import (
     positive_root_coords,
     tri_matrices_all,
 )
-from borelschur.divided_powers import DividedPowerAlgebra
+from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import chain_report, quotient_algebra
 from borelschur.resolutions import minimal_resolution
 from borelschur.tensor_space import verify_isomorphism
 from borelschur.transport import transport_resolution
+from letter_oracle import IntegralityError, LetterOracle
 
 QQ = Rationals()
 F2 = PrimeField(2)
@@ -184,18 +185,29 @@ def test_criterion_7_transport_soundness():
 
 
 def test_criterion_8_integrality():
+    """The product table equals the letter oracle, which regroups divided
+    powers by dividing by factorials over the rationals and raises
+    IntegralityError on any non-integral structure constant."""
     ok = True
     pairs = 0
     for n in (2, 3, 4):
         alg = DividedPowerAlgebra(n)
+        alg.fill_cache(8)
+        oracle = LetterOracle(alg)
         try:
-            alg.fill_cache(8)   # raises IntegralityError on any failure
-        except Exception as exc:   # pragma: no cover - tripwire
+            for (e1, e2), terms in alg._products.items():
+                expected = oracle.multiply_monomials(Monomial(n, e1),
+                                                     Monomial(n, e2))
+                if terms != expected:
+                    ok = False
+                    print("table differs from the oracle:", e1, e2)
+        except IntegralityError as exc:   # pragma: no cover - tripwire
             ok = False
             print("integrality failure:", exc)
         pairs += len(alg._products)
     report(8, "structure-constant integrality", ok,
-           f"{pairs} cached products, n<=4, height<=8")
+           f"{pairs} cached products equal to the letter oracle, n<=4, "
+           "height<=8")
 
 
 def test_criterion_9_determinism():

@@ -219,7 +219,8 @@ def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
 
 def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     """Raising 78 coefficients of a rank-3 height-4 cache keeps its shape;
-    the digest still rejects it and the rebuilt run matches the uncached one."""
+    the digest still rejects it and the rebuilt run matches the uncached one.
+    No raised term is on a line's last entry, which every load re-derives."""
     argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
             "--height", "4"]
     code, expected, _ = run_cli(argv, capsys)
@@ -227,7 +228,7 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     DividedPowerAlgebra(3).save_cache(cache, 4)
     header, lines = _cache_lines(cache)
-    terms = [t for line in lines for _, _, ts in line for t in ts][:78]
+    terms = [t for line in lines for _, _, ts in line[:-1] for t in ts][:78]
     assert len(terms) == 78
     for t in terms:
         t[1] += 1
@@ -246,6 +247,30 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     assert code == 0
     assert out == expected
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
+    """A coefficient edit that is signed again passes the digest, but the
+    last entry of each line is straightened again on load, so the file is
+    refused and the CLI rebuilds it byte for byte."""
+    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
+            "--height", "4"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    DividedPowerAlgebra(3).save_cache(cache, 4)
+    saved = cache.read_bytes()
+    header, lines = _cache_lines(cache)
+    lines[k][-1][2][0][1] += 1
+    cache.write_bytes(_signed(header, _line_bytes(lines)))
+    alg = DividedPowerAlgebra(3)
+    assert not alg.load_cache(cache, 4)
+    assert alg._products == {}
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    assert cache.read_bytes() == saved
 
 
 def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,

@@ -5,10 +5,13 @@ from itertools import product as iproduct
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelschur.combinatorics import coords_to_vector
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
+from letter_oracle import LetterOracle
 
 QQ = Rationals()
 
@@ -154,8 +157,63 @@ def test_component_basis():
 
 def test_integrality_on_cache_fill():
     alg = DividedPowerAlgebra(3)
-    alg.fill_cache(6)  # raises IntegralityError on any failure
+    alg.fill_cache(6)
     assert alg._products
+    oracle = LetterOracle(alg)  # raises IntegralityError on any failure
+    for (e1, e2), terms in alg._products.items():
+        assert terms == oracle.multiply_monomials(Monomial(3, e1),
+                                                  Monomial(3, e2))
+
+
+_ALGEBRAS = {n: DividedPowerAlgebra(n) for n in range(2, 6)}
+_ORACLES = {n: LetterOracle(alg) for n, alg in _ALGEBRAS.items()}
+
+
+@st.composite
+def monomial_pairs(draw, height=8):
+    """(algebra, m1, m2) for n in 2..5 with the two heights adding up to at
+    most `height`; pairs are filled in a drawn order so that no pair is
+    favoured by the budget."""
+    n = draw(st.integers(2, 5))
+    alg = _ALGEBRAS[n]
+    budget = height
+    monos = []
+    for _ in range(2):
+        exps = [0] * len(alg.pairs)
+        for a in draw(st.permutations(range(len(alg.pairs)))):
+            exps[a] = draw(st.integers(0, budget // alg.pair_heights[a]))
+            budget -= exps[a] * alg.pair_heights[a]
+        monos.append(Monomial(n, exps))
+    return (alg, *monos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_products_equal_the_letter_oracle(case):
+    """Terms, coefficients and term order all agree with the oracle."""
+    alg, m1, m2 = case
+    assert alg.multiply_monomials(m1, m2) == \
+        _ORACLES[alg.n].multiply_monomials(m1, m2)
+
+
+def test_deep_heisenberg_product():
+    """e_12^(40) e_23^(40) = sum_t e_23^(40-t) e_13^(t) e_12^(40-t), each
+    term once; a letter-by-letter straightener recurses too deep here."""
+    A3 = DividedPowerAlgebra(3)
+    terms = A3.multiply_monomials(A3.generator(1, 2, 40),
+                                  A3.generator(2, 3, 40))
+    assert terms == tuple(((40 - t, t, 40 - t), 1) for t in range(40, -1, -1))
+
+
+@pytest.mark.parametrize("n,h,digest", [
+    (3, 8, "652b31e7180e85c30caa2011366adc741536e2a4fd488617bd933a942f1721d7"),
+    (4, 8, "da877b248eb6b720ffdde2f7337b5ddefcc120388eaf4a760a649b85883e06f9"),
+])
+def test_save_cache_bytes_are_pinned(tmp_path, n, h, digest):
+    """Whole schema-3 files: term order, coefficients and layout."""
+    path = tmp_path / "cache.json"
+    DividedPowerAlgebra(n).save_cache(path, h)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_cache_rebuild_identical():
