@@ -343,9 +343,10 @@ class DividedPowerAlgebra:
         there must be a triple (exponents, exponents, terms) with exponent
         vectors of length n(n-1)/2 whose heights add up to its line number,
         and integer coefficients.  Higher lines are checked by the load
-        that needs them.  A digest only catches accidental edits, so the
-        last entry of every parsed line is also straightened again and
-        must equal its stored terms.
+        that needs them.  A digest only catches accidental edits, so on
+        every parsed line the last entry, a product with the unit, and the
+        first entry with two or more terms are also straightened again and
+        must equal their stored terms.
         """
         try:
             with open(path, "rb") as fh:
@@ -371,9 +372,10 @@ class DividedPowerAlgebra:
                 return False
             if not _parse_entries(entries, self.pair_heights, k, table):
                 return False
-            if entries:
-                last = (tuple(entries[-1][0]), tuple(entries[-1][1]))
-                if table[last] != self._product_terms(*last):
+            sampled = entries[-1:] + [e for e in entries if len(e[2]) > 1][:1]
+            for e1, e2, _ in sampled:
+                pair = (tuple(e1), tuple(e2))
+                if table[pair] != self._product_terms(*pair):
                     return False
         self._products.update(table)
         return True

@@ -5,10 +5,10 @@ another, and products compose head to tail.  The engine sees the algebra
 only through two functions its caller supplies:
 
 - `between(g, p)`: the basis elements from piece g to piece p, empty
-  when there are none;
+  when there are none; `between(p, p)` is the unit at p alone;
 - `mul(x, y)`: the product of two basis elements as {basis element:
-  nonzero scalar}.  It must be associative: the cover spans the radical
-  at a piece by lifts of the generators found at earlier pieces only.
+  nonzero scalar}.  It must be associative: the images of the
+  generators found at earlier pieces alone span the radical at a piece.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
@@ -20,6 +20,13 @@ free modules is {(t, s): {basis element: scalar}}, sending the pair
 nullspaces piece by piece, and minimal generators are a basis of the
 kernel modulo its radical multiples, with deterministic pivoting, so two
 runs produce identical generators.
+
+Each step of `resolve` is one walk over the pieces.  At piece p the
+columns of the new map on the generators found before p are computed
+once; they span the radical of the kernel at p, and the next step's
+kernel at p is read off them.  A new generator's own column is its
+residual, independent of the others, so it adds no kernel vector and
+is never computed.
 
 Here the pieces are degree coordinates over the simple positive vectors,
 covered in (height, lex) order, and the basis from g to p is the
@@ -82,74 +89,65 @@ def chain_ranks(bases, diffs, mul, field):
     return [matrix_rank(c, field) for c in cols], d2
 
 
-def _cover(kernel, between, mul, field, pivoting):
-    """Minimal generators of a graded kernel and the map from them onto it.
+def unit_free(diffs, is_unit):
+    """Minimality: no entry of any map holds a unit basis element."""
+    return not any(is_unit(x) for diff in diffs for entry in diff.values()
+                   for x in entry)
 
-    `kernel` is {piece: (vectors, basis)}, each vector a dict over
-    positions in the piece's basis.  Each earlier piece g of the kernel is
-    spanned by lifts of the generators found up to g, and `mul` is
-    associative, so the radical part of piece p is spanned by each
-    generator's residual times the basis elements from its piece to p.
-    The new generators at p are the kernel vectors independent of it.
-    """
-    diff = {}
-    found = []  # (piece, residual, basis) of each new generator
-    for p in sorted(kernel, key=lambda p: (sum(p), p)):
-        vecs, basis = kernel[p]
-        index = {b: k for k, b in enumerate(basis)}
-        rad = Echelon(field, pivoting)
-        for g, lower, lower_basis in found:
-            for x in between(g, p):
-                lifted = {}
-                for k, c in lower.items():
-                    t, y = lower_basis[k]
-                    add_scaled(lifted, {index[(t, z)]: cz
-                                        for z, cz in mul(x, y).items()},
-                               c, field)
-                rad.insert(lifted)
-        for v in vecs:
-            residual = rad.reduce(v)
-            if not residual:
-                continue
+
+def _cover(vecs, cols, field, pivoting):
+    """New generators at one kernel piece spanned by `vecs`, whose radical
+    part `cols` spans: each vector independent of `cols` and of the ones
+    before it, reduced modulo them."""
+    rad = Echelon(field, pivoting)
+    for col in cols:
+        rad.insert(col)
+    fresh = []
+    for v in vecs:
+        residual = rad.reduce(v)
+        if residual:
             rad.insert(residual)
-            for k, c in residual.items():
-                t, y = basis[k]
-                diff.setdefault((t, len(found)), {})[y] = c
-            found.append((p, residual, basis))
-    return [g for g, _, _ in found], diff
+            fresh.append(residual)
+    return fresh
 
 
 def resolve(pieces, top, between, mul, field, length, pivoting):
     """Minimal free resolution of the one-dimensional module at piece `top`.
 
     P_0 is free on one generator at `top`; the kernel of the augmentation
-    is every other piece of P_0.  Each step covers the current kernel,
-    then takes the kernel of the new map on every piece in `pieces`; the
-    last step skips that kernel.  Returns the
-    generator pieces of P_0, P_1, ... and the maps d_1, d_2, ...
+    is every other piece of P_0.  Each step walks the pieces once: at
+    piece p it covers the kernel by new generators and, except on the
+    last step, takes the kernel of the new map, both from one set of
+    columns.  Returns the generator pieces of P_0, P_1, ... and the maps
+    d_1, d_2, ...
     """
+    pieces = sorted(pieces, key=lambda p: (sum(p), p))
     gens = [[top]]
     diffs = []
-    kernel = {}
-    for p in pieces:
-        basis = free_basis(gens[0], p, between)
-        if p != top and basis:
-            kernel[p] = ([{k: field.one} for k in range(len(basis))], basis)
+    kernel = {p: [{k: field.one} for k in range(len(between(top, p)))]
+              for p in pieces if p != top}
     for step in range(1, length + 1):
-        new, diff = _cover(kernel, between, mul, field, pivoting)
+        last = step == length
+        new, diff, next_kernel = [], {}, {}
+        for p in pieces:
+            vecs = kernel.get(p, [])
+            src = free_basis(new, p, between)
+            if not vecs and (not src or last):
+                continue
+            dst = free_basis(gens[-1], p, between)
+            cols = columns(src, dst, diff, mul, field)
+            for residual in _cover(vecs, cols, field, pivoting):
+                for k, c in residual.items():
+                    t, y = dst[k]
+                    diff.setdefault((t, len(new)), {})[y] = c
+                new.append(p)
+            if src and not last:
+                next_kernel[p] = column_kernel(cols, field)
         gens.append(new)
         diffs.append(diff)
-        if not new or step == length:
+        if not new or last:
             break
-        kernel = {}
-        for p in pieces:
-            src = free_basis(new, p, between)
-            if not src:
-                continue
-            dst = free_basis(gens[-2], p, between)
-            vecs = column_kernel(columns(src, dst, diff, mul, field), field)
-            if vecs:
-                kernel[p] = (vecs, src)
+        kernel = next_kernel
     return gens, diffs
 
 
@@ -170,10 +168,6 @@ class GradedComplex:
         self.height = height_cut
         self.degrees = degrees
         self.diffs = diffs
-
-    @property
-    def n(self):
-        return self.alg.n
 
     def between(self, g, p):
         """Monomials of degree p - g, empty unless g <= p coordinatewise."""
@@ -213,12 +207,7 @@ class GradedComplex:
 
     def verify_minimality(self):
         """Every differential entry must avoid the unit degree."""
-        unit = self.alg.unit
-        for diff in self.diffs:
-            for entry in diff.values():
-                if unit in entry and entry[unit] != self.field.zero:
-                    return False
-        return True
+        return unit_free(self.diffs, lambda m: m.is_unit())
 
     def to_json(self):
         return {

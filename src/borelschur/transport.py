@@ -30,7 +30,7 @@ from .combinatorics import (
     point_sub,
     positive_root_coords,
 )
-from .resolutions import chain_ranks, resolve
+from .resolutions import chain_ranks, resolve, unit_free
 
 
 class ModuleComplex:
@@ -70,12 +70,7 @@ class ModuleComplex:
         return [len(self.module_basis(i)) for i in range(len(self.weights))]
 
     def is_minimal(self):
-        for diff in self.diffs:
-            for entry in diff.values():
-                for a in entry:
-                    if self.algebra.is_unit_arrow(a):
-                        return False
-        return True
+        return unit_free(self.diffs, self.algebra.is_unit_arrow)
 
     def verify(self):
         """Full report: d^2, exactness by rank counting, top, minimality."""

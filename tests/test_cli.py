@@ -217,10 +217,16 @@ def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     assert all(len(e1) == 3 for line in lines for e1, _, _ in line)
 
 
+def _sampled(line):
+    """The entries of a cache line that every load straightens again: the
+    last one and the first one with two or more terms."""
+    return line[-1:] + [e for e in line if len(e[2]) > 1][:1]
+
+
 def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     """Raising 78 coefficients of a rank-3 height-4 cache keeps its shape;
     the digest still rejects it and the rebuilt run matches the uncached one.
-    No raised term is on a line's last entry, which every load re-derives."""
+    No raised term is on an entry that every load re-derives."""
     argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
             "--height", "4"]
     code, expected, _ = run_cli(argv, capsys)
@@ -228,7 +234,8 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     DividedPowerAlgebra(3).save_cache(cache, 4)
     header, lines = _cache_lines(cache)
-    terms = [t for line in lines for _, _, ts in line[:-1] for t in ts][:78]
+    terms = [t for line in lines for e in line if e not in _sampled(line)
+             for t in e[2]][:78]
     assert len(terms) == 78
     for t in terms:
         t[1] += 1
@@ -249,11 +256,9 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
 
 
-@pytest.mark.parametrize("k", [0, 4])
-def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
-    """A coefficient edit that is signed again passes the digest, but the
-    last entry of each line is straightened again on load, so the file is
-    refused and the CLI rebuilds it byte for byte."""
+def _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit):
+    """edit(lines) changes one coefficient of a rank-3 height-4 cache; the
+    file, signed again, must be refused and rebuilt byte for byte."""
     argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
             "--height", "4"]
     code, expected, _ = run_cli(argv, capsys)
@@ -262,7 +267,7 @@ def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
     DividedPowerAlgebra(3).save_cache(cache, 4)
     saved = cache.read_bytes()
     header, lines = _cache_lines(cache)
-    lines[k][-1][2][0][1] += 1
+    edit(lines)
     cache.write_bytes(_signed(header, _line_bytes(lines)))
     alg = DividedPowerAlgebra(3)
     assert not alg.load_cache(cache, 4)
@@ -271,6 +276,31 @@ def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
     assert code == 0
     assert out == expected
     assert cache.read_bytes() == saved
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
+    """A coefficient edit that is signed again passes the digest, but the
+    last entry of each line is straightened again on load."""
+    def edit(lines):
+        lines[k][-1][2][0][1] += 1
+
+    _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_resigned_edit_of_a_multi_term_entry_is_rebuilt(tmp_path, capsys, k):
+    """The last entry of a line is a product with the unit, so the first
+    entry with two or more terms is straightened again too: here
+    e_12 * e_23^(k-1), whose term e_13 e_23^(k-2) comes from the rule
+    for e_12 and e_23 out of order."""
+    def edit(lines):
+        e1, e2, terms = _sampled(lines[k])[1]
+        assert (e1, e2) == ([1, 0, 0], [0, 0, k - 1])
+        assert terms[0] == [[0, 1, k - 2], 1] and len(terms) == 2
+        terms[0][1] += 1
+
+    _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit)
 
 
 def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelschur import resolutions
-from borelschur.arrows import BorelAlgebra
-from borelschur.combinatorics import compositions
+from borelschur.arrows import BorelAlgebra, ConvexTruncation
+from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
-from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import GradedComplex, free_basis, minimal_resolution
-from borelschur.transport import max_reachable_height, resolve_simple
+from borelschur.linalg import Echelon, add_scaled, column_kernel
+from borelschur.resolutions import (GradedComplex, columns, free_basis,
+                                    minimal_resolution)
+from borelschur.transport import max_reachable_height
 
 QQ = Rationals()
 
@@ -189,7 +190,11 @@ def test_json_round_shape():
 def all_kernel_cover(kernel, between, mul, field, pivoting):
     """The cover's oracle: the radical at piece p is spanned by every
     kernel vector of every earlier piece g times the basis elements from
-    g to p, which needs no associativity."""
+    g to p, which needs no associativity.
+
+    `kernel` is {piece: (vectors, basis)}, each vector a dict over
+    positions in the piece's basis.
+    """
     gens = []
     diff = {}
     pieces = sorted(kernel, key=lambda p: (sum(p), p))
@@ -221,11 +226,37 @@ def all_kernel_cover(kernel, between, mul, field, pivoting):
     return gens, diff
 
 
-def with_oracle_cover(build):
-    """build() with the engine's cover replaced by the oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolutions, "_cover", all_kernel_cover)
-        return build()
+def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
+    """The engine's oracle, in two passes per step: cover the whole
+    kernel with `all_kernel_cover`, then take the kernel of the new map
+    on every piece, the new generators' own columns included."""
+    gens = [[top]]
+    diffs = []
+    kernel = {}
+    for p in pieces:
+        basis = free_basis(gens[0], p, between)
+        if p != top and basis:
+            kernel[p] = ([{k: field.one} for k in range(len(basis))], basis)
+    for step in range(1, length + 1):
+        new, diff = all_kernel_cover(kernel, between, mul, field, pivoting)
+        gens.append(new)
+        diffs.append(diff)
+        if not new or step == length:
+            break
+        kernel = {}
+        for p in pieces:
+            src = free_basis(new, p, between)
+            if not src:
+                continue
+            dst = free_basis(gens[-2], p, between)
+            vecs = column_kernel(columns(src, dst, diff, mul, field), field)
+            if vecs:
+                kernel[p] = (vecs, src)
+    return gens, diffs
+
+
+def both_engines(*args):
+    return resolutions.resolve(*args), two_pass_resolve(*args)
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,26 +264,71 @@ def with_oracle_cover(build):
        st.integers(0, 4), st.integers(0, 6), st.sampled_from(["first", "last"]))
 def test_cover_matches_all_kernel_oracle_on_degrees(n, char, length, height,
                                                     pivoting):
-    def build():
-        c = minimal_resolution(DividedPowerAlgebra(n),
-                               field_of_characteristic(char), length, height,
-                               pivoting=pivoting)
-        return c.degrees, c.diffs
+    alg = DividedPowerAlgebra(n)
+    field = field_of_characteristic(char)
+    c = GradedComplex(alg, field, length, height, [], [])
+    engine, oracle = both_engines(alg.degrees_to_height(height),
+                                  (0,) * (n - 1), c.between, c.mul, field,
+                                  length, pivoting)
+    assert engine == oracle
 
-    assert build() == with_oracle_cover(build)
+
+def head_algebras(n, r, char):
+    """The algebras `resolve_simple` runs over: the Borel algebra and the
+    interval algebra that `tor_dimensions` resolves simples over."""
+    field = field_of_characteristic(char)
+    alg = DividedPowerAlgebra(n)
+    return [BorelAlgebra(n, r, field, alg=alg),
+            ConvexTruncation(alg, interval_points(n, r), field, r=r)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 3), st.sampled_from([0, 2, 3]),
        st.sampled_from(["first", "last"]))
 def test_cover_matches_all_kernel_oracle_on_heads(n, r, char, pivoting):
-    borel = BorelAlgebra(n, r, field_of_characteristic(char))
-    for lam in compositions(n, r):
-        # every step raises the height of the weight
-        length = max_reachable_height(lam, n, r) + 1
+    for algebra in head_algebras(n, r, char):
+        for lam in compositions(n, r):
+            # every step raises the height of the weight
+            length = max_reachable_height(lam, n, r) + 1
+            engine, oracle = both_engines(
+                sorted(set(algebra.heads)), lam, algebra.between,
+                algebra.product_indices, algebra.field, length, pivoting)
+            assert engine == oracle
 
-        def build():
-            c = resolve_simple(borel, lam, length, pivoting=pivoting)
-            return c.weights, c.diffs
 
-        assert build() == with_oracle_cover(build)
+def assert_associative(mul, field, x, y, z):
+    """(xy)z = x(yz) for basis elements, with `mul` extended bilinearly."""
+    def prod(u, v):
+        out = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                add_scaled(out, mul(a, b), field.mul(ca, cb), field)
+        return out
+
+    one = field.one
+    assert prod(prod({x: one}, {y: one}), {z: one}) == \
+        prod({x: one}, prod({y: one}, {z: one}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([0, 2, 3, 5]), st.data())
+def test_graded_mul_is_associative(n, char, data):
+    """The engine's cover needs `mul` associative."""
+    alg = DividedPowerAlgebra(n)
+    field = field_of_characteristic(char)
+    c = GradedComplex(alg, field, 0, 0, [], [])
+    monos = st.sampled_from(alg.monomials_to_height(8 - n))
+    assert_associative(c.mul, field, *(data.draw(monos) for _ in range(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]),
+       st.sampled_from([0, 2, 3]), st.data())
+def test_based_products_are_associative(nr, char, data):
+    """Composable triples z, then y based at z's head, then x based at
+    y's head, in both algebras `resolve_simple` runs over."""
+    for algebra in head_algebras(*nr, char):
+        z = data.draw(st.integers(0, algebra.dim - 1))
+        y = data.draw(st.sampled_from(algebra.based_at(algebra.head(z))))
+        x = data.draw(st.sampled_from(algebra.based_at(algebra.head(y))))
+        assert_associative(algebra.product_indices, algebra.field, x, y, z)
