@@ -1,0 +1,59 @@
+"""Test oracles on tensor space: operators the library does not build.
+
+Each function takes a `TensorAction` and uses only its public operator
+calls, so it checks the library from outside: a vector's image, the
+operator of a whole monomial composed factor by factor, the r-fold
+tensor power of a matrix, and the xi coordinates of every product of a
+list of operators composed one pair at a time without any skipping.
+"""
+
+from itertools import product as iproduct
+
+from borelschur.linalg import add_scaled
+
+
+def apply(act, op, vec):
+    """Image of the vector {position: scalar} under op."""
+    out = {}
+    for q, c in vec.items():
+        add_scaled(out, op.get(q, {}), c, act.field)
+    return out
+
+
+def monomial_operator(act, m, alg):
+    """Operator of a canonical monomial: compose factors left to right."""
+    op = act.identity()
+    for a in alg.written_order:
+        k = m.exps[a]
+        if not k:
+            continue
+        i, j = alg.pairs[a]
+        op = act.compose(op, act.divided_power(i, j, k))
+    return op
+
+
+def group_operator(act, g):
+    """r-fold tensor power of an invertible matrix g (rows/cols 0-based)."""
+    field = act.field
+    n = act.n
+    op = {}
+    col_choices = [
+        [i for i in range(n) if g[i][j] != field.zero] for j in range(n)
+    ]
+    for q, idx in enumerate(act.indices):
+        col = {}
+        for rows in iproduct(*(col_choices[x - 1] for x in idx)):
+            c = field.one
+            for row, x in zip(rows, idx):
+                c = field.mul(c, g[row][x - 1])
+            p = act.position[tuple(t + 1 for t in rows)]
+            add_scaled(col, {p: c}, field.one, field)
+        if col:
+            op[q] = col
+    return op
+
+
+def composed_product_orbits(act, ops):
+    """Xi coordinates of x . y for every x, y in ops, row-major, each pair
+    composed whatever its supports."""
+    return [act.operator_to_orbits(act.compose(x, y)) for x in ops for y in ops]

@@ -152,10 +152,17 @@ def test_byte_stability(tmp_path):
      "86081c815eca1efba3c765afeadb6332616b7668b7e79788b1312a851027ec94"),
     ("transport --n 4 --r 3 --char 3 --lambda 1,1,1,0 --length 4 --height 6",
      "d0632a9f7a380042e8c23fde87beb3881309e6002139f51474f155c38b6a9ea7"),
+    ("verify-iso --n 3 --r 3 --char 2",
+     "47d5410d6b158d4ff55c3ad95945ef680ed8b171eeb685a86493962993b4d140"),
+    ("verify-iso --n 2 --r 5 --char 0",
+     "60344bff1b10230098fc779c6afe72d6793f7baaaf3c3d05cc9fed74dc937a5b"),
+    ("verify-iso --n 4 --r 2 --char 3",
+     "4378cb1b965f8de1b030c2f6f64e7899b45271a7b0e0b89d3f2b4e9825efa750"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
-    """Payload bytes of jobs that run both resolution routes and the Tor
-    check; a change that alters them changes the program's output."""
+    """Payload bytes of jobs that run both resolution routes, the Tor
+    check and the tensor-space check; a change that alters them changes
+    the program's output."""
     code, out, _ = run_cli(argv.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

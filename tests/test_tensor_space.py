@@ -4,6 +4,8 @@ import random
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelschur.arrows import BorelAlgebra
 from borelschur.combinatorics import compositions, weight
@@ -14,6 +16,12 @@ from borelschur.tensor_space import (
     TensorAction,
     upper_table_json,
     verify_isomorphism,
+)
+from tensor_oracle import (
+    apply,
+    composed_product_orbits,
+    group_operator,
+    monomial_operator,
 )
 
 QQ = Rationals()
@@ -98,7 +106,7 @@ def test_held_operator_products_match_schur_multiply(n, r, char):
     images = []
     for m, mu in borel.arrows:
         op = act.based_operator(m, mu, borel.alg)
-        old = act.compose(act.monomial_operator(m, borel.alg),
+        old = act.compose(monomial_operator(act, m, borel.alg),
                           act.weight_projector(mu))
         assert op == old, (m, mu)
         images.append(op)
@@ -155,9 +163,9 @@ def test_full_multiplication_table_small():
 def test_divided_power_action_examples():
     act = TensorAction(2, 2, QQ)
     v22 = {act.position[(2, 2)]: QQ.one}
-    assert act.apply(act.divided_power(1, 2, 1), v22) == {
+    assert apply(act, act.divided_power(1, 2, 1), v22) == {
         act.position[(1, 2)]: QQ.one, act.position[(2, 1)]: QQ.one}
-    assert act.apply(act.divided_power(1, 2, 2), v22) == {
+    assert apply(act, act.divided_power(1, 2, 2), v22) == {
         act.position[(1, 1)]: QQ.one}
     assert act.divided_power(1, 2, 3) == {}
 
@@ -172,12 +180,12 @@ def test_divided_power_action_is_algebra_map(char):
     rng = random.Random(char + 77)
     for _ in range(25):
         m1, m2 = rng.choice(monos), rng.choice(monos)
-        lhs = act.compose(act.monomial_operator(m1, alg),
-                          act.monomial_operator(m2, alg))
+        lhs = act.compose(monomial_operator(act, m1, alg),
+                          monomial_operator(act, m2, alg))
         rhs = act.zero()
         for exps, c in alg.multiply_monomials(m1, m2):
             from borelschur.divided_powers import Monomial
-            rhs = act.add_scaled(rhs, act.monomial_operator(Monomial(n, exps), alg),
+            rhs = act.add_scaled(rhs, monomial_operator(act, Monomial(n, exps), alg),
                                  field.of(c))
         assert act.equal(lhs, rhs), (m1, m2)
 
@@ -187,7 +195,7 @@ def test_group_operator_compatibility():
     act = TensorAction(2, 3, QQ)
     for c in (QQ.of(1), QQ.of(2), QQ.of(-3)):
         g = [[QQ.one, c], [QQ.zero, QQ.one]]
-        tau = act.group_operator(g)
+        tau = group_operator(act, g)
         acc = act.identity()
         power = QQ.one
         for k in range(1, 4):
@@ -197,7 +205,7 @@ def test_group_operator_compatibility():
     # and a torus generator weights the idempotents
     c = QQ.of(4)
     g = [[QQ.add(QQ.one, c), QQ.zero], [QQ.zero, QQ.one]]
-    tau = act.group_operator(g)
+    tau = group_operator(act, g)
     acc = act.zero()
     for lam in compositions(2, 3):
         acc = act.add_scaled(acc, act.weight_projector(lam),
@@ -249,6 +257,97 @@ def test_verify_isomorphism_detects_tampering():
     tampered = verify_isomorphism(2, 2, field, borel=borel)
     assert not tampered["passed"]
     assert tampered["mismatch_count"] > 0
+
+
+def supports_meet(x, y):
+    """Whether some row of y is a column of x, i.e. x . y can be nonzero."""
+    return not set().union(*y.values()).isdisjoint(x)
+
+
+def test_verify_isomorphism_compares_skipped_pairs(monkeypatch):
+    """Fault injection: a nonzero structure constant on a pair whose image
+    supports miss (so its product is never composed) must still surface
+    as a mismatch."""
+    field = PrimeField(3)
+    borel = BorelAlgebra(2, 3, field)
+    assert verify_isomorphism(2, 3, field, borel=borel)["passed"]
+    act = TensorAction(2, 3, field)
+    images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
+    pair = next((a, b) for a in range(borel.dim) for b in range(borel.dim)
+                if not supports_meet(images[a], images[b]))
+    assert borel.product_indices(*pair) == {}
+    product_indices = borel.product_indices
+
+    def tampered(a, b):
+        return {0: field.one} if (a, b) == pair else product_indices(a, b)
+
+    monkeypatch.setattr(borel, "product_indices", tampered)
+    rep = verify_isomorphism(2, 3, field, borel=borel)
+    assert rep["mismatch_count"] >= 1
+    assert pair in rep["mismatches"]
+    assert not rep["passed"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_disjoint_supports_compose_to_zero(data):
+    """The skip rule of `product_orbits`: when no row of b is a column of a,
+    a . b has no entry at all."""
+    act = TensorAction(2, 3, PrimeField(3))
+    size = len(act.indices)
+    split = data.draw(st.sets(st.integers(0, size - 1)))
+    rest = [p for p in range(size) if p not in split]
+
+    def operator(cols, rows):
+        col = st.dictionaries(st.sampled_from(rows), st.integers(1, 2),
+                              min_size=1)
+        return {q: data.draw(col) for q in cols
+                if rows and data.draw(st.booleans())}
+
+    a = operator(sorted(split), range(size))
+    b = operator(range(size), rest)
+    assert not supports_meet(a, b)
+    assert act.compose(a, b) == {}
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
+    """`product_orbits` composes only the pairs whose supports meet, and
+    agrees on every pair with composing all of them."""
+    field = QQ if char == 0 else PrimeField(char)
+    borel = BorelAlgebra(n, r, field)
+    act = TensorAction(n, r, field)
+    images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
+    expected = composed_product_orbits(act, images)
+    composed = []
+    compose = act.compose
+    monkeypatch.setattr(act, "compose",
+                        lambda x, y: composed.append(1) or compose(x, y))
+    assert list(act.product_orbits(images)) == expected
+    meeting = sum(supports_meet(x, y) for x in images for y in images)
+    assert len(composed) == meeting < borel.dim ** 2
+
+
+def test_verify_isomorphism_is_repeatable():
+    field = PrimeField(2)
+    borel = BorelAlgebra(3, 2, field)
+    first = verify_isomorphism(3, 2, field, borel=borel)
+    assert first["passed"]
+    assert verify_isomorphism(3, 2, field, borel=borel) == first
+
+
+def test_warm_orbit_sums_still_reject_outside_span():
+    """Reading a valid operator fills the orbit-sum memo; an operator
+    outside the span must still be refused, and no cached sum changes."""
+    act = TensorAction(2, 2, QQ)
+    i, j = (1, 1), (1, 2)
+    key = act.orbit_key(i, j)
+    assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
+    with pytest.raises(ValueError):
+        act.operator_to_orbits(act.elementary(i, j))
+    assert act.orbit_sum(key) == act.xi(i, j)
+    assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
 
 
 @pytest.mark.parametrize("n,r,char", [(2, 3, 0), (3, 2, 2)])
