@@ -79,18 +79,6 @@ def reduce_to_compositions(alg, element, r):
     return {a: c for a, c in element.items() if arrow_is_kept(alg, a, r)}
 
 
-def arrow_to_matrix(alg, arrow):
-    """Completed marginal matrix of a kept arrow."""
-    m, mu = arrow
-    n = alg.n
-    K = [[0] * n for _ in range(n)]
-    for (i, j), a in alg.pair_index.items():
-        K[i - 1][j - 1] = m.exps[a]
-    for j in range(1, n + 1):
-        K[j - 1][j - 1] = mu[j - 1] - sum(K[i][j - 1] for i in range(j - 1))
-    return tuple(tuple(row) for row in K)
-
-
 def matrix_to_arrow(alg, K):
     mu = tuple(sum(K[i][t] for i in range(t + 1)) for t in range(alg.n))
     exps = {}
@@ -273,13 +261,6 @@ class BorelAlgebra(BasedAlgebra):
 
     def _product(self, i, j):
         return self.reduce_element(self._compose(i, j))
-
-    def projective_indices(self, mu):
-        """Basis of the projective carried by a composition: arrows based there."""
-        mu = tuple(mu)
-        if not is_composition(mu, self.r):
-            raise ValueError(f"{mu} is not a composition of {self.r}")
-        return list(self.based_at(mu))
 
     def to_json(self, with_products=False):
         payload = {

@@ -17,7 +17,7 @@ from .divided_powers import DividedPowerAlgebra
 from .fields import field_of_characteristic
 from .idempotents import chain_report
 from .resolutions import minimal_resolution
-from .tensor_space import verify_isomorphism
+from .tensor_space import check_tensor_dimension, verify_isomorphism
 from .transport import ext_table_csv, transport_resolution
 
 
@@ -42,7 +42,8 @@ def _parse_lambda(text):
         raise argparse.ArgumentTypeError(f"cannot parse weight {text!r}")
 
 
-def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False):
+def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False,
+                need_cache=True):
     p.add_argument("--n", type=int, required=True, help="matrix size")
     if need_r:
         p.add_argument("--r", type=int, required=True, help="tensor degree")
@@ -56,7 +57,9 @@ def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False):
                        help="homological length cutoff (default 4)")
         p.add_argument("--height", type=_non_negative, default=4,
                        help="degree height cutoff (default 4)")
-    p.add_argument("--cache", help="path to the structure-constant cache file")
+    if need_cache:
+        p.add_argument("--cache",
+                       help="path to the structure-constant cache file")
     p.add_argument("--out", help="write the payload to this file")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="payload format (csv only where a table is natural)")
@@ -69,7 +72,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="marginal-matrix basis of the algebra")
-    _add_common(p)
+    _add_common(p, need_cache=False)
 
     p = sub.add_parser("verify-iso",
                        help="check the arrow realization against tensor space")
@@ -129,6 +132,7 @@ def cmd_verify_iso(args):
     field = field_of_characteristic(args.char)
     if args.format == "csv":
         raise ValueError("verify-iso only supports --format json")
+    check_tensor_dimension(args.n, args.r)
     dpa = DividedPowerAlgebra(args.n)
     _with_cache(dpa, args, _interval_height(args.n, args.r))
     borel = BorelAlgebra(args.n, args.r, field, alg=dpa)

@@ -6,7 +6,7 @@ v_i - v_{i+1}, which is how truncation sets and gradings are cut out
 everywhere else in the package.
 """
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb
 
 
@@ -69,43 +69,33 @@ def point_sub(z, w):
     return tuple(a - b for a, b in zip(z, w))
 
 
-def in_interval(z, r, k=1):
-    """Membership in the dominance interval between (0,..,0,r) and (r,0,..,0),
-    with the first k coordinates required non-negative.
-
-    k = len(z) cuts out exactly the compositions of r.
-    """
-    _check_point(z)
-    n = len(z)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if any(z[i] < 0 for i in range(k)):
-        return False
-    s = 0
-    for x in z[:-1]:
-        s += x
-        if not 0 <= s <= r:
-            return False
-    return s + z[-1] == r
-
-
-def interval_points(n, r):
-    """All points of the dominance interval, sorted lexicographically."""
+def _check_size(n, r):
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    pts = []
-    for ps in iproduct(range(r + 1), repeat=n - 1):
-        full = ps + (r,)
-        z = tuple(full[i] - (full[i - 1] if i else 0) for i in range(n))
-        pts.append(z)
-    return sorted(pts)
+
+
+def interval_points(n, r):
+    """All points of the dominance interval between (0,..,0,r) and (r,0,..,0),
+    sorted lexicographically."""
+    _check_size(n, r)
+    return dominance_between((0,) * (n - 1) + (r,), (r,) + (0,) * (n - 1))
 
 
 def compositions(n, r):
-    """Compositions of r into n non-negative parts, sorted lexicographically."""
-    return [z for z in interval_points(n, r) if all(x >= 0 for x in z)]
+    """Compositions of r into n non-negative parts, sorted lexicographically.
+
+    Stars and bars: the parts are the gaps between n - 1 bars placed among
+    r + n - 1 slots.  Bar sets come in lexicographic order, and so do the
+    gap tuples they give.
+    """
+    _check_size(n, r)
+    out = []
+    for bars in combinations(range(r + n - 1), n - 1):
+        ends = bars + (r + n - 1,)
+        out.append(tuple(e - s - 1 for s, e in zip((-1,) + bars, ends)))
+    return out
 
 
 def layer_points(n, r, k):
@@ -131,20 +121,6 @@ def weight(idx, n):
     return tuple(out)
 
 
-def pair_to_matrix(i, j, n):
-    """Upper-triangular position-count matrix of a componentwise-ordered pair."""
-    if len(i) != len(j):
-        raise ValueError("multi-index length mismatch")
-    k = [[0] * n for _ in range(n)]
-    for a, b in zip(i, j):
-        if a > b:
-            raise ValueError(f"pair not ordered: {a} > {b}")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError("multi-index entry out of range")
-        k[a - 1][b - 1] += 1
-    return tuple(tuple(row) for row in k)
-
-
 def matrix_to_pair(K):
     """Canonical representative pair of the orbit indexed by K.
 
@@ -161,66 +137,21 @@ def matrix_to_pair(K):
     return tuple(i), tuple(j)
 
 
-def col_marginals(K):
-    n = len(K)
-    return tuple(sum(K[s][t] for s in range(t + 1)) for t in range(n))
-
-
-def tri_matrices(lam, mu):
-    """All upper-triangular matrices with row marginals lam and column marginals mu.
-
-    Row-major recursive fill; the diagonal entry of each row is forced by the
-    column marginal, the strictly-upper entries are free up to budgets.
-    Output sorted by the flattened row-major tuple.
-    """
-    n = len(lam)
-    if len(mu) != n:
-        raise ValueError("marginal length mismatch")
-    found = []
-    rows = []
-    col_used = [0] * n
-
-    def fill_row(s):
-        if s == n:
-            found.append(tuple(tuple(row) for row in rows))
-            return
-        diag = mu[s] - col_used[s]
-        rest = lam[s] - diag
-        if diag < 0 or rest < 0:
-            return
-        row = [0] * n
-        row[s] = diag
-
-        def fill_entry(t, remaining):
-            if t == n:
-                if remaining == 0:
-                    rows.append(row[:])
-                    for u in range(s, n):
-                        col_used[u] += row[u]
-                    fill_row(s + 1)
-                    for u in range(s, n):
-                        col_used[u] -= row[u]
-                    rows.pop()
-                return
-            cap = min(remaining, mu[t] - col_used[t])
-            for v in range(cap + 1):
-                row[t] = v
-                fill_entry(t + 1, remaining - v)
-            row[t] = 0
-
-        fill_entry(s + 1, rest)
-
-    fill_row(0)
-    return sorted(found)
-
-
 def tri_matrices_all(n, r):
-    """All upper-triangular matrices over the naturals with entry sum r."""
+    """All upper-triangular matrices over the naturals with entry sum r, sorted.
+
+    The n(n+1)/2 upper cells, read row by row, take the compositions of r;
+    lexicographic order on those readings is the order on the matrices.
+    """
     out = []
-    for lam in compositions(n, r):
-        for mu in compositions(n, r):
-            out.extend(tri_matrices(lam, mu))
-    return sorted(out)
+    for cells in compositions(n * (n + 1) // 2, r):
+        rows = []
+        k = 0
+        for s in range(n):
+            rows.append((0,) * s + cells[k:k + n - s])
+            k += n - s
+        out.append(tuple(rows))
+    return out
 
 
 def tri_count(n, r):
@@ -238,11 +169,6 @@ def layer_key(z, k):
     head = sum(z) - z[k - 1]
     tail = sum(z[k:])
     return (head, tail) + tuple(z[: k - 1]) + tuple(reversed(z[k:]))
-
-
-def layer_compare(z, w, k):
-    a, b = layer_key(z, k), layer_key(w, k)
-    return (a > b) - (a < b)
 
 
 def dominance_between(a, b):
@@ -268,33 +194,6 @@ def is_convex(points):
                 if any(z not in pts for z in dominance_between(a, b)):
                     return False
     return True
-
-
-def column_generators(n, k):
-    """Generators v_i - v_k, i < k, of the single-column monoid."""
-    gens = []
-    for i in range(1, k):
-        v = [0] * n
-        v[i - 1] = 1
-        v[k - 1] = -1
-        gens.append(tuple(v))
-    return gens
-
-
-def lower_generators(n, k):
-    """Generators v_i - v_j with i < j <= k (columns up to k)."""
-    gens = []
-    for j in range(2, k + 1):
-        gens.extend(column_generators(n, j))
-    return gens
-
-
-def upper_generators(n, k):
-    """Generators v_i - v_j with i < j and j > k (columns beyond k)."""
-    gens = []
-    for j in range(k + 1, n + 1):
-        gens.extend(column_generators(n, j))
-    return gens
 
 
 def in_column_monoid(d, n, k):

@@ -22,7 +22,7 @@ import os
 from math import comb
 from operator import mul
 
-from .linalg import add_scaled
+from .combinatorics import compositions
 
 
 class Monomial:
@@ -95,9 +95,6 @@ class DividedPowerAlgebra:
     @property
     def unit(self):
         return Monomial(self.n, (0,) * len(self.pairs))
-
-    def generator(self, i, j, k=1):
-        return self.monomial({(i, j): k})
 
     # -- grading ------------------------------------------------------
 
@@ -201,31 +198,6 @@ class DividedPowerAlgebra:
                 out[Monomial(self.n, exps)] = c
         return out
 
-    def multiply(self, x, y, field):
-        """Bilinear product of elements (dicts Monomial -> scalar)."""
-        out = {}
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                add_scaled(out, self.monomial_product(m1, m2, field),
-                           field.mul(c1, c2), field)
-        return out
-
-    # -- column structure ----------------------------------------------
-
-    def column_factors(self, m):
-        """Single-column factors for columns n, n-1, ..., 2.
-
-        Concatenating the factors in this order reproduces m.
-        """
-        out = []
-        for j in range(self.n, 1, -1):
-            exps = [0] * len(self.pairs)
-            for i in range(1, j):
-                a = self.pair_index[(i, j)]
-                exps[a] = m.exps[a]
-            out.append(Monomial(self.n, exps))
-        return out
-
     # -- graded components ----------------------------------------------
 
     def component_basis(self, coords):
@@ -264,17 +236,9 @@ class DividedPowerAlgebra:
 
     def degrees_to_height(self, h):
         """All degree coordinate vectors of height <= h, sorted by (height, lex)."""
-        out = []
-
-        def rec(prefix, rem):
-            if len(prefix) == self.n - 1:
-                out.append(tuple(prefix))
-                return
-            for c in range(rem + 1):
-                rec(prefix + [c], rem - c)
-
-        rec([], h)
-        return sorted(out, key=lambda c: (sum(c), c))
+        if self.n == 1:
+            return [()]
+        return [c for s in range(h + 1) for c in compositions(self.n - 1, s)]
 
     def monomials_to_height(self, h):
         out = []

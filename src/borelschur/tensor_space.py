@@ -19,14 +19,24 @@ from .linalg import Echelon, add_scaled, column_kernel
 TENSOR_DIMENSION_CAP = 300_000
 
 
+def check_tensor_dimension(n, r):
+    """Refuse a tensor space of dimension n^r over TENSOR_DIMENSION_CAP.
+
+    For n >= 2 the power passes the cap once r reaches the cap's bit
+    length, so a large r is refused without computing n^r.
+    """
+    if n > 1 and (r >= TENSOR_DIMENSION_CAP.bit_length()
+                  or n ** r > TENSOR_DIMENSION_CAP):
+        raise ValueError(
+            f"tensor space dimension {n}^{r} exceeds the supported cap "
+            f"{TENSOR_DIMENSION_CAP}")
+
+
 class TensorAction:
     """Sparse exact operators on the r-fold tensor power, basis I(n, r)."""
 
     def __init__(self, n, r, field):
-        if n ** r > TENSOR_DIMENSION_CAP:
-            raise ValueError(
-                f"tensor space dimension {n}^{r} exceeds the supported cap "
-                f"{TENSOR_DIMENSION_CAP}")
+        check_tensor_dimension(n, r)
         self.n = n
         self.r = r
         self.field = field
@@ -35,13 +45,6 @@ class TensorAction:
         self._orbit_sums = {}
 
     # operators are {column: {row: scalar}} with integer positions
-
-    def zero(self):
-        return {}
-
-    def identity(self):
-        one = self.field.one
-        return {k: {k: one} for k in range(len(self.indices))}
 
     def compose(self, a, b):
         """Operator product a . b (b applied first)."""
@@ -57,22 +60,11 @@ class TensorAction:
                 out[q] = acc
         return out
 
-    def add_scaled(self, a, b, c):
-        out = {q: dict(col) for q, col in a.items()}
-        for q, col in b.items():
-            if not add_scaled(out.setdefault(q, {}), col, c, self.field):
-                out.pop(q)
-        return out
-
     def equal(self, a, b):
         keys = set(a) | set(b)
         return all(a.get(k, {}) == b.get(k, {}) for k in keys)
 
     # -- basis operators -------------------------------------------------
-
-    def elementary(self, i, j):
-        """Matrix unit sending the basis tensor at j to the one at i."""
-        return {self.position[tuple(j)]: {self.position[tuple(i)]: self.field.one}}
 
     def xi(self, i, j):
         """Orbit sum of matrix units, each distinct rearranged pair once."""
@@ -186,11 +178,6 @@ class TensorAction:
                     yield {}
                 else:
                     yield self.operator_to_orbits(self.compose(x, y))
-
-    def schur_multiply(self, x, y):
-        """Product in xi coordinates via operator composition."""
-        return self.operator_to_orbits(
-            self.compose(self.orbits_to_operator(x), self.orbits_to_operator(y)))
 
 
 def upper_table_json(n, r, field, basis="image"):

@@ -66,9 +66,6 @@ class ModuleComplex:
                 out.append((t, a))
         return out
 
-    def dims(self):
-        return [len(self.module_basis(i)) for i in range(len(self.weights))]
-
     def is_minimal(self):
         return unit_free(self.diffs, self.algebra.is_unit_arrow)
 
@@ -125,25 +122,6 @@ class ModuleComplex:
             for w in ws:
                 out[(i, w)] = out.get((i, w), 0) + 1
         return out
-
-    def euler_characteristics(self):
-        """Per head-weight alternating sums of slice dimensions."""
-        algebra = self.algebra
-        out = {}
-        for mu in sorted(set(algebra.heads)):
-            total = 0
-            sign = 1
-            for i in range(len(self.weights)):
-                s = sum(len(algebra.between(w, mu)) for w in self.weights[i])
-                total += sign * s
-                sign = -sign
-            out[mu] = total
-        return out
-
-    def euler_ok(self):
-        """Alternating sums must see exactly the one-dimensional module at lam."""
-        return all(c == (1 if mu == self.lam else 0)
-                   for mu, c in self.euler_characteristics().items())
 
     def to_json(self):
         return {

@@ -1,15 +1,42 @@
 """Test oracles on tensor space: operators the library does not build.
 
 Each function takes a `TensorAction` and uses only its public operator
-calls, so it checks the library from outside: a vector's image, the
-operator of a whole monomial composed factor by factor, the r-fold
-tensor power of a matrix, and the xi coordinates of every product of a
-list of operators composed one pair at a time without any skipping.
+calls, so it checks the library from outside: the identity, a matrix
+unit, linear combinations, a vector's image, the operator of a whole
+monomial composed factor by factor, the r-fold tensor power of a
+matrix, products in xi coordinates, and the xi coordinates of every
+product of a list of operators composed one pair at a time without any
+skipping.
 """
 
 from itertools import product as iproduct
 
 from borelschur.linalg import add_scaled
+
+
+def identity(act):
+    one = act.field.one
+    return {k: {k: one} for k in range(len(act.indices))}
+
+
+def elementary(act, i, j):
+    """Matrix unit sending the basis tensor at j to the one at i."""
+    return {act.position[tuple(j)]: {act.position[tuple(i)]: act.field.one}}
+
+
+def combination(act, terms):
+    """The operator sum of c * op over the pairs (c, op) in terms."""
+    out = {}
+    for c, op in terms:
+        for q, col in op.items():
+            add_scaled(out.setdefault(q, {}), col, c, act.field)
+    return {q: col for q, col in out.items() if col}
+
+
+def schur_multiply(act, x, y):
+    """Product in xi coordinates via operator composition."""
+    return act.operator_to_orbits(
+        act.compose(act.orbits_to_operator(x), act.orbits_to_operator(y)))
 
 
 def apply(act, op, vec):
@@ -22,7 +49,7 @@ def apply(act, op, vec):
 
 def monomial_operator(act, m, alg):
     """Operator of a canonical monomial: compose factors left to right."""
-    op = act.identity()
+    op = identity(act)
     for a in alg.written_order:
         k = m.exps[a]
         if not k:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from borelschur.cli import main
+from borelschur import cli
+from borelschur.cli import build_parser, main
 from borelschur.divided_powers import DividedPowerAlgebra
 
 
@@ -112,6 +113,30 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resolve", "--n", "2", "--char", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n,r", [(5, 8), (6, 8), (2, 1500)])
+def test_verify_iso_checks_the_tensor_cap_first(n, r, capsys, monkeypatch):
+    """Over the tensor-space cap, no algebra is built and no cache written."""
+    def refuse(*args):
+        raise AssertionError("work done before the cap was checked")
+
+    monkeypatch.setattr(cli, "BorelAlgebra", refuse)
+    monkeypatch.setattr(DividedPowerAlgebra, "save_cache", refuse)
+    code, _, err = run_cli(f"verify-iso --n {n} --r {r} --cache x".split(),
+                           capsys)
+    assert code == 2 and "exceeds the supported cap" in err
+
+
+def test_cache_flag_only_on_commands_that_multiply(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main("basis --n 2 --r 2 --cache x".split())
+    assert exc.value.code == 2
+    for argv in ["verify-iso --n 2 --r 2", "resolve --n 2",
+                 "check-ideals --n 2 --r 2",
+                 "transport --n 2 --r 2 --lambda 1,1"]:
+        args = build_parser().parse_args(f"{argv} --cache x".split())
+        assert args.cache == "x"
 
 
 def test_out_file_and_summary(tmp_path, capsys):

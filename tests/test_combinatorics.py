@@ -8,31 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelschur.combinatorics import (
-    column_generators,
     compositions,
     coords_to_vector,
     dominance_between,
     dominance_leq,
     in_column_monoid,
-    in_interval,
     interval_points,
     is_convex,
-    layer_compare,
     layer_key,
     layer_points,
-    lower_generators,
     matrix_to_pair,
     orbit_of_pair,
-    pair_to_matrix,
     point_add,
     point_sub,
     positive_root_coords,
     tri_count,
-    tri_matrices,
     tri_matrices_all,
-    upper_generators,
     weight,
 )
+from oracles import pair_to_matrix
 
 
 # ---------------------------------------------------------------- dominance
@@ -92,12 +86,11 @@ def test_coords_vector_round_trip():
 # ---------------------------------------------------------------- intervals
 
 def test_in_interval_examples():
-    assert in_interval((2, -1, 1), 2, 1)
-    assert not in_interval((2, -1, 1), 2, 2)
-    for k in (1, 2, 3):
-        assert in_interval((0, 0, 2), 2, k)
+    pts = interval_points(3, 2)
+    assert (2, -1, 1) in pts and (2, -1, 1) not in compositions(3, 2)
+    assert (0, 0, 2) in pts and (0, 0, 2) in compositions(3, 2)
     # prefix sum 3 exceeds r: outside the interval
-    assert not in_interval((3, 0, -1), 2, 1)
+    assert (3, 0, -1) not in pts
 
 
 def brute_interval(n, r):
@@ -127,8 +120,8 @@ def test_interval_special_cases():
     for r in range(5):
         assert interval_points(2, r) == compositions(2, r)
     # requiring every coordinate non-negative recovers the compositions
-    for n, r in [(3, 2), (3, 3), (4, 2)]:
-        assert [z for z in interval_points(n, r) if in_interval(z, r, n)] == \
+    for n, r in [(1, 0), (3, 0), (3, 2), (3, 3), (4, 2), (5, 3)]:
+        assert [z for z in interval_points(n, r) if min(z) >= 0] == \
             compositions(n, r)
 
 
@@ -238,31 +231,35 @@ def test_orbit_of_pair_rejects_length_mismatch():
 
 # --------------------------------------------------------- marginal matrices
 
+def marginal_matrices(lam, mu):
+    """The matrices of tri_matrices_all with row sums lam and column sums mu."""
+    n = len(lam)
+    return [K for K in tri_matrices_all(n, sum(lam))
+            if marginals(K) == (tuple(lam), tuple(mu))]
+
+
+def marginals(K):
+    n = len(K)
+    return (tuple(sum(row) for row in K),
+            tuple(sum(K[s][t] for s in range(t + 1)) for t in range(n)))
+
+
 def test_tri_matrices_examples():
-    assert tri_matrices((2, 1), (1, 2)) == [((1, 1), (0, 1))]
+    assert marginal_matrices((2, 1), (1, 2)) == [((1, 1), (0, 1))]
     lam = (2, 1, 0)
-    assert tri_matrices(lam, lam) == [((2, 0, 0), (0, 1, 0), (0, 0, 0))]
+    assert marginal_matrices(lam, lam) == [((2, 0, 0), (0, 1, 0), (0, 0, 0))]
+    assert marginal_matrices((0, 2), (2, 0)) == []
     assert len(tri_matrices_all(2, 2)) == 6
 
 
 def brute_tri_all(n, r):
-    """Stars and bars oracle: scan all upper-triangular fillings."""
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    out = set()
-
-    def rec(idx, rem, acc):
-        if idx == len(cells):
-            if rem == 0:
-                K = [[0] * n for _ in range(n)]
-                for (i, j), v in zip(cells, acc):
-                    K[i][j] = v
-                out.add(tuple(tuple(row) for row in K))
-            return
-        for v in range(rem + 1):
-            rec(idx + 1, rem - v, acc + [v])
-
-    rec(0, r, [])
-    return out
+    """Oracle: add one to each upper cell of every matrix with sum r - 1."""
+    if r == 0:
+        return {((0,) * n,) * n}
+    return {tuple(tuple(x + ((s, t) == (i, j)) for t, x in enumerate(row))
+                  for s, row in enumerate(K))
+            for K in brute_tri_all(n, r - 1)
+            for i in range(n) for j in range(i, n)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -270,52 +267,65 @@ def brute_tri_all(n, r):
 def test_tri_count_matches_oracle(n, r):
     brute = brute_tri_all(n, r)
     assert len(brute) == comb(n * (n + 1) // 2 + r - 1, r) == tri_count(n, r)
-    assert set(tri_matrices_all(n, r)) == brute
+    assert tri_matrices_all(n, r) == sorted(brute)
 
 
 def test_tri_matrices_empty_unless_dominated():
-    lam, mu = (1, 1, 0), (0, 0, 2)
-    assert not dominance_leq(mu, lam) or True
-    assert tri_matrices((0, 2), (2, 0)) == []
+    """Some matrix has rows lam and columns mu exactly when mu <= lam in the
+    dominance order; exhaustive over compositions with n <= 4, r <= 4."""
+    pairs = 0
+    for n in range(1, 5):
+        for r in range(5):
+            found = {marginals(K) for K in tri_matrices_all(n, r)}
+            for lam in compositions(n, r):
+                for mu in compositions(n, r):
+                    assert ((lam, mu) in found) == dominance_leq(mu, lam)
+                    pairs += 1
+    assert pairs == 2173
 
 
 def test_marginals_of_enumeration():
-    for K in tri_matrices((2, 1, 1), (1, 2, 1)):
-        assert tuple(sum(row) for row in K) == (2, 1, 1)
-        assert tuple(sum(K[i][t] for i in range(t + 1)) for t in range(3)) == (1, 2, 1)
+    # rows (2,1,1) and columns (1,2,1) force a single matrix
+    assert marginal_matrices((2, 1, 1), (1, 2, 1)) == [
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1))]
 
 
 # -------------------------------------------------------------- layer order
 
 def test_layer_order_examples():
-    assert layer_compare((2, -1, 1), (2, -1, 1), 2) == 0
     # keys: (3,1,2,1) against (4,2,2,2)
     assert layer_key((2, -1, 1), 2) == (3, 1, 2, 1)
     assert layer_key((2, -2, 2), 2) == (4, 2, 2, 2)
-    assert layer_compare((2, -1, 1), (2, -2, 2), 2) == -1
+    assert layer_key((2, -1, 1), 2) < layer_key((2, -2, 2), 2)
+
+
+def column_generators(n, k):
+    """Generators v_i - v_k, i < k, of the single-column monoid."""
+    return [tuple(1 if t == i else -1 if t == k - 1 else 0 for t in range(n))
+            for i in range(k - 1)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_layer_order_monoid_properties(n, r):
-    # adding a generator from the lower block must increase the layer order,
-    # adding one from the upper block must decrease it; exhaustive over the
-    # layer and the generator lists
+    # adding a generator v_i - v_j with j <= k (lower block) must increase
+    # the layer order, adding one with j > k (upper block) must decrease
+    # it; exhaustive over the layer and the generator lists
     for k in range(2, n + 1):
         layer = set(layer_points(n, r, k))
+        lower = [g for j in range(2, k + 1) for g in column_generators(n, j)]
+        upper = [g for j in range(k + 1, n + 1)
+                 for g in column_generators(n, j)]
         for z in layer:
-            for g in lower_generators(n, k):
+            key = layer_key(z, k)
+            for g in lower:
                 z2 = point_add(z, g)
                 if z2 in layer:
-                    assert layer_compare(z, z2, k) <= 0
-                    if z2 != z:
-                        assert layer_compare(z, z2, k) < 0
-            for g in upper_generators(n, k):
+                    assert key < layer_key(z2, k)
+            for g in upper:
                 z2 = point_add(z, g)
                 if z2 in layer:
-                    assert layer_compare(z, z2, k) >= 0
-                    if z2 != z:
-                        assert layer_compare(z, z2, k) > 0
+                    assert key > layer_key(z2, k)
 
 
 def test_column_monoid_membership():
@@ -347,7 +357,7 @@ def test_convexity_witness():
     a, b = (1, 0, 1), (2, 0, 0)
     between = dominance_between(a, b)
     assert (2, -1, 1) in between
-    assert not in_interval((2, -1, 1), 2, 3)
+    assert (2, -1, 1) not in compositions(3, 2)
 
 
 def test_dominance_between_bounds():

@@ -1,0 +1,57 @@
+"""Every function in src/borelschur runs from src/ or is exported.
+
+A function or method counts as used when its name appears in src/ as a
+name, attribute, import or string outside its own definition, or when it
+is in `borelschur.__all__`.  Dunders are exempt.  Code that only tests
+call belongs in a test helper module such as `oracles.py`.
+"""
+
+import ast
+from pathlib import Path
+
+import borelschur
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "borelschur"
+FIELDS = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+
+
+def identifier(node):
+    if type(node) in FIELDS:
+        return getattr(node, FIELDS[type(node)])
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def unreferenced(src):
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    refs = [(identifier(node), mod, node.lineno)
+            for mod, tree in trees.items() for node in ast.walk(tree)
+            if identifier(node)]
+    out = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(ref == node.name and not (m == mod and line in own)
+                       for ref, m, line in refs):
+                out.append(f"{mod}:{node.lineno} {node.name}")
+    return out
+
+
+def test_every_function_has_a_caller_in_src():
+    exported = set(borelschur.__all__)
+    assert [f for f in unreferenced(SRC)
+            if f.split()[-1] not in exported] == []
+
+
+def test_guard_sees_an_unused_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
+        "class C:\n    def __init__(self):\n        pass\n\n"
+        "    def method(self):\n        return 2\n")
+    assert unreferenced(tmp_path) == ["a.py:5 unused", "a.py:9 recursive",
+                                      "a.py:17 method"]

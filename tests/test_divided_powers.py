@@ -12,6 +12,7 @@ from borelschur.combinatorics import coords_to_vector
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
 from letter_oracle import LetterOracle
+from oracles import column_factors, multiply
 
 QQ = Rationals()
 
@@ -22,7 +23,7 @@ def elem(pairs_to_scalars, alg, field=QQ):
 
 def test_degree_examples():
     A2 = DividedPowerAlgebra(2)
-    assert coords_to_vector(A2.degree(A2.generator(1, 2, 3))) == (3, -3)
+    assert coords_to_vector(A2.degree(A2.monomial({(1, 2): 3}))) == (3, -3)
     A3 = DividedPowerAlgebra(3)
     m = A3.monomial({(2, 3): 2, (1, 3): 1, (1, 2): 1})
     assert coords_to_vector(A3.degree(m)) == (2, 1, -3)
@@ -39,24 +40,25 @@ def test_canonical_word_order():
 
 def test_multiply_examples():
     A3 = DividedPowerAlgebra(3)
-    e12 = A3.generator(1, 2)
-    e23 = A3.generator(2, 3)
-    sq = A3.multiply({e12: QQ.one}, {e12: QQ.one}, QQ)
-    assert sq == {A3.generator(1, 2, 2): QQ.of(2)}
-    assert A3.multiply({e12: 1}, {e12: 1}, PrimeField(2)) == {}
-    prod = A3.multiply({e12: QQ.one}, {e23: QQ.one}, QQ)
+    e12 = A3.monomial({(1, 2): 1})
+    e23 = A3.monomial({(2, 3): 1})
+    sq = multiply(A3, {e12: QQ.one}, {e12: QQ.one}, QQ)
+    assert sq == {A3.monomial({(1, 2): 2}): QQ.of(2)}
+    assert multiply(A3, {e12: 1}, {e12: 1}, PrimeField(2)) == {}
+    prod = multiply(A3, {e12: QQ.one}, {e23: QQ.one}, QQ)
     assert prod == {A3.monomial({(1, 2): 1, (2, 3): 1}): QQ.one,
-                    A3.generator(1, 3): QQ.one}
+                    A3.monomial({(1, 3): 1}): QQ.one}
     x = {A3.monomial({(1, 3): 2, (2, 3): 1}): QQ.of(7)}
-    assert A3.multiply({A3.unit: QQ.one}, x, QQ) == x
-    assert A3.multiply(x, {A3.unit: QQ.one}, QQ) == x
+    assert multiply(A3, {A3.unit: QQ.one}, x, QQ) == x
+    assert multiply(A3, x, {A3.unit: QQ.one}, QQ) == x
 
 
 def test_divided_power_law_exhaustive():
     A2 = DividedPowerAlgebra(2)
     for a in range(9):
         for b in range(9 - a):
-            t = A2.multiply_monomials(A2.generator(1, 2, a), A2.generator(1, 2, b))
+            t = A2.multiply_monomials(A2.monomial({(1, 2): a}),
+                                      A2.monomial({(1, 2): b}))
             assert t == (((a + b,), comb(a + b, a)),)
 
 
@@ -71,8 +73,8 @@ def test_associativity_random(n, char):
         x = {rng.choice(monos): field.of(rng.randint(1, 4))}
         y = {rng.choice(monos): field.of(rng.randint(1, 4))}
         z = {rng.choice(monos): field.of(rng.randint(1, 4))}
-        assert alg.multiply(alg.multiply(x, y, field), z, field) == \
-            alg.multiply(x, alg.multiply(y, z, field), field)
+        assert multiply(alg, multiply(alg, x, y, field), z, field) == \
+            multiply(alg, x, multiply(alg, y, z, field), field)
 
 
 def test_product_is_graded():
@@ -89,19 +91,20 @@ def test_product_is_graded():
 def test_column_factors():
     A3 = DividedPowerAlgebra(3)
     m = A3.monomial({(2, 3): 2, (1, 3): 1, (1, 2): 1})
-    factors = A3.column_factors(m)
-    assert factors == [A3.monomial({(2, 3): 2, (1, 3): 1}), A3.generator(1, 2)]
+    factors = column_factors(A3, m)
+    assert factors == [A3.monomial({(2, 3): 2, (1, 3): 1}),
+                       A3.monomial({(1, 2): 1})]
     single = A3.monomial({(1, 3): 2, (2, 3): 1})
-    assert A3.column_factors(single) == [single, A3.unit]
-    assert A3.column_factors(A3.unit) == [A3.unit, A3.unit]
+    assert column_factors(A3, single) == [single, A3.unit]
+    assert column_factors(A3, A3.unit) == [A3.unit, A3.unit]
     # multiplying the factors in order reproduces the monomial
     rng = random.Random(3)
     monos = A3.monomials_to_height(5)
     for _ in range(25):
         m = rng.choice(monos)
         acc = {A3.unit: QQ.one}
-        for f in A3.column_factors(m):
-            acc = A3.multiply(acc, {f: QQ.one}, QQ)
+        for f in column_factors(A3, m):
+            acc = multiply(A3, acc, {f: QQ.one}, QQ)
         assert acc == {m: QQ.one}
 
 
@@ -111,7 +114,7 @@ def test_column_factor_degrees_are_single_column():
     monos = A4.monomials_to_height(4)
     for _ in range(20):
         m = rng.choice(monos)
-        for col, f in zip(range(A4.n, 1, -1), A4.column_factors(m)):
+        for col, f in zip(range(A4.n, 1, -1), column_factors(A4, m)):
             for a, k in enumerate(f.exps):
                 if k:
                     assert A4.pairs[a][1] == col
@@ -144,9 +147,10 @@ def brute_component(alg, coords):
 
 def test_component_basis():
     A3 = DividedPowerAlgebra(3)
-    assert A3.component_basis((1, 0)) == [A3.generator(1, 2)]
+    assert A3.component_basis((1, 0)) == [A3.monomial({(1, 2): 1})]
     comp = A3.component_basis((1, 1))
-    assert comp == sorted([A3.generator(1, 3), A3.monomial({(1, 2): 1, (2, 3): 1})])
+    assert comp == sorted([A3.monomial({(1, 3): 1}),
+                           A3.monomial({(1, 2): 1, (2, 3): 1})])
     assert A3.component_basis((0, 0)) == [A3.unit]
     for coords in [(2, 1), (2, 2), (0, 3)]:
         assert A3.component_basis(coords) == brute_component(A3, coords)
@@ -200,8 +204,8 @@ def test_deep_heisenberg_product():
     """e_12^(40) e_23^(40) = sum_t e_23^(40-t) e_13^(t) e_12^(40-t), each
     term once; a letter-by-letter straightener recurses too deep here."""
     A3 = DividedPowerAlgebra(3)
-    terms = A3.multiply_monomials(A3.generator(1, 2, 40),
-                                  A3.generator(2, 3, 40))
+    terms = A3.multiply_monomials(A3.monomial({(1, 2): 40}),
+                                  A3.monomial({(2, 3): 40}))
     assert terms == tuple(((40 - t, t, 40 - t), 1) for t in range(40, -1, -1))
 
 

@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 
 from borelschur.arrows import BorelAlgebra
 from borelschur.combinatorics import compositions, weight
-from borelschur.divided_powers import DividedPowerAlgebra
+from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
 from borelschur.tensor_space import (
     TENSOR_DIMENSION_CAP,
     TensorAction,
+    check_tensor_dimension,
     upper_table_json,
     verify_isomorphism,
 )
 from tensor_oracle import (
     apply,
+    combination,
     composed_product_orbits,
+    elementary,
     group_operator,
+    identity,
     monomial_operator,
+    schur_multiply,
 )
 
 QQ = Rationals()
@@ -33,10 +38,9 @@ def test_xi_examples():
     assert x == {act.position[(1, 2)]: {act.position[(1, 1)]: QQ.one},
                  act.position[(2, 1)]: {act.position[(1, 1)]: QQ.one}}
     # weight idempotents decompose the identity
-    total = act.zero()
-    for lam in compositions(2, 2):
-        total = act.add_scaled(total, act.weight_projector(lam), QQ.one)
-    assert act.equal(total, act.identity())
+    total = combination(act, [(QQ.one, act.weight_projector(lam))
+                              for lam in compositions(2, 2)])
+    assert act.equal(total, identity(act))
     # xi_lam projects onto the weight space
     proj = act.weight_projector((1, 1))
     for q, idx in enumerate(act.indices):
@@ -73,8 +77,8 @@ def test_schur_multiply_weight_idempotents():
     lams = compositions(2, 2)
     for lam in lams:
         for mu in lams:
-            prod = act.schur_multiply(
-                act.operator_to_orbits(act.weight_projector(lam)),
+            prod = schur_multiply(
+                act, act.operator_to_orbits(act.weight_projector(lam)),
                 act.operator_to_orbits(act.weight_projector(mu)))
             if lam == mu:
                 assert prod == act.operator_to_orbits(act.weight_projector(lam))
@@ -87,7 +91,7 @@ def test_schur_multiply_weight_bookkeeping():
     i, j = (1, 1), (1, 2)
     x = act.operator_to_orbits(act.xi(i, j))
     for lam in compositions(2, 2):
-        prod = act.schur_multiply(x, act.operator_to_orbits(act.weight_projector(lam)))
+        prod = schur_multiply(act, x, act.operator_to_orbits(act.weight_projector(lam)))
         if weight(j, 2) == lam:
             assert prod == x
         else:
@@ -114,7 +118,7 @@ def test_held_operator_products_match_schur_multiply(n, r, char):
     for a, x in zip(images, orbits):
         for b, y in zip(images, orbits):
             assert (act.operator_to_orbits(act.compose(a, b))
-                    == act.schur_multiply(x, y))
+                    == schur_multiply(act, x, y))
 
 
 def dense_matrix(act, op, field):
@@ -182,11 +186,9 @@ def test_divided_power_action_is_algebra_map(char):
         m1, m2 = rng.choice(monos), rng.choice(monos)
         lhs = act.compose(monomial_operator(act, m1, alg),
                           monomial_operator(act, m2, alg))
-        rhs = act.zero()
-        for exps, c in alg.multiply_monomials(m1, m2):
-            from borelschur.divided_powers import Monomial
-            rhs = act.add_scaled(rhs, monomial_operator(act, Monomial(n, exps), alg),
-                                 field.of(c))
+        rhs = combination(act, [
+            (field.of(c), monomial_operator(act, Monomial(n, exps), alg))
+            for exps, c in alg.multiply_monomials(m1, m2)])
         assert act.equal(lhs, rhs), (m1, m2)
 
 
@@ -196,27 +198,22 @@ def test_group_operator_compatibility():
     for c in (QQ.of(1), QQ.of(2), QQ.of(-3)):
         g = [[QQ.one, c], [QQ.zero, QQ.one]]
         tau = group_operator(act, g)
-        acc = act.identity()
-        power = QQ.one
-        for k in range(1, 4):
-            power = QQ.mul(power, c)
-            acc = act.add_scaled(acc, act.divided_power(1, 2, k), power)
+        acc = combination(act, [(QQ.one, identity(act))] + [
+            (c ** k, act.divided_power(1, 2, k)) for k in range(1, 4)])
         assert act.equal(tau, acc)
     # and a torus generator weights the idempotents
     c = QQ.of(4)
     g = [[QQ.add(QQ.one, c), QQ.zero], [QQ.zero, QQ.one]]
     tau = group_operator(act, g)
-    acc = act.zero()
-    for lam in compositions(2, 3):
-        acc = act.add_scaled(acc, act.weight_projector(lam),
-                             (QQ.one + c) ** lam[0])
+    acc = combination(act, [((QQ.one + c) ** lam[0], act.weight_projector(lam))
+                            for lam in compositions(2, 3)])
     assert act.equal(tau, acc)
 
 
 def test_operator_outside_span_is_rejected():
     act = TensorAction(2, 2, QQ)
     # a lone matrix unit is not symmetric under place permutations
-    bad = act.elementary((1, 1), (1, 2))
+    bad = elementary(act, (1, 1), (1, 2))
     with pytest.raises(ValueError):
         act.operator_to_orbits(bad)
 
@@ -225,6 +222,11 @@ def test_dimension_cap():
     with pytest.raises(ValueError):
         TensorAction(8, 8, QQ)
     assert 8 ** 8 > TENSOR_DIMENSION_CAP
+    # at the edges of the cap and far past them
+    for n, r in [(2, 18), (547, 2), (TENSOR_DIMENSION_CAP, 1), (1, 10 ** 9)]:
+        check_tensor_dimension(n, r)
+    for n, r in [(2, 19), (548, 2), (TENSOR_DIMENSION_CAP + 1, 1), (2, 10 ** 9)]:
+        pytest.raises(ValueError, check_tensor_dimension, n, r)
 
 
 @pytest.mark.parametrize("n,r,char", [(2, 2, 0), (3, 2, 2), (2, 3, 3), (2, 1, 5)])
@@ -243,8 +245,6 @@ def test_verify_isomorphism_r_zero():
 def test_verify_isomorphism_detects_tampering():
     """Fault injection: corrupting one structure constant of the arrow
     algebra must surface as a structure-constant mismatch."""
-    from borelschur.arrows import BorelAlgebra
-
     field = PrimeField(3)
     borel = BorelAlgebra(2, 2, field)
     base = verify_isomorphism(2, 2, field, borel=borel)
@@ -345,7 +345,7 @@ def test_warm_orbit_sums_still_reject_outside_span():
     key = act.orbit_key(i, j)
     assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
     with pytest.raises(ValueError):
-        act.operator_to_orbits(act.elementary(i, j))
+        act.operator_to_orbits(elementary(act, i, j))
     assert act.orbit_sum(key) == act.xi(i, j)
     assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
 
@@ -354,8 +354,6 @@ def test_warm_orbit_sums_still_reject_outside_span():
 def test_table_export_diffs_clean(n, r, char):
     """The table of the image basis, exported in the arrow JSON schema,
     must agree with the arrow table entry for entry."""
-    from borelschur.arrows import BorelAlgebra
-
     field = QQ if char == 0 else PrimeField(char)
     img = upper_table_json(n, r, field, basis="image")
     direct = BorelAlgebra(n, r, field).to_json(with_products=True)
