@@ -27,7 +27,6 @@ from .combinatorics import (
     tri_matrices_all,
 )
 from .divided_powers import DividedPowerAlgebra
-from .fields import serialize_scalar as _ser
 from .linalg import add_scaled
 
 
@@ -138,10 +137,6 @@ class BasedAlgebra:
         """Indices of the arrows from y to w."""
         return self._by_pair.get((tuple(y), tuple(w)), ())
 
-    def unit(self):
-        one = self.field.one
-        return {i: one for i in range(self.dim) if self.is_unit_arrow(i)}
-
     def indicator_vector(self, y):
         return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
 
@@ -173,14 +168,6 @@ class BasedAlgebra:
                                field.mul(ci, cj), field)
         return out
 
-    def _products_json(self):
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in sorted(self.product_indices(i, j).items()):
-                    triples.append([i, j, k, _ser(c)])
-        return triples
-
 
 class ConvexTruncation(BasedAlgebra):
     """The finite-dimensional algebra carried by a convex set of points.
@@ -189,11 +176,10 @@ class ConvexTruncation(BasedAlgebra):
     arrows never leaves the set, so no reduction is needed.
     """
 
-    def __init__(self, alg, points, field, r=None):
+    def __init__(self, alg, points, field):
         self.alg = alg
         self.field = field
         self.points = sorted(tuple(p) for p in points)
-        self.r = r
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points")
         if not is_convex(self.points):
@@ -215,19 +201,6 @@ class ConvexTruncation(BasedAlgebra):
     def _product(self, i, j):
         index = self.index
         return {index[a]: c for a, c in self._compose(i, j).items()}
-
-    def to_json(self, with_products=True):
-        payload = {
-            "n": self.alg.n,
-            "r": self.r,
-            "char": self.field.characteristic,
-            "points": [list(p) for p in self.points],
-            "basis": [{"exponents": list(m.exps), "base": list(y)}
-                      for m, y in self.arrows],
-        }
-        if with_products:
-            payload["products"] = self._products_json()
-        return payload
 
 
 class BorelAlgebra(BasedAlgebra):
@@ -262,8 +235,8 @@ class BorelAlgebra(BasedAlgebra):
     def _product(self, i, j):
         return self.reduce_element(self._compose(i, j))
 
-    def to_json(self, with_products=False):
-        payload = {
+    def to_json(self):
+        return {
             "n": self.n,
             "r": self.r,
             "char": self.field.characteristic,
@@ -275,6 +248,3 @@ class BorelAlgebra(BasedAlgebra):
                       for K, a, w in zip(self.matrices, self.arrows,
                                          self.heads)],
         }
-        if with_products:
-            payload["products"] = self._products_json()
-        return payload

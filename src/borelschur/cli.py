@@ -61,8 +61,12 @@ def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False,
         p.add_argument("--cache",
                        help="path to the structure-constant cache file")
     p.add_argument("--out", help="write the payload to this file")
+
+
+def _add_format(p):
+    """Only `basis` and `transport` have a natural table to write as csv."""
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="payload format (csv only where a table is natural)")
+                   help="payload format (default json)")
 
 
 def build_parser():
@@ -73,6 +77,7 @@ def build_parser():
 
     p = sub.add_parser("basis", help="marginal-matrix basis of the algebra")
     _add_common(p, need_cache=False)
+    _add_format(p)
 
     p = sub.add_parser("verify-iso",
                        help="check the arrow realization against tensor space")
@@ -85,6 +90,7 @@ def build_parser():
     p = sub.add_parser("transport",
                        help="transported resolution of a simple module")
     _add_common(p, need_lambda=True, need_cutoffs=True)
+    _add_format(p)
 
     p = sub.add_parser("check-ideals",
                        help="layered idempotent-ideal diagnostics")
@@ -130,8 +136,6 @@ def cmd_basis(args):
 
 def cmd_verify_iso(args):
     field = field_of_characteristic(args.char)
-    if args.format == "csv":
-        raise ValueError("verify-iso only supports --format json")
     check_tensor_dimension(args.n, args.r)
     dpa = DividedPowerAlgebra(args.n)
     _with_cache(dpa, args, _interval_height(args.n, args.r))
@@ -146,8 +150,6 @@ def cmd_verify_iso(args):
 
 def cmd_resolve(args):
     field = field_of_characteristic(args.char)
-    if args.format == "csv":
-        raise ValueError("resolve only supports --format json")
     alg = DividedPowerAlgebra(args.n)
     _with_cache(alg, args, args.height)
     complex_ = minimal_resolution(alg, field, args.length, args.height)
@@ -206,8 +208,6 @@ def cmd_transport(args):
 
 def cmd_check_ideals(args):
     field = field_of_characteristic(args.char)
-    if args.format == "csv":
-        raise ValueError("check-ideals only supports --format json")
     dpa = DividedPowerAlgebra(args.n)
     _with_cache(dpa, args, _interval_height(args.n, args.r))
     report = chain_report(args.n, args.r, field, alg=dpa)

@@ -50,10 +50,6 @@ def positive_root_coords(d):
     return ps[:-1]
 
 
-def height(coords):
-    return sum(coords)
-
-
 def coords_to_vector(coords):
     """Inverse of positive_root_coords: the lattice vector with given coefficients."""
     n = len(coords) + 1

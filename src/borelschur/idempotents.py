@@ -11,12 +11,14 @@ the quotient multiplies coset representatives and reduces.  It is the
 independent oracle for the monomial-drop description of the composition
 quotient.
 
-`two_idempotent_report` compares dim(AeA) with dim(Ae (x)_{eAe} eA): the
-two agree exactly when the ideal generated by the idempotent is
-2-idempotent.  `chain_report` walks the layered removal of the interval
-down to the compositions one point at a time, in the layer order, and
-runs that comparison at every step, together with the combinatorial
-hypotheses on the layer sets and Tor-vanishing spot checks.
+`two_idempotent_report` compares dim(AeA) with dim(Ae (x)_{eAe} eA) in
+any based algebra: the two agree exactly when the ideal generated by the
+idempotent is 2-idempotent.  `chain_report` walks the layered removal of
+the interval down to the compositions one point at a time, in the layer
+order, and makes that comparison at every step with `removal_step`,
+which reads it off the one ideal the walk grows instead of building each
+quotient; the combinatorial hypotheses on the layer sets and
+Tor-vanishing spot checks complete the report.
 """
 
 from .arrows import BasedAlgebra, ConvexTruncation, arrow_is_kept
@@ -85,9 +87,6 @@ class QuotientAlgebra(BasedAlgebra):
         """Global truncation vector -> local coordinates of its coset."""
         res = self.ideal.reduce(vec)
         return {self.rep_pos[g]: c for g, c in res.items()}
-
-    def indicator_vector(self, y):
-        return self.project(self.trunc.indicator_vector(y))
 
     def _product(self, i, j):
         return self.project(
@@ -295,35 +294,55 @@ def tor_dimensions(trunc, r, lam, imax=2):
     return out
 
 
+def removal_step(trunc, ideal, z):
+    """Two-idempotent report of e_z in C(Y)/I, I = `ideal`; then I += A e_z A.
+
+    The ideal is grown from products of basis arrows, each homogeneous in
+    (base, head), so its reduced echelon rows are too, and the quotient
+    keeps the non-pivot arrows of every (base, head) block.  Every arrow
+    from z to z has degree 0, so eAe is spanned by e_z alone and
+    Ae (x)_{eAe} eA = Ae (x)_K eA.  Hence, with the arrows that survive
+    in the quotient: dim Ae (p) counts those based at z, dim eA (q) those
+    ending at z, dim eAe those from z to z (one), the tensor product has
+    dimension p * q, and dim AeA is the rank that closing I at z adds.
+    """
+    if ideal.contains(trunc.indicator_vector(z)):
+        return {"error": "indicator vanishes"}
+
+    def surviving(indices):
+        return sum(1 for i in indices if i not in ideal.rows)
+
+    p, q = surviving(trunc.based_at(z)), surviving(trunc.ending_at(z))
+    dim_eae, rank = surviving(trunc.between(z, z)), ideal.rank
+    close_two_sided_ideal(trunc, ideal, [z])
+    dim_aea = ideal.rank - rank
+    return {
+        "dim_Ae": p,
+        "dim_eA": q,
+        "dim_eAe": dim_eae,
+        "dim_AeA": dim_aea,
+        "dim_tensor": p * q,
+        "two_idempotent": dim_aea == p * q,
+    }
+
+
 def chain_report(n, r, field, tor_sample=None, alg=None):
     """Full layered-removal diagnostics from the interval to the compositions.
 
-    Returns per-step two-idempotent reports, the combinatorial layer
-    hypotheses, the final quotient dimension, and Tor-vanishing spot
-    checks for simples at the sampled compositions.
+    Returns per-step two-idempotent reports (`removal_step`), the
+    combinatorial layer hypotheses, the final quotient dimension, and
+    Tor-vanishing spot checks for simples at the sampled compositions.
     """
     if alg is None:
         alg = DividedPowerAlgebra(n)
-    trunc = ConvexTruncation(alg, interval_points(n, r), field, r=r)
+    trunc = ConvexTruncation(alg, interval_points(n, r), field)
     hypotheses = check_layer_hypotheses(n, r)
 
-    steps = []
     ideal = Echelon(field)
-    current = QuotientAlgebra(trunc, ideal)
-    for k, z in removal_order(n, r):
-        e = current.indicator_vector(z)
-        if not e:
-            steps.append({"layer": k, "point": z, "error": "indicator vanishes"})
-            continue
-        rep = two_idempotent_report(current, e)
-        rep["layer"] = k
-        rep["point"] = z
-        steps.append(rep)
-        close_two_sided_ideal(trunc, ideal, [z])
-        current = QuotientAlgebra(trunc, ideal)
-
+    steps = [{"layer": k, "point": z, **removal_step(trunc, ideal, z)}
+             for k, z in removal_order(n, r)]
     comps = compositions(n, r)
-    final_dim = current.dim
+    final_dim = trunc.dim - ideal.rank
     expected = tri_count(n, r)
 
     tor = {}

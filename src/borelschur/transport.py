@@ -21,15 +21,7 @@ import io
 
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
-from .combinatorics import (
-    compositions,
-    coords_to_vector,
-    height,
-    is_composition,
-    point_add,
-    point_sub,
-    positive_root_coords,
-)
+from .combinatorics import coords_to_vector, is_composition, point_add
 from .resolutions import chain_ranks, resolve, unit_free
 
 
@@ -148,13 +140,12 @@ class ModuleComplex:
 
 
 def max_reachable_height(lam, n, r):
-    """Largest height of mu - lam over compositions mu dominating lam."""
-    best = 0
-    for mu in compositions(n, r):
-        d = positive_root_coords(point_sub(mu, lam))
-        if d is not None:
-            best = max(best, height(d))
-    return best
+    """Largest height of mu - lam over compositions mu dominating lam.
+
+    (r, 0, ..., 0) dominates every composition and maximises each prefix
+    sum, so the height is sum over k < n of (r - lam_1 - ... - lam_k).
+    """
+    return sum(r - sum(lam[:k]) for k in range(1, n))
 
 
 def transport_resolution(gc, lam, r, borel=None):

@@ -1,11 +1,19 @@
 """Test oracles: reference computations that no command runs.
 
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
-products and column factors of divided-power elements, and the Euler
-characteristics of a transported complex (criterion 7).
+products and column factors of divided-power elements, the unit and the
+arrow-side product table of a based algebra, the largest reachable
+height by search over the compositions, and the Euler characteristics
+of a transported complex (criterion 7).
 """
 
+from borelschur.combinatorics import (
+    compositions,
+    point_sub,
+    positive_root_coords,
+)
 from borelschur.divided_powers import Monomial
+from borelschur.fields import serialize_scalar
 from borelschur.linalg import add_scaled
 
 
@@ -63,3 +71,27 @@ def euler_ok(complex_):
         if total != (mu == complex_.lam):
             return False
     return True
+
+
+def unit(algebra):
+    """Sum of the indicator arrows: the unit of a based algebra."""
+    one = algebra.field.one
+    return {i: one for i in range(algebra.dim) if algebra.is_unit_arrow(i)}
+
+
+def products_json(algebra):
+    """Every nonzero structure constant as [i, j, k, coeff]: the `products`
+    field of the arrow-algebra JSON schema."""
+    return [[i, j, k, serialize_scalar(c)]
+            for i in range(algebra.dim) for j in range(algebra.dim)
+            for k, c in sorted(algebra.product_indices(i, j).items())]
+
+
+def max_reachable_height(lam, n, r):
+    """Largest height of mu - lam over compositions mu dominating lam."""
+    best = 0
+    for mu in compositions(n, r):
+        d = positive_root_coords(point_sub(mu, lam))
+        if d is not None:
+            best = max(best, sum(d))
+    return best

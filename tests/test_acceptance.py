@@ -51,7 +51,7 @@ def test_criterion_1_dimension_law():
         route_count = len(tri_matrices_all(n, r))
         route_basis = BorelAlgebra(n, r, F2).dim
         trunc = ConvexTruncation(DividedPowerAlgebra(n),
-                                 interval_points(n, r), F2, r=r)
+                                 interval_points(n, r), F2)
         removed = [z for z in trunc.points if any(x < 0 for x in z)]
         route_quotient = quotient_algebra(trunc, removed).dim
         elapsed = time.time() - t0

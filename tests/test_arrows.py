@@ -24,7 +24,7 @@ from borelschur.combinatorics import (
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import quotient_algebra, removal_order
-from oracles import arrow_to_matrix, column_factors
+from oracles import arrow_to_matrix, column_factors, unit
 
 QQ = Rationals()
 
@@ -59,12 +59,12 @@ def count_arrows(alg, points):
 
 def test_truncation_dimensions():
     A2 = DividedPowerAlgebra(2)
-    T = ConvexTruncation(A2, interval_points(2, 2), QQ, r=2)
+    T = ConvexTruncation(A2, interval_points(2, 2), QQ)
     assert T.dim == 6 == count_arrows(A2, interval_points(2, 2))
     T1 = ConvexTruncation(A2, [(1, 1)], QQ)
     assert T1.dim == 1
     A3 = DividedPowerAlgebra(3)
-    T3 = ConvexTruncation(A3, interval_points(3, 2), QQ, r=2)
+    T3 = ConvexTruncation(A3, interval_points(3, 2), QQ)
     # oracle count over the nine-point interval
     assert T3.dim == count_arrows(A3, interval_points(3, 2)) == 46
 
@@ -77,8 +77,8 @@ def test_truncation_rejects_non_convex():
 
 def test_truncation_unit_and_associativity():
     A3 = DividedPowerAlgebra(3)
-    T = ConvexTruncation(A3, interval_points(3, 2), PrimeField(3), r=2)
-    u = T.unit()
+    T = ConvexTruncation(A3, interval_points(3, 2), PrimeField(3))
+    u = unit(T)
     rng = random.Random(23)
     for _ in range(20):
         i = rng.randrange(T.dim)
@@ -93,7 +93,7 @@ def test_truncation_unit_and_associativity():
 
 def test_arrow_product_is_graded():
     A3 = DividedPowerAlgebra(3)
-    T = ConvexTruncation(A3, interval_points(3, 2), QQ, r=2)
+    T = ConvexTruncation(A3, interval_points(3, 2), QQ)
     for i in range(T.dim):
         for j in range(T.dim):
             prod = T.product_indices(i, j)
@@ -142,7 +142,7 @@ def test_kept_test_equals_partial_point_condition(n, r):
     from borelschur.combinatorics import coords_to_vector, is_composition, point_add
 
     alg = DividedPowerAlgebra(n)
-    trunc = ConvexTruncation(alg, interval_points(n, r), QQ, r=r)
+    trunc = ConvexTruncation(alg, interval_points(n, r), QQ)
     for a in trunc.arrows:
         m, mu = a
         path_ok = is_composition(mu, r)
@@ -194,7 +194,7 @@ def test_projective_dimensions():
 
 def test_borel_unit():
     B = BorelAlgebra(3, 2, PrimeField(2))
-    u = B.unit()
+    u = unit(B)
     for i in range(B.dim):
         v = {i: B.field.one}
         assert B.product(u, v) == v
@@ -209,7 +209,7 @@ def test_reduce_is_algebra_map(n, r):
     alg = DividedPowerAlgebra(n)
     field = PrimeField(3)
     B = BorelAlgebra(n, r, field)
-    T = ConvexTruncation(alg, interval_points(n, r), field, r=r)
+    T = ConvexTruncation(alg, interval_points(n, r), field)
     for a in T.arrows:
         va = B.reduce_element({a: field.one})
         for b in T.arrows:
@@ -220,21 +220,11 @@ def test_reduce_is_algebra_map(n, r):
             assert lhs == rhs, (a, b)
 
 
-def test_truncation_json_shape():
-    A2 = DividedPowerAlgebra(2)
-    T = ConvexTruncation(A2, interval_points(2, 2), PrimeField(2), r=2)
-    data = T.to_json()
-    assert data["n"] == 2 and data["r"] == 2 and data["char"] == 2
-    assert len(data["basis"]) == 6
-    assert all(len(t) == 4 for t in data["products"])
-
-
 def _based_algebra(kind, char):
     field = QQ if char == 0 else PrimeField(char)
     if kind == "borel":
         return BorelAlgebra(3, 2, field)
-    T = ConvexTruncation(DividedPowerAlgebra(3), interval_points(3, 2),
-                         field, r=2)
+    T = ConvexTruncation(DividedPowerAlgebra(3), interval_points(3, 2), field)
     if kind == "truncation":
         return T
     return quotient_algebra(T, [removal_order(3, 2)[0][1]])

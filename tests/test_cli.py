@@ -105,10 +105,12 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(["transport", "--n", "2", "--r", "2",
                             "--lambda", "3,0"], capsys)
     assert code == 2 and "error" in err
-    # csv where it makes no sense
-    code, _, err = run_cli(["verify-iso", "--n", "2", "--r", "2",
-                            "--format", "csv"], capsys)
-    assert code == 2
+    # csv where it makes no sense: only basis and transport register it
+    for argv in ["verify-iso --n 2 --r 2", "resolve --n 2",
+                 "check-ideals --n 2 --r 2"]:
+        with pytest.raises(SystemExit) as exc:
+            main(f"{argv} --format csv".split())
+        assert exc.value.code == 2
     # argparse rejects a composite characteristic with exit code 2
     with pytest.raises(SystemExit) as exc:
         main(["resolve", "--n", "2", "--char", "4"])

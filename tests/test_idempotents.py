@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from borelschur import idempotents
 from borelschur.arrows import BorelAlgebra, ConvexTruncation
@@ -6,23 +8,56 @@ from borelschur.combinatorics import compositions, interval_points, tri_count
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import (
+    QuotientAlgebra,
     chain_report,
     check_layer_hypotheses,
     close_two_sided_ideal,
     quotient_algebra,
     removal_order,
+    removal_step,
     tor_dimensions,
     two_idempotent_report,
 )
 from borelschur.linalg import Echelon
 from borelschur.transport import resolve_simple
+from oracles import unit
 
 QQ = Rationals()
+
+# (n, r) within budget: intervals of at most 36 points, where the
+# reference chain below takes under 0.1 s
+SMALL = [(n, r) for n in range(1, 6) for r in range(7)
+         if len(interval_points(n, r)) <= 36]
+small_cases = st.tuples(st.sampled_from(SMALL), st.sampled_from([0, 2, 3, 5]))
+
+
+def field_of(char):
+    return QQ if char == 0 else PrimeField(char)
 
 
 def interval_truncation(n, r, field=QQ):
     return ConvexTruncation(DividedPowerAlgebra(n), interval_points(n, r),
-                            field, r=r)
+                            field)
+
+
+def rebuilt_quotient_steps(n, r, field):
+    """Reference chain: before each removal, rebuild the quotient by the
+    points removed so far and run the general two-idempotent report on the
+    coset of the next indicator."""
+    T = interval_truncation(n, r, field)
+    ideal = Echelon(field)
+    steps = []
+    for k, z in removal_order(n, r):
+        current = QuotientAlgebra(T, ideal)
+        e = current.project(T.indicator_vector(z))
+        if not e:
+            steps.append({"layer": k, "point": z,
+                          "error": "indicator vanishes"})
+            continue
+        steps.append({"layer": k, "point": z,
+                      **two_idempotent_report(current, e)})
+        close_two_sided_ideal(T, ideal, [z])
+    return steps
 
 
 def test_quotient_trivial_cases():
@@ -40,11 +75,17 @@ def test_quotient_dimension_is_marginal_count():
     assert q.dim == 21 == tri_count(3, 2)
 
 
-@pytest.mark.parametrize("n,r,char", [(2, 3, 0), (3, 2, 0), (3, 2, 2), (3, 3, 3)])
-def test_drop_rule_matches_quotient_oracle(n, r, char):
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+@example(((2, 3), 0))
+@example(((3, 2), 0))
+@example(((3, 2), 2))
+@example(((3, 3), 3))
+def test_drop_rule_matches_quotient_oracle(case):
     """The monomial-drop product and the linear-algebra quotient are the
     same algebra under [kept arrow] -> its coset, on every basis pair."""
-    field = QQ if char == 0 else PrimeField(char)
+    (n, r), char = case
+    field = field_of(char)
     T = interval_truncation(n, r, field)
     removed = [z for z in T.points if any(x < 0 for x in z)]
     q = quotient_algebra(T, removed)
@@ -75,7 +116,7 @@ def test_drop_rule_matches_quotient_oracle(n, r, char):
 
 def test_two_idempotent_trivial():
     T = interval_truncation(3, 2)
-    rep = two_idempotent_report(T, T.unit())
+    rep = two_idempotent_report(T, unit(T))
     assert rep["two_idempotent"]
     assert rep["dim_AeA"] == T.dim == rep["dim_tensor"]
     rep0 = two_idempotent_report(T, {})
@@ -88,12 +129,47 @@ def test_two_idempotent_negative_control():
     middle collapses (the product of the two single steps is twice the
     divided square), so the multiplication map acquires a kernel."""
     for char, expected in [(0, True), (2, False), (3, True)]:
-        field = QQ if char == 0 else PrimeField(char)
+        field = field_of(char)
         T = interval_truncation(2, 2, field)
         rep = two_idempotent_report(T, T.indicator_vector((1, 1)))
         assert rep["two_idempotent"] is expected, (char, rep)
         if not expected:
             assert rep["dim_AeA"] == 3 and rep["dim_tensor"] == 4
+
+
+def test_removal_step_negative_control():
+    """The step read off the ideal sees the same char-2 kernel as the
+    general report: dim AeA = 3 < 4 = dim Ae (x) eA."""
+    field = PrimeField(2)
+    T = interval_truncation(2, 2, field)
+    ideal = Echelon(field)
+    step = removal_step(T, ideal, (1, 1))
+    assert step == two_idempotent_report(T, T.indicator_vector((1, 1)))
+    assert step["dim_AeA"] == 3 and step["dim_tensor"] == 4
+    assert step["two_idempotent"] is False
+    assert ideal.rank == 3
+    assert removal_step(T, ideal, (1, 1)) == {"error": "indicator vanishes"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+def test_removal_steps_match_rebuilt_quotients(case):
+    """Every step of the chain equals the general report on the quotient
+    rebuilt from scratch before that step."""
+    (n, r), char = case
+    field = field_of(char)
+    rep = chain_report(n, r, field, tor_sample=[])
+    assert rep["steps"] == rebuilt_quotient_steps(n, r, field)
+
+
+def test_chain_builds_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chain_report built a quotient")
+
+    monkeypatch.setattr(idempotents, "QuotientAlgebra", refuse)
+    monkeypatch.setattr(idempotents, "two_idempotent_report", refuse)
+    rep = chain_report(3, 3, PrimeField(2))
+    assert rep["passed"] and len(rep["steps"]) == 6
 
 
 def test_two_idempotent_rejects_non_idempotent():
@@ -165,7 +241,7 @@ def test_chain_report_vacuous_for_two_rows():
 
 @pytest.mark.parametrize("char", [0, 2])
 def test_chain_report_three_rows(char):
-    field = QQ if char == 0 else PrimeField(char)
+    field = field_of(char)
     rep = chain_report(3, 2, field)
     assert rep["passed"], rep
     assert len(rep["steps"]) == 3
@@ -200,7 +276,7 @@ def worklist_closure(trunc, ideal, seeds):
 def test_one_pass_closure_matches_worklist(n, r, char):
     """A e_z A built from the base and head indexes has the same reduced
     echelon rows as the worklist fixed point at every removal step."""
-    field = QQ if char == 0 else PrimeField(char)
+    field = field_of(char)
     T = interval_truncation(n, r, field)
     fast = Echelon(field)
     slow = Echelon(field)

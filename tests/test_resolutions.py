@@ -280,7 +280,7 @@ def head_algebras(n, r, char):
     field = field_of_characteristic(char)
     alg = DividedPowerAlgebra(n)
     return [BorelAlgebra(n, r, field, alg=alg),
-            ConvexTruncation(alg, interval_points(n, r), field, r=r)]
+            ConvexTruncation(alg, interval_points(n, r), field)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,6 +16,7 @@ from borelschur.transport import (
     transport_resolution,
 )
 from oracles import euler_ok
+from oracles import max_reachable_height as reachable_by_search
 
 QQ = Rationals()
 F2 = PrimeField(2)
@@ -129,6 +130,12 @@ def test_max_reachable_height():
     assert max_reachable_height((2, 0), 2, 2) == 0
     assert max_reachable_height((0, 0, 2), 3, 2) == 4
     assert max_reachable_height((1, 1, 0), 3, 2) == 1
+    # the closed form equals the search over every dominating composition
+    for n in range(1, 6):
+        for r in range(6):
+            for lam in compositions(n, r):
+                assert max_reachable_height(lam, n, r) == \
+                    reachable_by_search(lam, n, r), lam
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
