@@ -137,9 +137,6 @@ class BasedAlgebra:
         """Indices of the arrows from y to w."""
         return self._by_pair.get((tuple(y), tuple(w)), ())
 
-    def indicator_vector(self, y):
-        return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
-
     def product_indices(self, i, j):
         """Product of basis arrows i and j as a vector over basis indices."""
         if self.bases[i] != self.heads[j]:
@@ -197,6 +194,10 @@ class ConvexTruncation(BasedAlgebra):
         self.heads = [w for _, w, _ in arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
         self._index_arrows()
+
+    def indicator_vector(self, y):
+        """The unit arrow at the point y, as a vector over basis indices."""
+        return {self.index[indicator(self.alg, tuple(y))]: self.field.one}
 
     def _product(self, i, j):
         index = self.index

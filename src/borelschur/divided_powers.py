@@ -203,13 +203,13 @@ class DividedPowerAlgebra:
     def component_basis(self, coords):
         """All monomials of degree exactly coords, sorted by exponent vector."""
         coords = tuple(coords)
+        hit = self._components.get(coords)
+        if hit is not None:
+            return hit
         if len(coords) != self.n - 1:
             raise ValueError("degree coordinate length mismatch")
         if any(c < 0 for c in coords):
             return []
-        hit = self._components.get(coords)
-        if hit is not None:
-            return hit
         pairs = self.pairs
         out = []
         exps = [0] * len(pairs)

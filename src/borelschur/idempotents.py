@@ -33,7 +33,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import chain_ranks
+from .resolutions import by_column, chain_ranks
 from .transport import resolve_simple
 
 
@@ -78,10 +78,6 @@ class QuotientAlgebra(BasedAlgebra):
         self.arrows = [trunc.arrows[g] for g in self.reps]
         self.heads = [trunc.heads[g] for g in self.reps]
         self._index_arrows()
-
-    @property
-    def alg(self):
-        return self.trunc.alg
 
     def project(self, vec):
         """Global truncation vector -> local coordinates of its coset."""
@@ -281,7 +277,8 @@ def tor_dimensions(trunc, r, lam, imax=2):
 
     bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
               if kept(a)] for ws in res.weights]
-    ranks, d2 = chain_ranks(bases, res.diffs, mul, trunc.field)
+    ranks, d2 = chain_ranks(bases, [by_column(d) for d in res.diffs], mul,
+                            trunc.field)
     if not d2:
         raise ArithmeticError("the pushed-down resolution is not a complex")
     out = {}

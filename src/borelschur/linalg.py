@@ -6,6 +6,11 @@ always the greatest under the "last" strategy) makes every reduction and
 coset representative reproducible across runs.  `Echelon` is the one
 elimination loop; `column_kernel` reads its basis off a reduced echelon
 form, so that basis depends only on the matrix, not on any pivoting.
+
+Elimination is one pass: each monic row is zero at every other pivot,
+so a vector's coefficient on the row at pivot q is its own entry at q.
+Inserting a row at a new pivot p clears p only from the rows that the
+column map (non-pivot index -> pivots of the rows holding it) names.
 """
 
 
@@ -34,7 +39,8 @@ class Echelon:
 
     def __init__(self, field, pivoting="first"):
         self.field = field
-        self.rows = {}  # pivot index -> monic row (dict), other pivots eliminated
+        self.rows = {}  # pivot index -> monic row (dict), zero at other pivots
+        self.users = {}  # non-pivot index -> pivots of the rows with an entry there
         if pivoting not in ("first", "last"):
             raise ValueError(f"unknown pivoting strategy {pivoting!r}")
         self.pivoting = pivoting
@@ -52,54 +58,49 @@ class Echelon:
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
-        coords, out = self._eliminate(vec)
-        return out
+        return self._eliminate(vec)[1]
 
     def coordinates(self, vec):
         """(coefficients over pivot rows, residual) with vec = sum + residual."""
         return self._eliminate(vec)
 
     def _eliminate(self, vec):
-        field = self.field
-        zero = field.zero
-        work = {j: v for j, v in vec.items() if v != zero}
-        out = {}
-        coords = {}
-        # a row's other entries come after its pivot in picking order,
-        # so no index is picked twice
-        while work:
-            idx = self._pick(work)
-            c = work.pop(idx)
-            row = self.rows.get(idx)
-            if row is None:
-                out[idx] = c
-            else:
-                coords[idx] = c
-                for j, rj in row.items():
-                    if j == idx:
-                        continue
-                    w = field.sub(work.get(j, zero), field.mul(c, rj))
-                    if w == zero:
-                        work.pop(j, None)
-                    else:
-                        work[j] = w
+        field, rows = self.field, self.rows
+        zero, sub, mul = field.zero, field.sub, field.mul
+        out = {j: v for j, v in vec.items() if v != zero}
+        coords = {q: c for q, c in out.items() if q in rows}
+        for q, c in coords.items():
+            for j, v in rows[q].items():
+                w = sub(out.get(j, zero), mul(c, v))
+                if w == zero:
+                    out.pop(j, None)
+                else:
+                    out[j] = w
         return coords, out
 
     def insert(self, vec):
         """Add vec to the span; returns the new pivot or None if dependent."""
-        field = self.field
+        field, rows, users = self.field, self.rows, self.users
         res = self.reduce(vec)
         if not res:
             return None
         p = self._pick(res)
         inv = field.inv(res[p])
         row = {j: field.mul(inv, v) for j, v in res.items()}
-        # keep reduced form: clear the new pivot from every existing row
-        for q, old in self.rows.items():
-            c = old.get(p)
-            if c is not None:
-                add_scaled(old, row, field.neg(c), field)
-        self.rows[p] = row
+        del res[p]
+        # keep reduced form: clear the new pivot from the rows that hold it
+        touched = users.pop(p, ())
+        for j in res:
+            users.setdefault(j, set()).add(p)
+        for q in touched:
+            old = rows[q]
+            add_scaled(old, row, field.neg(old[p]), field)
+            for j in res:
+                if j in old:
+                    users[j].add(q)
+                else:
+                    users[j].discard(q)
+        rows[p] = row
         return p
 
     def contains(self, vec):

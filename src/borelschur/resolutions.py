@@ -43,40 +43,56 @@ and counts ranks between given bases.  It is behind `resolve`'s `exact`
 verdict, `transport`'s verification and the Tor check of `idempotents`.
 """
 
+from operator import gt, sub
+
 from .fields import serialize_scalar as _ser
 from .linalg import Echelon, add_scaled, column_kernel, matrix_rank
 
 
 def free_basis(gens, piece, between):
     """Pairs (generator, basis element) spanning one piece of a free module."""
-    return [(t, x) for t, g in enumerate(gens) for x in between(g, piece)]
+    parts = {g: between(g, piece) for g in set(gens)}
+    return [(t, x) for t, g in enumerate(gens) for x in parts[g]]
 
 
-def columns(src, dst, diff, mul, field):
-    """Columns of the map `diff` on the pairs `src`, over positions in `dst`.
+def by_column(diff):
+    """A map {(t, s): entry} grouped by source generator: {s: {t: entry}}."""
+    out = {}
+    for (t, s), entry in diff.items():
+        out.setdefault(s, {})[t] = entry
+    return out
+
+
+def columns(src, dst, by_col, mul, field):
+    """Columns of a map, given `by_column`, on the pairs `src`, over
+    positions in `dst`.
 
     Every product must land in `dst`.
     """
-    by_col = {}
-    for (t, s), entry in diff.items():
-        by_col.setdefault(s, []).append((t, entry))
     index = {b: k for k, b in enumerate(dst)}
+    zero, add, fmul = field.zero, field.add, field.mul
     cols = []
     for s, x in src:
         col = {}
-        for t, entry in by_col.get(s, ()):
+        for t, entry in by_col.get(s, {}).items():
             for y, c in entry.items():
-                add_scaled(col, {index[(t, z)]: cz
-                                 for z, cz in mul(x, y).items()}, c, field)
+                for z, cz in mul(x, y).items():
+                    k = index[t, z]
+                    w = add(col.get(k, zero), fmul(c, cz))
+                    if w == zero:
+                        col.pop(k, None)
+                    else:
+                        col[k] = w
         cols.append(col)
     return cols
 
 
-def chain_ranks(bases, diffs, mul, field):
-    """Ranks of d_1, d_2, ... between the bases of P_0, P_1, ..., and
-    whether every composite d_i d_{i+1} vanishes on them."""
-    cols = [columns(bases[i + 1], bases[i], diff, mul, field)
-            for i, diff in enumerate(diffs)]
+def chain_ranks(bases, maps, mul, field):
+    """Ranks of d_1, d_2, ... (`maps`, each `by_column`) between the bases
+    of P_0, P_1, ..., and whether every composite d_i d_{i+1} vanishes on
+    them."""
+    cols = [columns(bases[i + 1], bases[i], by_col, mul, field)
+            for i, by_col in enumerate(maps)]
 
     def vanishes(lower, col):
         composite = {}
@@ -118,36 +134,41 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
     is every other piece of P_0.  Each step walks the pieces once: at
     piece p it covers the kernel by new generators and, except on the
     last step, takes the kernel of the new map, both from one set of
-    columns.  Returns the generator pieces of P_0, P_1, ... and the maps
-    d_1, d_2, ...
+    columns.  The new module's basis at p is the pairs those columns run
+    over, then the generators found at p (later ones have nothing to p).
+    Returns the generator pieces of P_0, P_1, ... and the maps d_1, d_2, ...
     """
     pieces = sorted(pieces, key=lambda p: (sum(p), p))
     gens = [[top]]
     diffs = []
-    kernel = {p: [{k: field.one} for k in range(len(between(top, p)))]
+    basis = {p: free_basis([top], p, between) for p in pieces}
+    kernel = {p: [{k: field.one} for k in range(len(basis[p]))]
               for p in pieces if p != top}
     for step in range(1, length + 1):
         last = step == length
-        new, diff, next_kernel = [], {}, {}
+        new, by_col, next_kernel, next_basis = [], {}, {}, {}
         for p in pieces:
             vecs = kernel.get(p, [])
-            src = free_basis(new, p, between)
+            src = next_basis[p] = free_basis(new, p, between)
             if not vecs and (not src or last):
                 continue
-            dst = free_basis(gens[-1], p, between)
-            cols = columns(src, dst, diff, mul, field)
+            dst = basis[p]
+            cols = columns(src, dst, by_col, mul, field)
             for residual in _cover(vecs, cols, field, pivoting):
+                column = by_col[len(new)] = {}
                 for k, c in residual.items():
                     t, y = dst[k]
-                    diff.setdefault((t, len(new)), {})[y] = c
+                    column.setdefault(t, {})[y] = c
+                src += [(len(new), x) for x in between(p, p)]
                 new.append(p)
-            if src and not last:
+            if cols and not last:
                 next_kernel[p] = column_kernel(cols, field)
         gens.append(new)
-        diffs.append(diff)
+        diffs.append({(t, s): entry for s, column in by_col.items()
+                      for t, entry in column.items()})
         if not new or last:
             break
-        kernel = next_kernel
+        kernel, basis = next_kernel, next_basis
     return gens, diffs
 
 
@@ -171,10 +192,9 @@ class GradedComplex:
 
     def between(self, g, p):
         """Monomials of degree p - g, empty unless g <= p coordinatewise."""
-        for a, b in zip(g, p):
-            if a > b:
-                return []
-        return self.alg.component_basis(tuple(b - a for a, b in zip(g, p)))
+        if any(map(gt, g, p)):
+            return []
+        return self.alg.component_basis(tuple(map(sub, p, g)))
 
     def mul(self, x, y):
         return self.alg.monomial_product(x, y, self.field)
@@ -191,10 +211,11 @@ class GradedComplex:
         homological spots; the last spot has no incoming map to compare.
         """
         steps = len(self.diffs)
+        maps = [by_column(diff) for diff in self.diffs]
         for coords in self.alg.degrees_to_height(self.height):
             bases = [free_basis(degs, coords, self.between)
                      for degs in self.degrees]
-            ranks, d2 = chain_ranks(bases, self.diffs, self.mul, self.field)
+            ranks, d2 = chain_ranks(bases, maps, self.mul, self.field)
             if not d2:
                 return False
             aug_ker = len(bases[0]) if any(coords) else 0

@@ -22,7 +22,7 @@ import io
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
 from .combinatorics import coords_to_vector, is_composition, point_add
-from .resolutions import chain_ranks, resolve, unit_free
+from .resolutions import by_column, chain_ranks, resolve, unit_free
 
 
 class ModuleComplex:
@@ -66,8 +66,8 @@ class ModuleComplex:
         bases = [self.module_basis(i) for i in range(len(self.weights))]
         dims = [len(b) for b in bases]
         steps = len(self.diffs)
-        ranks, d2 = chain_ranks(bases, self.diffs, self.algebra.product_indices,
-                                self.field)
+        ranks, d2 = chain_ranks(bases, [by_column(d) for d in self.diffs],
+                                self.algebra.product_indices, self.field)
         report = {
             "d_squared_zero": d2,
             "minimal": self.is_minimal(),

@@ -3,8 +3,9 @@
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
 products and column factors of divided-power elements, the unit and the
 arrow-side product table of a based algebra, the largest reachable
-height by search over the compositions, and the Euler characteristics
-of a transported complex (criterion 7).
+height by search over the compositions, the Euler characteristics
+of a transported complex (criterion 7), and elimination against an
+echelon form by picking one pivot at a time.
 """
 
 from borelschur.combinatorics import (
@@ -95,3 +96,32 @@ def max_reachable_height(lam, n, r):
         if d is not None:
             best = max(best, sum(d))
     return best
+
+
+def picking_coordinates(ech, vec):
+    """`Echelon.coordinates` by repeated picking: take the least (or, under
+    "last" pivoting, the greatest) index left, and subtract its row when it
+    is a pivot.  A row's other entries come after its pivot in picking
+    order, so no index is picked twice."""
+    field = ech.field
+    zero = field.zero
+    pick = min if ech.pivoting == "first" else max
+    work = {j: v for j, v in vec.items() if v != zero}
+    out = {}
+    coords = {}
+    while work:
+        idx = pick(work)
+        c = work.pop(idx)
+        row = ech.rows.get(idx)
+        if row is None:
+            out[idx] = c
+            continue
+        coords[idx] = c
+        for j, rj in row.items():
+            if j != idx:
+                w = field.sub(work.get(j, zero), field.mul(c, rj))
+                if w == zero:
+                    work.pop(j, None)
+                else:
+                    work[j] = w
+    return coords, out

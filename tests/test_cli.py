@@ -185,6 +185,10 @@ def test_byte_stability(tmp_path):
      "60344bff1b10230098fc779c6afe72d6793f7baaaf3c3d05cc9fed74dc937a5b"),
     ("verify-iso --n 4 --r 2 --char 3",
      "4378cb1b965f8de1b030c2f6f64e7899b45271a7b0e0b89d3f2b4e9825efa750"),
+    ("check-ideals --n 3 --r 4 --char 3",
+     "69470d75a83efb95d13ce30f319b02e526c2846456b3a12f8d27a7b75940d6ce"),
+    ("resolve --n 4 --char 3 --length 4 --height 7",
+     "01b21212776679ef48d8626bd3ed987e0a0d004e1c3e3466ce764f1032563408"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

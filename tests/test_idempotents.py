@@ -128,6 +128,20 @@ def test_two_idempotent_trivial():
     assert rep0["two_idempotent"] and rep0["dim_AeA"] == 0
 
 
+def test_indicator_vector_is_a_truncation_method():
+    """The unit arrow at a point is indexed in the convex truncation; a
+    quotient of it has no `indicator_vector`, and the coset is `project`
+    of the truncation's."""
+    T = interval_truncation(3, 2)
+    y = (0, 0, 2)
+    ((i, c),) = T.indicator_vector(y).items()
+    assert T.is_unit_arrow(i) and T.base(i) == T.head(i) == y and c == QQ.one
+    q = quotient_algebra(T, [(2, -2, 2)])
+    assert not hasattr(q, "indicator_vector")
+    assert not hasattr(BorelAlgebra(3, 2, QQ), "indicator_vector")
+    assert q.project(T.indicator_vector(y)) == {q.rep_pos[i]: QQ.one}
+
+
 def test_two_idempotent_negative_control():
     """A genuine non-example: corner cutting at the middle point of the
     degree-two interval.  In characteristic 2 the composite through the

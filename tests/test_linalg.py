@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from borelschur.fields import PrimeField, Rationals
 from borelschur.linalg import Echelon, add_scaled, column_kernel, matrix_rank
+from oracles import picking_coordinates
 
 
 def apply_columns(cols, vec, field):
@@ -163,3 +164,37 @@ def test_column_kernel_basis_is_pinned_by_the_matrix(data):
         assert all(k == j or k not in v for k in dependent)
         assert apply_columns(cols, v, field) == {}
     assert len(kernel) == len(cols) - matrix_rank(cols, field)
+
+
+def column_users(rows):
+    """The column map rebuilt from the rows: every non-pivot index with
+    the pivots of the rows that have an entry there."""
+    users = {}
+    for q, row in rows.items():
+        for j in row:
+            if j not in rows:
+                users.setdefault(j, set()).add(q)
+    return users
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_elimination_matches_picking(data):
+    """After every insert, under either pivoting: each row is monic at its
+    pivot and zero at every other pivot, the column map is the one the
+    rows give, and `coordinates` of every vector drawn so far equals the
+    pivot-by-pivot reference, coefficients and residual."""
+    field, vecs = _field_and_vectors(data)
+    probes = vecs + data.draw(st.lists(
+        st.dictionaries(st.integers(0, 9), st.integers(-4, 4).map(field.of),
+                        max_size=6), max_size=4), label="probes")
+    for pivoting in ("first", "last"):
+        ech = Echelon(field, pivoting)
+        for v in vecs:
+            ech.insert(v)
+            for q, row in ech.rows.items():
+                assert row[q] == field.one
+                assert not any(p in row for p in ech.rows if p != q)
+            assert ech.users == column_users(ech.rows)
+            for probe in probes:
+                assert ech.coordinates(probe) == picking_coordinates(ech, probe)

@@ -10,8 +10,8 @@ from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import Echelon, add_scaled, column_kernel
-from borelschur.resolutions import (GradedComplex, columns, free_basis,
-                                    minimal_resolution)
+from borelschur.resolutions import (GradedComplex, by_column, columns,
+                                    free_basis, minimal_resolution)
 from borelschur.transport import max_reachable_height
 from oracles import multiply
 
@@ -250,7 +250,8 @@ def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
             if not src:
                 continue
             dst = free_basis(gens[-2], p, between)
-            vecs = column_kernel(columns(src, dst, diff, mul, field), field)
+            vecs = column_kernel(
+                columns(src, dst, by_column(diff), mul, field), field)
             if vecs:
                 kernel[p] = (vecs, src)
     return gens, diffs
