@@ -113,12 +113,6 @@ class DividedPowerAlgebra:
 
     # -- canonical word and straightening ------------------------------
 
-    def word(self, m):
-        letters = []
-        for a in self.written_order:
-            letters.extend([a] * m.exps[a])
-        return tuple(letters)
-
     def _syllables(self, exps):
         """The canonical word of e_A^(k) syllables, as (pair index, k)."""
         return tuple((a, exps[a]) for a in self.written_order if exps[a])
@@ -183,10 +177,18 @@ class DividedPowerAlgebra:
         return hit
 
     def _product_terms(self, e1, e2):
-        """The terms of multiply_monomials, straightened without the table."""
+        """The terms of multiply_monomials, straightened without the table.
+
+        The terms of a product share one degree, so sorting their exponents
+        read in written order sorts their canonical words: where two first
+        differ, at e_kl, the one with fewer e_kl has more of some e_jl with
+        j < k (the degrees agree at v_{l-1} - v_l), and that letter comes
+        next in its word and is less than e_kl.
+        """
         terms = self._straighten(self._syllables(e1) + self._syllables(e2))
+        order = self.written_order
         return tuple(sorted(terms.items(),
-                            key=lambda t: self.word(Monomial(self.n, t[0]))))
+                            key=lambda t: [t[0][a] for a in order]))
 
     def monomial_product(self, m1, m2, field):
         """Product of two monomials as {Monomial: nonzero scalar} in field."""

@@ -13,17 +13,11 @@ class Rationals:
     """Arbitrary-precision rational arithmetic."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, a):
         return Fraction(a)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -58,22 +52,12 @@ class PrimeField:
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"characteristic must be prime, got {p}")
-        self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
+        self.p = self.characteristic = p
+        self.zero = 0
+        self.one = 1
 
     def of(self, a):
         return a % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.p

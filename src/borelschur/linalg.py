@@ -4,8 +4,11 @@ Vectors are dicts {index: nonzero scalar}.  The index type only needs a
 total order; deterministic pivot selection (always the least index, or
 always the greatest under the "last" strategy) makes every reduction and
 coset representative reproducible across runs.  `Echelon` is the one
-elimination loop; `column_kernel` reads its basis off a reduced echelon
-form, so that basis depends only on the matrix, not on any pivoting.
+elimination loop.  `Echelon.insert_columns` eliminates a matrix's
+columns once and reads its nullspace off the same pass: each row carries
+its combination of the columns, so a dependent column's combination is
+its kernel vector, and that basis depends only on the matrix, not on
+any pivoting.
 
 Elimination is one pass: each monic row is zero at every other pivot,
 so a vector's coefficient on the row at pivot q is its own entry at q.
@@ -41,6 +44,7 @@ class Echelon:
         self.field = field
         self.rows = {}  # pivot index -> monic row (dict), zero at other pivots
         self.users = {}  # non-pivot index -> pivots of the rows with an entry there
+        self.combos = {}  # pivot -> its row over the columns of `insert_columns`
         if pivoting not in ("first", "last"):
             raise ValueError(f"unknown pivoting strategy {pivoting!r}")
         self.pivoting = pivoting
@@ -64,7 +68,7 @@ class Echelon:
         """(coefficients over pivot rows, residual) with vec = sum + residual."""
         return self._eliminate(vec)
 
-    def _eliminate(self, vec):
+    def _eliminate(self, vec, combo=None):
         field, rows = self.field, self.rows
         zero, sub, mul = field.zero, field.sub, field.mul
         out = {j: v for j, v in vec.items() if v != zero}
@@ -76,25 +80,39 @@ class Echelon:
                     out.pop(j, None)
                 else:
                     out[j] = w
+            if combo is not None:
+                add_scaled(combo, self.combos[q], field.neg(c), field)
         return coords, out
 
-    def insert(self, vec):
-        """Add vec to the span; returns the new pivot or None if dependent."""
-        field, rows, users = self.field, self.rows, self.users
-        res = self.reduce(vec)
+    def insert(self, vec, combo=None):
+        """Add vec to the span; returns the new pivot or None if dependent.
+
+        `combo`, vec written over the columns of `insert_columns`, is
+        reduced in place alongside vec: it ends as the new row's
+        combination, or as a kernel vector when vec is dependent.
+        """
+        field, rows, users, combos = self.field, self.rows, self.users, self.combos
+        res = self._eliminate(vec, combo)[1]
         if not res:
             return None
         p = self._pick(res)
         inv = field.inv(res[p])
         row = {j: field.mul(inv, v) for j, v in res.items()}
         del res[p]
+        if combo is not None:
+            for k, v in combo.items():
+                combo[k] = field.mul(inv, v)
+            combos[p] = combo
         # keep reduced form: clear the new pivot from the rows that hold it
         touched = users.pop(p, ())
         for j in res:
             users.setdefault(j, set()).add(p)
         for q in touched:
             old = rows[q]
-            add_scaled(old, row, field.neg(old[p]), field)
+            c = field.neg(old[p])
+            add_scaled(old, row, c, field)
+            if combo is not None:
+                add_scaled(combos[q], combo, c, field)
             for j in res:
                 if j in old:
                     users[j].add(q)
@@ -103,34 +121,26 @@ class Echelon:
         rows[p] = row
         return p
 
+    def insert_columns(self, columns, kernel=True):
+        """Insert columns[0], columns[1], ... in turn; return the nullspace
+        of the map sending unit column j to columns[j].
+
+        One vector per column j that depends on the columns before it: e_j
+        minus its unique expression over the earlier independent columns,
+        listed by increasing j.  Each row's combination of the columns is
+        kept in `combos` while every insert carries one; with kernel=False
+        none is kept and the list is empty.
+        """
+        one = self.field.one
+        out = []
+        for j, col in enumerate(columns):
+            combo = {j: one} if kernel else None
+            if self.insert(col, combo) is None and kernel:
+                out.append(combo)
+        return out
+
     def contains(self, vec):
         return not self.reduce(vec)
-
-
-def column_kernel(columns, field):
-    """Nullspace of the linear map sending unit column j to columns[j].
-
-    One vector per column j that depends on the columns before it: e_j
-    minus the unique expression of column j over the earlier independent
-    columns, listed by increasing j.  It is read off the reduced echelon
-    form of the matrix's rows: the dependent columns are its free
-    columns, and the coefficient at pivot k is minus row k's entry at j.
-    """
-    ech = Echelon(field)
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    for row in rows.values():
-        ech.insert(row)
-    kernel = {j: {} for j in range(len(columns)) if j not in ech.rows}
-    for k in sorted(ech.rows):
-        for j, v in ech.rows[k].items():
-            if j != k:
-                kernel[j][k] = field.neg(v)
-    for j, vec in kernel.items():
-        vec[j] = field.one
-    return list(kernel.values())
 
 
 def matrix_rank(columns, field):

@@ -21,12 +21,13 @@ nullspaces piece by piece, and minimal generators are a basis of the
 kernel modulo its radical multiples, with deterministic pivoting, so two
 runs produce identical generators.
 
-Each step of `resolve` is one walk over the pieces.  At piece p the
-columns of the new map on the generators found before p are computed
-once; they span the radical of the kernel at p, and the next step's
-kernel at p is read off them.  A new generator's own column is its
-residual, independent of the others, so it adds no kernel vector and
-is never computed.
+Each step of `resolve` is one walk over the pieces, with one
+elimination per piece.  At piece p the columns of the new map on the
+generators found before p are computed once and put into one reduced
+echelon form: they span the radical of the kernel at p, which the cover
+reduces modulo, and the same pass reads off the next step's kernel at
+p.  A new generator's own column is its residual, independent of the
+others, so it adds no kernel vector and is never computed.
 
 Here the pieces are degree coordinates over the simple positive vectors,
 covered in (height, lex) order, and the basis from g to p is the
@@ -46,7 +47,7 @@ verdict, `transport`'s verification and the Tor check of `idempotents`.
 from operator import gt, sub
 
 from .fields import serialize_scalar as _ser
-from .linalg import Echelon, add_scaled, column_kernel, matrix_rank
+from .linalg import Echelon, add_scaled, matrix_rank
 
 
 def free_basis(gens, piece, between):
@@ -111,15 +112,20 @@ def unit_free(diffs, is_unit):
                    for x in entry)
 
 
-def _cover(vecs, cols, field, pivoting):
-    """New generators at one kernel piece spanned by `vecs`, whose radical
-    part `cols` spans: each vector independent of `cols` and of the ones
-    before it, reduced modulo them."""
-    rad = Echelon(field, pivoting)
-    for col in cols:
-        rad.insert(col)
+def _cover(vecs, rad):
+    """New generators at one kernel piece with basis `vecs`, whose radical
+    the echelon `rad` spans: each vector independent of `rad` and of the
+    ones before it, reduced modulo them, inserted into `rad`.
+
+    The radical lies in the kernel (`mul` is associative, so d^2 = 0),
+    so exactly len(vecs) - rank new generators exist, and the walk stops
+    once it has them.  A rank above len(vecs) never stops it early.
+    """
+    need = len(vecs) - rad.rank
     fresh = []
     for v in vecs:
+        if len(fresh) == need:
+            break
         residual = rad.reduce(v)
         if residual:
             rad.insert(residual)
@@ -132,10 +138,11 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
 
     P_0 is free on one generator at `top`; the kernel of the augmentation
     is every other piece of P_0.  Each step walks the pieces once: at
-    piece p it covers the kernel by new generators and, except on the
-    last step, takes the kernel of the new map, both from one set of
-    columns.  The new module's basis at p is the pairs those columns run
-    over, then the generators found at p (later ones have nothing to p).
+    piece p the columns of the new map go into one echelon, which gives,
+    except on the last step, the kernel of the new map at p, and modulo
+    which the kernel at p is covered by new generators.  The new module's
+    basis at p is the pairs those columns run over, then the generators
+    found at p (later ones have nothing to p).
     Returns the generator pieces of P_0, P_1, ... and the maps d_1, d_2, ...
     """
     pieces = sorted(pieces, key=lambda p: (sum(p), p))
@@ -153,16 +160,16 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
             if not vecs and (not src or last):
                 continue
             dst = basis[p]
-            cols = columns(src, dst, by_col, mul, field)
-            for residual in _cover(vecs, cols, field, pivoting):
+            rad = Echelon(field, pivoting)
+            next_kernel[p] = rad.insert_columns(
+                columns(src, dst, by_col, mul, field), kernel=not last)
+            for residual in _cover(vecs, rad):
                 column = by_col[len(new)] = {}
                 for k, c in residual.items():
                     t, y = dst[k]
                     column.setdefault(t, {})[y] = c
                 src += [(len(new), x) for x in between(p, p)]
                 new.append(p)
-            if cols and not last:
-                next_kernel[p] = column_kernel(cols, field)
         gens.append(new)
         diffs.append({(t, s): entry for s, column in by_col.items()
                       for t, entry in column.items()})

@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
 from .combinatorics import matrix_to_pair, orbit_of_pair, weight
-from .linalg import Echelon, add_scaled, column_kernel
+from .linalg import Echelon, add_scaled
 
 TENSOR_DIMENSION_CAP = 300_000
 
@@ -209,7 +209,7 @@ def upper_table_json(n, r, field, basis="image"):
         # image columns before it: its kernel vector is e_j minus its
         # expression over them
         images = [action.operator_to_orbits(op) for op in ops]
-        kernel = column_kernel(images + products, field)
+        kernel = Echelon(field).insert_columns(images + products)
         if any(max(v) < dim for v in kernel):
             raise ValueError("image operators are linearly dependent")
         if len(kernel) != len(products):

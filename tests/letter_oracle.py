@@ -19,6 +19,15 @@ class IntegralityError(ArithmeticError):
     """A structure constant failed to be an integer."""
 
 
+def word(alg, m):
+    """The canonical letter word of a monomial: each pair index repeated
+    by its exponent, pairs in written order."""
+    letters = []
+    for a in alg.written_order:
+        letters.extend([a] * m.exps[a])
+    return tuple(letters)
+
+
 class LetterOracle:
     """Products of DividedPowerAlgebra monomials, straightened letter by letter."""
 
@@ -73,7 +82,7 @@ class LetterOracle:
         for k in m1.exps + m2.exps:
             den *= factorial(k)
         out = []
-        for w, c in sorted(self.straighten(alg.word(m1) + alg.word(m2)).items()):
+        for w, c in sorted(self.straighten(word(alg, m1) + word(alg, m2)).items()):
             exps = [0] * len(alg.pairs)
             for a in w:
                 exps[a] += 1

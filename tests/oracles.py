@@ -5,7 +5,8 @@ products and column factors of divided-power elements, the unit and the
 arrow-side product table of a based algebra, the largest reachable
 height by search over the compositions, the Euler characteristics
 of a transported complex (criterion 7), and elimination against an
-echelon form by picking one pivot at a time.
+echelon form by picking one pivot at a time, and the nullspace of a
+list of columns by eliminating the transposed matrix.
 """
 
 from borelschur.combinatorics import (
@@ -15,7 +16,7 @@ from borelschur.combinatorics import (
 )
 from borelschur.divided_powers import Monomial
 from borelschur.fields import serialize_scalar
-from borelschur.linalg import add_scaled
+from borelschur.linalg import Echelon, add_scaled
 
 
 def pair_to_matrix(i, j, n):
@@ -125,3 +126,30 @@ def picking_coordinates(ech, vec):
                 else:
                     work[j] = w
     return coords, out
+
+
+def column_kernel(columns, field):
+    """Nullspace of the linear map sending unit column j to columns[j],
+    by rows: the reference for `Echelon.insert_columns`.
+
+    One vector per column j that depends on the columns before it: e_j
+    minus the unique expression of column j over the earlier independent
+    columns, listed by increasing j.  It is read off the reduced echelon
+    form of the matrix's rows: the dependent columns are its free
+    columns, and the coefficient at pivot k is minus row k's entry at j.
+    """
+    ech = Echelon(field)
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    for row in rows.values():
+        ech.insert(row)
+    kernel = {j: {} for j in range(len(columns)) if j not in ech.rows}
+    for k in sorted(ech.rows):
+        for j, v in ech.rows[k].items():
+            if j != k:
+                kernel[j][k] = field.neg(v)
+    for j, vec in kernel.items():
+        vec[j] = field.one
+    return list(kernel.values())

@@ -189,6 +189,10 @@ def test_byte_stability(tmp_path):
      "69470d75a83efb95d13ce30f319b02e526c2846456b3a12f8d27a7b75940d6ce"),
     ("resolve --n 4 --char 3 --length 4 --height 7",
      "01b21212776679ef48d8626bd3ed987e0a0d004e1c3e3466ce764f1032563408"),
+    ("resolve --n 3 --char 0 --length 4 --height 8",
+     "fdf291a1b251cbb062a068a1ec2c01132749783d3699d2ee55d5e1b9fb90023a"),
+    ("transport --n 3 --r 4 --char 2 --lambda 2,1,1 --length 6 --height 8",
+     "b48821343231f6cc915dd79627d5622ec2343df09522eaa3eb5eb161505b5f74"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from borelschur.combinatorics import coords_to_vector
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals
-from letter_oracle import LetterOracle
+from letter_oracle import LetterOracle, word
 from oracles import column_factors, multiply
 
 QQ = Rationals()
@@ -34,8 +34,8 @@ def test_canonical_word_order():
     # the written product for the example exponent matrix is e23^2 e13 e12
     A3 = DividedPowerAlgebra(3)
     m = A3.monomial({(1, 2): 1, (1, 3): 1, (2, 3): 2})
-    word = [A3.pairs[a] for a in A3.word(m)]
-    assert word == [(2, 3), (2, 3), (1, 3), (1, 2)]
+    letters = [A3.pairs[a] for a in word(A3, m)]
+    assert letters == [(2, 3), (2, 3), (1, 3), (1, 2)]
 
 
 def test_multiply_examples():
@@ -198,6 +198,20 @@ def test_products_equal_the_letter_oracle(case):
     alg, m1, m2 = case
     assert alg.multiply_monomials(m1, m2) == \
         _ORACLES[alg.n].multiply_monomials(m1, m2)
+
+
+@pytest.mark.parametrize("n,h", [(3, 8), (4, 6)])
+def test_product_terms_come_in_word_order(n, h):
+    """The sort key, exponents read in written order, orders the terms of
+    every product by their canonical letter words."""
+    alg = DividedPowerAlgebra(n)
+    monos = alg.monomials_to_height(h)
+    for m1 in monos:
+        for m2 in monos:
+            if alg.monomial_height(m1) + alg.monomial_height(m2) <= h:
+                words = [word(alg, Monomial(n, exps))
+                         for exps, _ in alg.multiply_monomials(m1, m2)]
+                assert words == sorted(words)
 
 
 def test_deep_heisenberg_product():

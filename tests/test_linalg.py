@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelschur.fields import PrimeField, Rationals
-from borelschur.linalg import Echelon, add_scaled, column_kernel, matrix_rank
-from oracles import picking_coordinates
+from borelschur.linalg import Echelon, add_scaled, matrix_rank
+from oracles import column_kernel, picking_coordinates
 
 
 def apply_columns(cols, vec, field):
@@ -84,7 +85,7 @@ def test_column_kernel_against_enumeration():
             nrows = rng.randint(1, 4)
             cols = [{i: rng.randrange(p) for i in range(nrows)} for _ in range(ncols)]
             cols = [{i: v for i, v in col.items() if v} for col in cols]
-            ker = column_kernel(cols, field)
+            ker = Echelon(field).insert_columns(cols)
             for v in ker:
                 assert v, "kernel vectors must be nonzero"
                 assert apply_columns(cols, v, field) == {}
@@ -142,13 +143,10 @@ def test_echelon_rows_do_not_depend_on_insert_order(data):
         assert a.pivots == b.pivots
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_column_kernel_basis_is_pinned_by_the_matrix(data):
-    """Each kernel vector is e_j minus the expression of column j over
-    the independent columns before it, one per dependent column j."""
+def _field_and_columns(data):
+    """`_field_and_vectors` plus a few combinations of earlier vectors,
+    so that dependent columns are common."""
     field, cols = _field_and_vectors(data)
-    # add a few combinations of earlier columns so dependencies are common
     for _ in range(data.draw(st.integers(0, 3), label="extra")):
         if not cols:
             break
@@ -156,7 +154,16 @@ def test_column_kernel_basis_is_pinned_by_the_matrix(data):
         col = dict(cols[a])
         add_scaled(col, cols[b], field.of(data.draw(st.integers(-3, 3))), field)
         cols.append(col)
-    kernel = column_kernel(cols, field)
+    return field, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_kernel_basis_is_pinned_by_the_matrix(data):
+    """Each kernel vector is e_j minus the expression of column j over
+    the independent columns before it, one per dependent column j."""
+    field, cols = _field_and_columns(data)
+    kernel = Echelon(field).insert_columns(cols)
     dependent = [max(v) for v in kernel]
     assert dependent == sorted(set(dependent))
     for v, j in zip(kernel, dependent):
@@ -164,6 +171,47 @@ def test_column_kernel_basis_is_pinned_by_the_matrix(data):
         assert all(k == j or k not in v for k in dependent)
         assert apply_columns(cols, v, field) == {}
     assert len(kernel) == len(cols) - matrix_rank(cols, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_insert_columns_matches_the_transposed_kernel(data):
+    """Under either pivoting, one pass over the columns gives the kernel
+    of the reference that eliminates the transposed matrix, and the rows,
+    pivots and column map of plain inserts; each row's combination
+    applied to the columns gives the row.  Without the kernel no
+    combination is kept."""
+    field, cols = _field_and_columns(data)
+    reference = column_kernel(cols, field)
+    for pivoting in ("first", "last"):
+        plain = Echelon(field, pivoting)
+        for col in cols:
+            plain.insert(col)
+        for kernel in (True, False):
+            ech = Echelon(field, pivoting)
+            assert ech.insert_columns(cols, kernel) == (reference if kernel
+                                                        else [])
+            assert ech.rows == plain.rows
+            assert ech.pivots == plain.pivots
+            assert ech.users == plain.users
+            assert set(ech.combos) == (ech.pivots if kernel else set())
+            for p, combo in ech.combos.items():
+                assert apply_columns(cols, combo, field) == ech.rows[p]
+
+
+def test_field_constants_are_plain_attributes():
+    """`zero`, `one` and `characteristic` are attributes, not properties;
+    equality and hashing go by characteristic as before."""
+    QQ, F7 = Rationals(), PrimeField(7)
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert (QQ.zero, QQ.one, QQ.characteristic) == (0, 1, 0)
+    assert (F7.zero, F7.one, F7.characteristic) == (0, 1, 7)
+    for name in ("zero", "one", "characteristic"):
+        assert not isinstance(getattr(Rationals, name, None), property)
+        assert not isinstance(getattr(PrimeField, name, None), property)
+    assert QQ == Rationals() and hash(QQ) == hash(("field", 0))
+    assert F7 == PrimeField(7) and hash(F7) == hash(("field", 7))
+    assert F7 != PrimeField(5) and F7 != QQ and QQ != F7
 
 
 def column_users(rows):

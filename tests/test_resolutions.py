@@ -9,11 +9,11 @@ from borelschur.arrows import BorelAlgebra, ConvexTruncation
 from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra, Monomial
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
-from borelschur.linalg import Echelon, add_scaled, column_kernel
+from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import (GradedComplex, by_column, columns,
                                     free_basis, minimal_resolution)
 from borelschur.transport import max_reachable_height
-from oracles import multiply
+from oracles import column_kernel, multiply
 
 QQ = Rationals()
 
@@ -334,3 +334,35 @@ def test_based_products_are_associative(nr, char, data):
         y = data.draw(st.sampled_from(algebra.based_at(algebra.head(z))))
         x = data.draw(st.sampled_from(algebra.based_at(algebra.head(y))))
         assert_associative(algebra.product_indices, algebra.field, x, y, z)
+
+
+def counting_reduce(monkeypatch):
+    """Patch `Echelon.reduce` to count its calls; returns the counter."""
+    calls = []
+    reduce = Echelon.reduce
+
+    def counted(self, vec):
+        calls.append(vec)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(Echelon, "reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cols,vecs,fresh,reduced", [
+    # the radical is the whole kernel: nothing is reduced
+    ([{0: 1}, {1: 1}], [{0: 1}, {1: 1}], [], 0),
+    # two new generators, the second at vecs[2]: vecs[3] is never reduced
+    ([{0: 1}, {3: 1}], [{1: 1}, {0: 1}, {2: 1}, {3: 1}], [{1: 1}, {2: 1}], 3),
+    # rank above len(vecs) (an incomplete kernel): no early stop
+    ([{0: 1}, {1: 1}], [{0: 1}], [], 1),
+], ids=["full-rank", "mid-list", "rank-above"])
+def test_cover_stops_after_the_last_new_generator(monkeypatch, cols, vecs,
+                                                  fresh, reduced):
+    """The radical lies in the kernel, so len(vecs) - rank new generators
+    exist and the cover reduces no kernel vector after the last one."""
+    rad = Echelon(PrimeField(3))
+    rad.insert_columns(cols, kernel=False)
+    calls = counting_reduce(monkeypatch)
+    assert resolutions._cover(vecs, rad) == fresh
+    assert len(calls) == reduced
