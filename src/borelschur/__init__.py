@@ -14,7 +14,7 @@ from .arrows import (
     arrow_product,
     reduce_to_compositions,
 )
-from .divided_powers import DividedPowerAlgebra, Monomial
+from .divided_powers import DividedPowerAlgebra
 from .fields import PrimeField, Rationals, field_of_characteristic
 from .idempotents import (
     chain_report,
@@ -37,7 +37,6 @@ __all__ = [
     "DividedPowerAlgebra",
     "GradedComplex",
     "ModuleComplex",
-    "Monomial",
     "PrimeField",
     "Rationals",
     "TensorAction",

@@ -1,7 +1,8 @@
 """Based arrows between lattice points and their truncated algebras.
 
-An arrow is a pair (monomial, base point); it runs from its base y to
-y + degree(monomial).  The product of two arrows composes head-to-tail:
+An arrow is a pair (exps, base) of a monomial's exponent tuple and a
+point; it runs from its base y to y + degree(exps).  The product of two
+arrows composes head-to-tail:
 
     (a1 at y1) * (a2 at y2) = 0 unless y1 = y2 + degree(a2),
 
@@ -36,7 +37,7 @@ def arrow_head(alg, arrow):
 
 
 def arrow_product(alg, x, y, field):
-    """Bilinear product of arrow elements (dicts {(monomial, base): scalar})."""
+    """Bilinear product of arrow elements (dicts {(exps, base): scalar})."""
     out = {}
     for (m2, y2), c2 in y.items():
         head2 = arrow_head(alg, (m2, y2))
@@ -56,17 +57,17 @@ def indicator(alg, point):
 def arrow_is_kept(alg, arrow, r):
     """Diagonal completion test for membership in the composition quotient.
 
-    An arrow (m, mu) survives iff mu is a composition and every diagonal
+    An arrow (exps, mu) survives iff mu is a composition and every diagonal
     entry mu_j - sum_{i<j} k_ij of the completed marginal matrix is
     non-negative; equivalently all partial column products keep the point
     inside the compositions.
     """
-    m, mu = arrow
+    exps, mu = arrow
     if not is_composition(mu, r):
         return False
     n = alg.n
     for j in range(2, n + 1):
-        col = sum(m.exps[alg.pair_index[(i, j)]] for i in range(1, j))
+        col = sum(exps[alg.pair_index[(i, j)]] for i in range(1, j))
         if mu[j - 1] - col < 0:
             return False
     return True
@@ -90,7 +91,7 @@ def matrix_to_arrow(alg, K):
 class BasedAlgebra:
     """Index and multiplication shared by algebras with a basis of arrows.
 
-    A subclass sets `field`, `arrows` (pairs (monomial, base)) and
+    A subclass sets `field`, `arrows` (pairs (exps, base)) and
     `heads`, calls `_index_arrows` once, and supplies `_product(i, j)`,
     the product of composable basis arrows as a vector over basis
     indices; `product_indices` caches it.  The index answers "which
@@ -123,7 +124,7 @@ class BasedAlgebra:
         return self.bases[i]
 
     def is_unit_arrow(self, i):
-        return self.arrows[i][0].is_unit()
+        return not any(self.arrows[i][0])
 
     def based_at(self, y):
         """Indices of the arrows starting at y."""
@@ -189,7 +190,7 @@ class ConvexTruncation(BasedAlgebra):
                     continue
                 for m in alg.component_basis(d):
                     arrows.append((y, w, m))
-        arrows.sort(key=lambda t: (t[0], t[1], t[2].exps))
+        arrows.sort()
         self.arrows = [(m, y) for y, _, m in arrows]
         self.heads = [w for _, w, _ in arrows]
         self.index = {a: i for i, a in enumerate(self.arrows)}
@@ -243,7 +244,7 @@ class BorelAlgebra(BasedAlgebra):
             "char": self.field.characteristic,
             "dimension": self.dim,
             "basis": [{"matrix": [list(row) for row in K],
-                       "exponents": list(a[0].exps),
+                       "exponents": list(a[0]),
                        "base": list(a[1]),
                        "head": list(w)}
                       for K, a, w in zip(self.matrices, self.arrows,

@@ -3,6 +3,8 @@
 Basis monomials are products of divided powers e_ij^(k) = e_ij^k / k! of
 the elementary matrices e_ij (i < j), written in a fixed canonical order:
 columns from the right, and within a column the row index descending.
+A monomial is its exponent tuple: the exponent k of each e_ij, over the
+pairs (i, j), i < j, in row-major order; the unit is the zero tuple.
 These monomials span Kostant's Z-form, so products are computed over the
 integers, on words of syllables e_ij^(k), by three rules:
 
@@ -23,31 +25,6 @@ from math import comb
 from operator import mul
 
 from .combinatorics import compositions
-
-
-class Monomial:
-    """Exponent vector over the pairs (i, j), i < j, in row-major order."""
-
-    __slots__ = ("n", "exps")
-
-    def __init__(self, n, exps):
-        self.n = n
-        self.exps = tuple(exps)
-
-    def __eq__(self, other):
-        return self.n == other.n and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.n, self.exps))
-
-    def __lt__(self, other):
-        return self.exps < other.exps
-
-    def is_unit(self):
-        return not any(self.exps)
-
-    def __repr__(self):
-        return f"Monomial({self.n}, {self.exps})"
 
 
 def _pairs(n):
@@ -90,18 +67,18 @@ class DividedPowerAlgebra:
             if k < 0:
                 raise ValueError("negative exponent")
             exps[self.pair_index[(i, j)]] = k
-        return Monomial(self.n, exps)
+        return tuple(exps)
 
     @property
     def unit(self):
-        return Monomial(self.n, (0,) * len(self.pairs))
+        return (0,) * len(self.pairs)
 
     # -- grading ------------------------------------------------------
 
     def degree(self, m):
         """Coefficients over the simple positive vectors v_l - v_{l+1}."""
         c = [0] * (self.n - 1)
-        for a, k in enumerate(m.exps):
+        for a, k in enumerate(m):
             if k:
                 i, j = self.pairs[a]
                 for l in range(i - 1, j - 1):
@@ -109,7 +86,7 @@ class DividedPowerAlgebra:
         return tuple(c)
 
     def monomial_height(self, m):
-        return _exps_height(m.exps, self.pair_heights)
+        return _exps_height(m, self.pair_heights)
 
     # -- canonical word and straightening ------------------------------
 
@@ -164,20 +141,19 @@ class DividedPowerAlgebra:
 
     # -- multiplication ------------------------------------------------
 
-    def multiply_monomials(self, m1, m2):
+    def product_terms(self, m1, m2):
         """Integer structure constants of a monomial product.
 
-        Returns a tuple of (exponent vector, integer coefficient), sorted by
-        the canonical word of the exponent vector; cached.
+        Returns a tuple of (monomial, integer coefficient), sorted by the
+        canonical word of the monomial; cached.
         """
-        key = (m1.exps, m2.exps)
-        hit = self._products.get(key)
+        hit = self._products.get((m1, m2))
         if hit is None:
-            hit = self._products[key] = self._product_terms(*key)
+            hit = self._products[m1, m2] = self._straighten_product(m1, m2)
         return hit
 
-    def _product_terms(self, e1, e2):
-        """The terms of multiply_monomials, straightened without the table.
+    def _straighten_product(self, e1, e2):
+        """The terms of product_terms, straightened without the table.
 
         The terms of a product share one degree, so sorting their exponents
         read in written order sorts their canonical words: where two first
@@ -191,19 +167,20 @@ class DividedPowerAlgebra:
                             key=lambda t: [t[0][a] for a in order]))
 
     def monomial_product(self, m1, m2, field):
-        """Product of two monomials as {Monomial: nonzero scalar} in field."""
+        """Product of two monomials as {monomial: nonzero scalar} in field."""
         zero = field.zero
         out = {}
-        for exps, k in self.multiply_monomials(m1, m2):
+        for m, k in self.product_terms(m1, m2):
             c = field.of(k)
             if c != zero:
-                out[Monomial(self.n, exps)] = c
+                out[m] = c
         return out
 
     # -- graded components ----------------------------------------------
 
     def component_basis(self, coords):
-        """All monomials of degree exactly coords, sorted by exponent vector."""
+        """All monomials of degree exactly coords, in increasing order:
+        `place` sets the exponents pair by pair, each one ascending."""
         coords = tuple(coords)
         hit = self._components.get(coords)
         if hit is not None:
@@ -219,7 +196,7 @@ class DividedPowerAlgebra:
         def place(a, rem):
             if a == len(pairs):
                 if all(c == 0 for c in rem):
-                    out.append(Monomial(self.n, exps))
+                    out.append(tuple(exps))
                 return
             i, j = pairs[a]
             cap = min(rem[l] for l in range(i - 1, j - 1))
@@ -232,7 +209,6 @@ class DividedPowerAlgebra:
             exps[a] = 0
 
         place(0, list(coords))
-        out = sorted(out)
         self._components[coords] = out
         return out
 
@@ -255,7 +231,7 @@ class DividedPowerAlgebra:
         for m1, h1 in monos:
             for m2, h2 in monos:
                 if h1 + h2 <= h:
-                    self.multiply_monomials(m1, m2)
+                    self.product_terms(m1, m2)
 
     # -- cache persistence ----------------------------------------------
 
@@ -341,7 +317,7 @@ class DividedPowerAlgebra:
             sampled = entries[-1:] + [e for e in entries if len(e[2]) > 1][:1]
             for e1, e2, _ in sampled:
                 pair = (tuple(e1), tuple(e2))
-                if table[pair] != self._product_terms(*pair):
+                if table[pair] != self._straighten_product(*pair):
                     return False
         self._products.update(table)
         return True

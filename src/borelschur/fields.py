@@ -7,6 +7,11 @@ linear algebra routines can stay generic.
 """
 
 from fractions import Fraction
+from math import isqrt
+
+# prime fields are refused at or above this characteristic, so the
+# primality test (trial division) stays fast
+CHARACTERISTIC_CAP = 2**31
 
 
 class Rationals:
@@ -50,7 +55,10 @@ class PrimeField:
     """Integers modulo a prime, elements stored as ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= CHARACTERISTIC_CAP:
+            raise ValueError(
+                f"characteristic must be below {CHARACTERISTIC_CAP}")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = self.characteristic = p
         self.zero = 0

@@ -198,7 +198,7 @@ class GradedComplex:
         self.diffs = diffs
 
     def between(self, g, p):
-        """Monomials of degree p - g, empty unless g <= p coordinatewise."""
+        """The monomials of degree p - g, empty unless g <= p coordinatewise."""
         if any(map(gt, g, p)):
             return []
         return self.alg.component_basis(tuple(map(sub, p, g)))
@@ -235,7 +235,7 @@ class GradedComplex:
 
     def verify_minimality(self):
         """Every differential entry must avoid the unit degree."""
-        return unit_free(self.diffs, lambda m: m.is_unit())
+        return unit_free(self.diffs, lambda m: not any(m))
 
     def to_json(self):
         return {
@@ -246,7 +246,7 @@ class GradedComplex:
             "modules": [[list(g) for g in degs] for degs in self.degrees],
             "differentials": [
                 sorted(
-                    [t, s, sorted([list(m.exps), _ser(c)] for m, c in entry.items())]
+                    [t, s, sorted([list(m), _ser(c)] for m, c in entry.items())]
                     for (t, s), entry in diff.items()
                 )
                 for diff in self.diffs

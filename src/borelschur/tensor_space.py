@@ -42,7 +42,11 @@ class TensorAction:
         self.field = field
         self.indices = sorted(iproduct(range(1, n + 1), repeat=r))
         self.position = {idx: k for k, idx in enumerate(self.indices)}
+        self._by_weight = {}
+        for k, idx in enumerate(self.indices):
+            self._by_weight.setdefault(weight(idx, n), []).append(k)
         self._orbit_sums = {}
+        self._divided_powers = {}
 
     # operators are {column: {row: scalar}} with integer positions
 
@@ -75,18 +79,21 @@ class TensorAction:
         return op
 
     def weight_projector(self, lam):
-        lam = tuple(lam)
         one = self.field.one
-        return {k: {k: one}
-                for k, idx in enumerate(self.indices)
-                if weight(idx, self.n) == lam}
+        return {k: {k: one} for k in self._by_weight.get(tuple(lam), ())}
 
     def divided_power(self, i, j, k):
-        """Action of e_ij^(k): raise j to i at every k-subset of positions."""
+        """Action of e_ij^(k): raise j to i at every k-subset of positions.
+
+        Built once per action; the operator is shared, so callers must not
+        mutate it."""
         if i == j:
             raise ValueError("divided powers need i < j")
+        op = self._divided_powers.get((i, j, k))
+        if op is not None:
+            return op
         one = self.field.one
-        op = {}
+        op = self._divided_powers[i, j, k] = {}
         for q, idx in enumerate(self.indices):
             spots = [t for t, x in enumerate(idx) if x == j]
             if len(spots) < k:
@@ -109,7 +116,7 @@ class TensorAction:
             return {}
         op = self.weight_projector(mu)
         for a in reversed(alg.written_order):
-            k = m.exps[a]
+            k = m[a]
             if k:
                 op = self.compose(self.divided_power(*alg.pairs[a], k), op)
         return op

@@ -24,7 +24,7 @@ def word(alg, m):
     by its exponent, pairs in written order."""
     letters = []
     for a in alg.written_order:
-        letters.extend([a] * m.exps[a])
+        letters.extend([a] * m[a])
     return tuple(letters)
 
 
@@ -74,12 +74,12 @@ class LetterOracle:
         self.memo[word] = result
         return result
 
-    def multiply_monomials(self, m1, m2):
-        """Same contract as DividedPowerAlgebra.multiply_monomials: a tuple
+    def product_terms(self, m1, m2):
+        """Same contract as DividedPowerAlgebra.product_terms: a tuple
         of (exponent vector, integer coefficient) sorted by letter word."""
         alg = self.alg
         den = 1
-        for k in m1.exps + m2.exps:
+        for k in m1 + m2:
             den *= factorial(k)
         out = []
         for w, c in sorted(self.straighten(word(alg, m1) + word(alg, m2)).items()):
@@ -93,7 +93,7 @@ class LetterOracle:
             if coeff.denominator != 1:
                 raise IntegralityError(
                     f"non-integral structure constant {coeff} in "
-                    f"{m1.exps} * {m2.exps}")
+                    f"{m1} * {m2}")
             if coeff:
                 out.append((tuple(exps), int(coeff)))
         return tuple(out)

@@ -14,7 +14,6 @@ from borelschur.combinatorics import (
     point_sub,
     positive_root_coords,
 )
-from borelschur.divided_powers import Monomial
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
 
@@ -39,14 +38,14 @@ def arrow_to_matrix(alg, arrow):
     n = alg.n
     K = [[0] * n for _ in range(n)]
     for (i, j), a in alg.pair_index.items():
-        K[i - 1][j - 1] = m.exps[a]
+        K[i - 1][j - 1] = m[a]
     for j in range(1, n + 1):
         K[j - 1][j - 1] = mu[j - 1] - sum(K[i][j - 1] for i in range(j - 1))
     return tuple(tuple(row) for row in K)
 
 
 def multiply(alg, x, y, field):
-    """Bilinear product of divided-power elements (dicts Monomial -> scalar)."""
+    """Bilinear product of divided-power elements (dicts monomial -> scalar)."""
     out = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
@@ -58,8 +57,7 @@ def multiply(alg, x, y, field):
 def column_factors(alg, m):
     """Single-column factors of m for columns n, n-1, ..., 2; concatenated
     in this order they reproduce m."""
-    return [Monomial(alg.n, [k if alg.pairs[a][1] == j else 0
-                             for a, k in enumerate(m.exps)])
+    return [tuple(k if alg.pairs[a][1] == j else 0 for a, k in enumerate(m))
             for j in range(alg.n, 1, -1)]
 
 

@@ -51,7 +51,7 @@ def monomial_operator(act, m, alg):
     """Operator of a canonical monomial: compose factors left to right."""
     op = identity(act)
     for a in alg.written_order:
-        k = m.exps[a]
+        k = m[a]
         if not k:
             continue
         i, j = alg.pairs[a]

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from borelschur import cli
 from borelschur.cli import build_parser, main
 from borelschur.divided_powers import DividedPowerAlgebra
+from borelschur.fields import CHARACTERISTIC_CAP, PrimeField
 
 
 def source_env():
@@ -117,6 +119,27 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("char", [10 ** 400, 2 ** 61 - 1])
+def test_huge_characteristic_is_refused_at_once(char, capsys):
+    """A characteristic at or above the cap is refused before any
+    primality test: no float overflow, no trial division to sqrt(p)."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--n", "2", "--r", "1", "--char", str(char)])
+    assert exc.value.code == 2
+    assert "error: argument --char" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"below {CHARACTERISTIC_CAP}"):
+        PrimeField(char)
+    assert time.perf_counter() - start < 2
+
+
+def test_characteristic_cap_boundary():
+    assert CHARACTERISTIC_CAP == 2 ** 31
+    assert PrimeField(CHARACTERISTIC_CAP - 1).p == 2 ** 31 - 1  # a prime
+    with pytest.raises(ValueError):
+        PrimeField(CHARACTERISTIC_CAP)
+
+
 @pytest.mark.parametrize("n,r", [(5, 8), (6, 8), (2, 1500)])
 def test_verify_iso_checks_the_tensor_cap_first(n, r, capsys, monkeypatch):
     """Over the tensor-space cap, no algebra is built and no cache written."""
@@ -193,6 +216,13 @@ def test_byte_stability(tmp_path):
      "fdf291a1b251cbb062a068a1ec2c01132749783d3699d2ee55d5e1b9fb90023a"),
     ("transport --n 3 --r 4 --char 2 --lambda 2,1,1 --length 6 --height 8",
      "b48821343231f6cc915dd79627d5622ec2343df09522eaa3eb5eb161505b5f74"),
+    ("basis --n 3 --r 2 --char 0",
+     "59fbb84c4a03d9c64daf3411452bdbe0fba5f87bc9021033a77a9ab83c4f433b"),
+    ("basis --n 3 --r 2 --char 0 --format csv",
+     "19d2783cdd7e3e832bae04c18481be5983b8c744304bac4139f265d6ce93dcf2"),
+    ("transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 5 --height 6"
+     " --format csv",
+     "1d82bd4a85431846737873730cae7821ab05ed1fa6bdb10d21b7f0f94d8aaa30"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelschur.arrows import BorelAlgebra, arrow_is_kept
+from borelschur.arrows import BorelAlgebra, ConvexTruncation, arrow_is_kept
 from borelschur.combinatorics import (compositions, coords_to_vector,
                                       interval_points, point_add)
 from borelschur.divided_powers import DividedPowerAlgebra
@@ -294,6 +294,37 @@ def test_transport_and_direct_covers_agree(case):
     assert bc.verify()["passed"] and direct.verify()["passed"]
     assert bc.ext_dimensions() == direct.ext_dimensions()
     assert euler_ok(bc) and euler_ok(direct)
+
+
+@st.composite
+def interval_simples(draw):
+    n = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(0, 3))
+    lam = draw(st.sampled_from(interval_points(n, r)))
+    char = draw(st.sampled_from([0, 2, 3]))
+    return n, r, lam, char
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_simples())
+def test_interval_truncation_keeps_the_generators_inside(case):
+    """The convex step: over the interval truncation C(Y), the minimal
+    resolution of the simple at lam has one generator at each weight
+    lam + gamma in Y for each generator of degree gamma of the graded
+    resolution of the trivial module, in the same homological degree."""
+    n, r, lam, char = case
+    field = field_of_characteristic(char)
+    alg = DividedPowerAlgebra(n)
+    points = interval_points(n, r)
+    gc = minimal_resolution(alg, field, 4, (n - 1) * r)
+    inside = {}
+    for i, degs in enumerate(gc.degrees):
+        for g in degs:
+            w = point_add(lam, coords_to_vector(g))
+            if w in points:
+                inside[i, w] = inside.get((i, w), 0) + 1
+    direct = resolve_simple(ConvexTruncation(alg, points, field), lam, 4)
+    assert direct.ext_dimensions() == inside
 
 
 def d_squared_oracle(bc):
