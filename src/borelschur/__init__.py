@@ -7,13 +7,7 @@ transports minimal graded projective resolutions of the trivial module
 into minimal projective resolutions of the one-dimensional simples.
 """
 
-from .arrows import (
-    BorelAlgebra,
-    ConvexTruncation,
-    arrow_is_kept,
-    arrow_product,
-    reduce_to_compositions,
-)
+from .arrows import BorelAlgebra, ConvexTruncation, arrow_is_kept
 from .divided_powers import DividedPowerAlgebra
 from .fields import PrimeField, Rationals, field_of_characteristic
 from .idempotents import (
@@ -41,13 +35,11 @@ __all__ = [
     "Rationals",
     "TensorAction",
     "arrow_is_kept",
-    "arrow_product",
     "chain_report",
     "ext_table_csv",
     "field_of_characteristic",
     "minimal_resolution",
     "quotient_algebra",
-    "reduce_to_compositions",
     "resolve_simple",
     "tor_dimensions",
     "transport_resolution",

@@ -12,10 +12,13 @@ arrows from y2 to y1 + degree(a1).
 
 Restricting bases and heads to a finite convex set of points gives a
 finite-dimensional algebra whose basis is exactly the arrows inside the
-set.  Quotienting further to the compositions is done by the diagonal
-completion rule (`arrow_is_kept`): the surviving arrows are indexed by
+set.  Quotienting further to the compositions keeps the arrows that pass
+the diagonal completion test (`arrow_is_kept`): they are indexed by
 upper-triangular marginal matrices, which realizes the Borel subalgebra
-of the Schur algebra.
+of the Schur algebra.  `BorelAlgebra` builds its basis from those
+matrices, so its drop rule, `reduce_element`, is membership in the
+basis; `arrow_is_kept` is the independent description tests compare it
+with.
 """
 
 from .combinatorics import (
@@ -34,20 +37,6 @@ from .linalg import add_scaled
 def arrow_head(alg, arrow):
     m, base = arrow
     return point_add(base, coords_to_vector(alg.degree(m)))
-
-
-def arrow_product(alg, x, y, field):
-    """Bilinear product of arrow elements (dicts {(exps, base): scalar})."""
-    out = {}
-    for (m2, y2), c2 in y.items():
-        head2 = arrow_head(alg, (m2, y2))
-        for (m1, y1), c1 in x.items():
-            if y1 != head2:
-                continue
-            prod = alg.monomial_product(m1, m2, field)
-            add_scaled(out, {(m, y2): c for m, c in prod.items()},
-                       field.mul(c1, c2), field)
-    return out
 
 
 def indicator(alg, point):
@@ -71,12 +60,6 @@ def arrow_is_kept(alg, arrow, r):
         if mu[j - 1] - col < 0:
             return False
     return True
-
-
-def reduce_to_compositions(alg, element, r):
-    """Quotient map onto the composition algebra in the arrow basis:
-    drop every arrow failing the diagonal completion test."""
-    return {a: c for a, c in element.items() if arrow_is_kept(alg, a, r)}
 
 
 def matrix_to_arrow(alg, K):
@@ -209,8 +192,9 @@ class BorelAlgebra(BasedAlgebra):
     """The composition-indexed quotient: basis = kept arrows = marginal matrices.
 
     Products are computed in the ambient arrow algebra and reduced by the
-    monomial-drop rule; the linear-algebra quotient realization agrees
-    (tested against `quotient_algebra`).
+    monomial-drop rule, which drops every arrow outside the basis; the
+    linear-algebra quotient realization agrees (tested against
+    `quotient_algebra`).
     """
 
     def __init__(self, n, r, field, alg=None):
@@ -227,12 +211,10 @@ class BorelAlgebra(BasedAlgebra):
         self._index_arrows()
 
     def reduce_element(self, element):
-        """Arrow element -> index vector, dropping non-kept arrows."""
-        out = {}
-        for a, c in element.items():
-            if arrow_is_kept(self.alg, a, self.r):
-                out[self.index[a]] = c
-        return out
+        """Arrow element -> index vector: the drop rule keeps exactly the
+        arrows that are basis elements."""
+        index = self.index
+        return {index[a]: c for a, c in element.items() if a in index}
 
     def _product(self, i, j):
         return self.reduce_element(self._compose(i, j))

@@ -18,10 +18,13 @@ the interval down to the compositions one point at a time, in the layer
 order, and makes that comparison at every step with `removal_step`,
 which reads it off the one ideal the walk grows instead of building each
 quotient; the combinatorial hypotheses on the layer sets and
-Tor-vanishing spot checks complete the report.
+Tor-vanishing spot checks complete the report.  `tor_dimensions`
+resolves a simple over the interval algebra and reads Tor off the
+complex that `transport.push_down`, the same push-down the transport
+uses, gives over the Borel algebra.
 """
 
-from .arrows import BasedAlgebra, ConvexTruncation, arrow_is_kept
+from .arrows import BasedAlgebra, BorelAlgebra, ConvexTruncation
 from .combinatorics import (
     compositions,
     in_column_monoid,
@@ -33,8 +36,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import by_column, chain_ranks
-from .transport import resolve_simple
+from .transport import ModuleComplex, push_down, resolve_simple
 
 
 def close_two_sided_ideal(trunc, ideal, points):
@@ -255,40 +257,25 @@ def check_layer_hypotheses(n, r):
     return {"zj_condition": ok_z, "yj_condition": ok_y, "cases": cases}
 
 
-def tor_dimensions(trunc, r, lam, imax=2):
-    """dim Tor_i of (interval algebra / composition ideal, simple at lam).
+def tor_dimensions(trunc, borel, lam):
+    """dim Tor_1 and Tor_2 of (interval algebra / composition ideal, simple
+    at lam), as {1: ..., 2: ...}.
 
-    Resolves the simple over the interval algebra by projective covers and
-    pushes the resolution through the quotient (the drop rule); Tor is the
-    homology of the pushed-down complex.
+    Resolves the simple over the interval algebra `trunc` by projective
+    covers, pushes the resolution down to `borel` (`push_down`, an
+    entry's basis index read as the truncation arrow), and reads Tor off
+    the homology of the pushed-down complex.
     """
-    alg = trunc.alg
-    res = resolve_simple(trunc, lam, imax + 1)
-    memo = {}
-
-    def kept(a):
-        if a not in memo:
-            memo[a] = arrow_is_kept(alg, trunc.arrows[a], r)
-        return memo[a]
-
-    def mul(x, y):
-        return {z: c for z, c in trunc.product_indices(x, y).items()
-                if kept(z)}
-
-    bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
-              if kept(a)] for ws in res.weights]
-    ranks, d2 = chain_ranks(bases, [by_column(d) for d in res.diffs], mul,
-                            trunc.field)
-    if not d2:
+    res = resolve_simple(trunc, lam, 3)
+    weights, diffs, _ = push_down(borel, res.weights, res.diffs,
+                                  lambda i, t, a: trunc.arrows[a])
+    report = ModuleComplex(borel, lam, weights, diffs).verify()
+    if not report["d_squared_zero"]:
         raise ArithmeticError("the pushed-down resolution is not a complex")
-    out = {}
-    for i in range(1, imax + 1):
-        if i >= len(ranks):
-            out[i] = 0  # the resolution ended early: P_i = 0
-            continue
-        # H_i = dim ker(d_i^push) - rank(d_{i+1}^push)
-        out[i] = len(bases[i]) - ranks[i - 1] - ranks[i]
-    return out
+    dims, ranks = report["dims"], report["ranks"]
+    # H_i = dim ker(d_i) - rank(d_{i+1}); P_i = 0 once the resolution ended
+    return {i: dims[i] - ranks[i - 1] - ranks[i] if i < len(ranks) else 0
+            for i in (1, 2)}
 
 
 def removal_step(trunc, ideal, z):
@@ -342,11 +329,10 @@ def chain_report(n, r, field, tor_sample=None, alg=None):
     final_dim = trunc.dim - ideal.rank
     expected = tri_count(n, r)
 
-    tor = {}
+    borel = BorelAlgebra(n, r, field, alg=alg)
     if tor_sample is None:
         tor_sample = comps
-    for lam in tor_sample:
-        tor[lam] = tor_dimensions(trunc, r, lam, imax=2)
+    tor = {lam: tor_dimensions(trunc, borel, lam) for lam in tor_sample}
 
     passed = (
         hypotheses["zj_condition"]

@@ -1,13 +1,15 @@
 """Transport of graded resolutions into the composition-indexed quotient.
 
-A graded resolution of the trivial module turns into a complex of
-projectives over the Borel algebra: a generator of degree gamma becomes
-the projective at the weight lam + gamma when that weight is a
-composition and is deleted otherwise, and each differential entry is
-re-based at the target weight and pushed through the quotient.  The
-result is checked, never trusted: d^2, rank-counted exactness, the
-one-dimensional top and minimality are all verified on the transported
-complex.
+`push_down` is the functor F_lam: on a complex of projectives with
+known weights it deletes each summand whose weight is not a
+composition and reduces every map entry by the drop rule of the Borel
+algebra.  `transport_resolution` applies it to a graded resolution of
+the trivial module, a generator of degree gamma sitting at the weight
+lam + gamma and each differential entry re-based at its target weight;
+the Tor check of `idempotents` applies it to a resolution over the
+interval algebra.  The result is checked, never trusted: d^2,
+rank-counted exactness, the one-dimensional top and minimality are all
+verified on the pushed-down complex.
 
 `resolve_simple` resolves the one-dimensional simple at lam directly
 over any based algebra with the engine of `resolutions`: the pieces are
@@ -148,14 +150,49 @@ def max_reachable_height(lam, n, r):
     return sum(r - sum(lam[:k]) for k in range(1, n))
 
 
+def push_down(borel, weights, diffs, arrow):
+    """The functor F_lam on a complex of projectives.
+
+    `weights[i]` lists the weights of the summands of P_i and `diffs[i]`
+    is d_{i+1} as {(t, s): {x: scalar}}, basis element x of the entry at
+    row t read as the arrow `arrow(i, t, x)`.  Summands whose weight is
+    not a composition of `borel.r` are deleted, and every entry between
+    kept summands is reduced by `borel.reduce_element`.  Returns the kept
+    weights, the pushed maps over `borel`'s basis indices and the deleted
+    summands as pairs (i, s).
+    """
+    kept, keep, deleted = [], [], []   # keep: per module, {old s: new s}
+    for i, ws in enumerate(weights):
+        kp = {}
+        for s, w in enumerate(ws):
+            if is_composition(w, borel.r):
+                kp[s] = len(kp)
+            else:
+                deleted.append((i, s))
+        kept.append([ws[s] for s in kp])
+        keep.append(kp)
+    pushed = []
+    for i, diff in enumerate(diffs):
+        rows, cols, out = keep[i], keep[i + 1], {}
+        for (t, s), entry in diff.items():
+            if t in rows and s in cols:
+                vec = borel.reduce_element(
+                    {arrow(i, t, x): c for x, c in entry.items()})
+                if vec:
+                    out[(rows[t], cols[s])] = vec
+        pushed.append(out)
+    return kept, pushed, deleted
+
+
 def transport_resolution(gc, lam, r, borel=None):
     """Push a graded resolution of the trivial module down to the Borel algebra.
 
-    Generators survive at composition weights lam + degree and are deleted
-    otherwise; differential entries are re-based at the target weight and
-    reduced by the quotient's drop rule.  Deleting rows and columns is
-    justified by the strong-idempotent quotient, and is re-verified by
-    `ModuleComplex.verify` rather than trusted.
+    A generator of degree gamma sits at the weight lam + gamma, and each
+    differential entry is re-based at its target weight; `push_down`
+    deletes the generators at non-compositions and reduces the entries.
+    Deleting rows and columns is justified by the strong-idempotent
+    quotient, and is re-verified by `ModuleComplex.verify` rather than
+    trusted.
     """
     lam = tuple(lam)
     n = gc.alg.n
@@ -167,33 +204,11 @@ def transport_resolution(gc, lam, r, borel=None):
         borel = BorelAlgebra(n, r, gc.field)
     elif borel.field != gc.field or borel.n != n or borel.r != r:
         raise ValueError("quotient algebra does not match the resolution")
-    weights = []
-    keep = []   # per module: {old index: new index}
-    deleted = []
-    for i, degs in enumerate(gc.degrees):
-        ws = []
-        kp = {}
-        for s, g in enumerate(degs):
-            w = point_add(lam, coords_to_vector(g))
-            if is_composition(w, r):
-                kp[s] = len(ws)
-                ws.append(w)
-            else:
-                deleted.append((i, g, w))
-        weights.append(ws)
-        keep.append(kp)
-    diffs = []
-    for i, diff in enumerate(gc.diffs):
-        out = {}
-        for (t, s), entry in diff.items():
-            if t not in keep[i] or s not in keep[i + 1]:
-                continue
-            base = weights[i][keep[i][t]]
-            elem = {(m, base): c for m, c in entry.items()}
-            vec = borel.reduce_element(elem)
-            if vec:
-                out[(keep[i][t], keep[i + 1][s])] = vec
-        diffs.append(out)
+    full = [[point_add(lam, coords_to_vector(g)) for g in degs]
+            for degs in gc.degrees]
+    weights, diffs, dropped = push_down(
+        borel, full, gc.diffs, lambda i, t, m: (m, full[i][t]))
+    deleted = [(i, gc.degrees[i][s], full[i][s]) for i, s in dropped]
     complete = max_reachable_height(lam, n, r) <= gc.height
     terminated = len(weights) >= 1 and not weights[-1]
     return ModuleComplex(borel, lam, weights, diffs, complete=complete,

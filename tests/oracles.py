@@ -1,14 +1,17 @@
 """Test oracles: reference computations that no command runs.
 
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
-products and column factors of divided-power elements, the unit and the
-arrow-side product table of a based algebra, the largest reachable
-height by search over the compositions, the Euler characteristics
-of a transported complex (criterion 7), and elimination against an
-echelon form by picking one pivot at a time, and the nullspace of a
+products and column factors of divided-power elements, the product of
+arrow elements in the ambient arrow algebra, the unit and the arrow-side
+product table of a based algebra, the largest reachable height by
+search over the compositions, the Euler characteristics of a
+transported complex (criterion 7), Tor through the interval algebra's
+product filtered by the diagonal completion test, elimination against
+an echelon form by picking one pivot at a time, and the nullspace of a
 list of columns by eliminating the transposed matrix.
 """
 
+from borelschur.arrows import arrow_head, arrow_is_kept
 from borelschur.combinatorics import (
     compositions,
     point_sub,
@@ -16,6 +19,8 @@ from borelschur.combinatorics import (
 )
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
+from borelschur.resolutions import by_column, chain_ranks
+from borelschur.transport import resolve_simple
 
 
 def pair_to_matrix(i, j, n):
@@ -50,6 +55,21 @@ def multiply(alg, x, y, field):
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             add_scaled(out, alg.monomial_product(m1, m2, field),
+                       field.mul(c1, c2), field)
+    return out
+
+
+def arrow_product(alg, x, y, field):
+    """Bilinear product of arrow elements (dicts {(exps, base): scalar})
+    in the ambient arrow algebra, with no truncation or reduction."""
+    out = {}
+    for (m2, y2), c2 in y.items():
+        head2 = arrow_head(alg, (m2, y2))
+        for (m1, y1), c1 in x.items():
+            if y1 != head2:
+                continue
+            prod = alg.monomial_product(m1, m2, field)
+            add_scaled(out, {(m, y2): c for m, c in prod.items()},
                        field.mul(c1, c2), field)
     return out
 
@@ -95,6 +115,37 @@ def max_reachable_height(lam, n, r):
         if d is not None:
             best = max(best, sum(d))
     return best
+
+
+def filtered_tor(trunc, r, lam):
+    """dim Tor_1 and Tor_2 at the simple lam, by the filtered product: the
+    resolution over the interval algebra `trunc`, its maps applied to the
+    truncation arrows that pass `arrow_is_kept`, and every product of
+    `trunc` restricted to those arrows."""
+    res = resolve_simple(trunc, lam, 3)
+    memo = {}
+
+    def kept(a):
+        if a not in memo:
+            memo[a] = arrow_is_kept(trunc.alg, trunc.arrows[a], r)
+        return memo[a]
+
+    def mul(x, y):
+        return {z: c for z, c in trunc.product_indices(x, y).items()
+                if kept(z)}
+
+    bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
+              if kept(a)] for ws in res.weights]
+    ranks, d2 = chain_ranks(bases, [by_column(d) for d in res.diffs], mul,
+                            trunc.field)
+    assert d2, "the filtered resolution is not a complex"
+    out = {}
+    for i in (1, 2):
+        if i >= len(ranks):
+            out[i] = 0  # the resolution ended early: P_i = 0
+            continue
+        out[i] = len(bases[i]) - ranks[i - 1] - ranks[i]
+    return out
 
 
 def picking_coordinates(ech, vec):

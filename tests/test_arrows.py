@@ -7,10 +7,8 @@ from borelschur.arrows import (
     ConvexTruncation,
     arrow_head,
     arrow_is_kept,
-    arrow_product,
     indicator,
     matrix_to_arrow,
-    reduce_to_compositions,
 )
 from borelschur.combinatorics import (
     compositions,
@@ -24,7 +22,7 @@ from borelschur.combinatorics import (
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import quotient_algebra, removal_order
-from oracles import arrow_to_matrix, column_factors, unit
+from oracles import arrow_product, arrow_to_matrix, column_factors, unit
 
 QQ = Rationals()
 
@@ -164,11 +162,22 @@ def test_kept_arrow_endpoints_dominate():
 
 
 def test_reduce_examples():
+    """The drop rule is basis membership: on every interval arrow,
+    `reduce_element` keeps exactly the arrows that pass the diagonal
+    completion test, at their basis indices."""
+    for n, r in [(2, 3), (3, 2), (3, 3), (4, 2)]:
+        B = BorelAlgebra(n, r, QQ)
+        T = ConvexTruncation(B.alg, interval_points(n, r), QQ)
+        elem = {a: QQ.of(k + 1) for k, a in enumerate(T.arrows)}
+        assert B.reduce_element(elem) == {
+            B.index[a]: c for a, c in elem.items()
+            if arrow_is_kept(B.alg, a, r)}, (n, r)
     A3 = DividedPowerAlgebra(3)
     kept = (A3.monomial({(1, 3): 1}), (1, 0, 1))
     dropped = (A3.monomial({(2, 3): 1, (1, 2): 1}), (1, 0, 1))
-    elem = {kept: QQ.of(5), dropped: QQ.of(7)}
-    assert reduce_to_compositions(A3, elem, 2) == {kept: QQ.of(5)}
+    B = BorelAlgebra(3, 2, QQ, alg=A3)
+    assert B.reduce_element({kept: QQ.of(5), dropped: QQ.of(7)}) == {
+        B.index[kept]: QQ.of(5)}
 
 
 def test_borel_dimensions():

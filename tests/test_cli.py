@@ -223,6 +223,10 @@ def test_byte_stability(tmp_path):
     ("transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 5 --height 6"
      " --format csv",
      "1d82bd4a85431846737873730cae7821ab05ed1fa6bdb10d21b7f0f94d8aaa30"),
+    ("check-ideals --n 4 --r 2 --char 2",
+     "574f6fa9ee1837acad418e7ccad98085d14a9033cc30bea84b9fb4b3cadd9cd5"),
+    ("check-ideals --n 3 --r 3 --char 0",
+     "46de475da0257be46eb461cebc30b9b25fb9c28fdd7c8a3b055489f0c3f4335b"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

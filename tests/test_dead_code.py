@@ -1,17 +1,22 @@
-"""Every function in src/borelschur runs from src/ or is exported.
+"""Every function in src/borelschur runs from src/ or is a documented export.
 
 A function or method counts as used when its name appears in src/ as a
-name, attribute, import or string outside its own definition, or when it
-is in `borelschur.__all__`.  Dunders are exempt.  Code that only tests
-call belongs in a test helper module such as `oracles.py`.
+name, attribute, import or string outside its own definition and outside
+`__init__.py`, whose imports and `__all__` only export.  A function
+that no src/ code calls may stay only when it is in `borelschur.__all__`
+and the README names it in backticks, saying why a library user wants
+it.  Dunders are exempt.  Code that only tests call belongs in a test
+helper module such as `oracles.py`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import borelschur
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "borelschur"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "borelschur"
 FIELDS = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
 
 
@@ -26,8 +31,8 @@ def identifier(node):
 def unreferenced(src):
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     refs = [(identifier(node), mod, node.lineno)
-            for mod, tree in trees.items() for node in ast.walk(tree)
-            if identifier(node)]
+            for mod, tree in trees.items() if mod != "__init__.py"
+            for node in ast.walk(tree) if identifier(node)]
     out = []
     for mod, tree in trees.items():
         for node in ast.walk(tree):
@@ -41,10 +46,16 @@ def unreferenced(src):
     return out
 
 
+def unexplained(src, exported, readme):
+    """Unreferenced functions that are not exported with a README mention."""
+    documented = set(re.findall(r"`(\w+)[`(]", readme))
+    return [f for f in unreferenced(src)
+            if f.split()[-1] not in exported & documented]
+
+
 def test_every_function_has_a_caller_in_src():
-    exported = set(borelschur.__all__)
-    assert [f for f in unreferenced(SRC)
-            if f.split()[-1] not in exported] == []
+    assert unexplained(SRC, set(borelschur.__all__),
+                       (ROOT / "README.md").read_text()) == []
 
 
 def test_guard_sees_an_unused_function(tmp_path):
@@ -55,3 +66,10 @@ def test_guard_sees_an_unused_function(tmp_path):
         "    def method(self):\n        return 2\n")
     assert unreferenced(tmp_path) == ["a.py:5 unused", "a.py:9 recursive",
                                       "a.py:17 method"]
+
+
+def test_guard_wants_a_reason_for_an_unused_export(tmp_path):
+    (tmp_path / "a.py").write_text("def helper():\n    return 1\n")
+    assert unexplained(tmp_path, {"helper"}, "") == ["a.py:1 helper"]
+    assert unexplained(tmp_path, set(), "`helper`") == ["a.py:1 helper"]
+    assert unexplained(tmp_path, {"helper"}, "run `helper()` to see") == []

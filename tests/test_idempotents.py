@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelschur import idempotents
 from borelschur.arrows import BorelAlgebra, ConvexTruncation
 from borelschur.combinatorics import compositions, interval_points, tri_count
 from borelschur.divided_powers import DividedPowerAlgebra
-from borelschur.fields import PrimeField, Rationals
+from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.idempotents import (
     QuotientAlgebra,
     chain_report,
@@ -20,7 +20,7 @@ from borelschur.idempotents import (
 )
 from borelschur.linalg import Echelon
 from borelschur.transport import resolve_simple
-from oracles import unit
+from oracles import filtered_tor, unit
 
 QQ = Rationals()
 
@@ -228,16 +228,42 @@ def test_layer_hypotheses():
 
 def test_tor_vanishing_direct():
     T = interval_truncation(3, 2, PrimeField(2))
+    B = BorelAlgebra(3, 2, T.field, alg=T.alg)
     for lam in compositions(3, 2):
-        tor = tor_dimensions(T, 2, lam, imax=2)
+        tor = tor_dimensions(T, B, lam)
         assert tor == {1: 0, 2: 0}, (lam, tor)
+
+
+@st.composite
+def interval_weights(draw):
+    n = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(0, 3))
+    lam = draw(st.sampled_from(interval_points(n, r)))
+    return n, r, lam, draw(st.sampled_from([0, 2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_weights())
+@example((3, 3, (1, -1, 3), 0))
+def test_tor_matches_the_filtered_product_route(case):
+    """Tor through the push-down equals Tor through the interval
+    algebra's product filtered by the diagonal completion test, at every
+    weight of the interval, compositions or not."""
+    n, r, lam, char = case
+    T = interval_truncation(n, r, field_of_characteristic(char))
+    B = BorelAlgebra(n, r, T.field, alg=T.alg)
+    tor = tor_dimensions(T, B, lam)
+    assert tor == filtered_tor(T, r, lam)
+    if case == (3, 3, (1, -1, 3), 0):
+        assert tor[1] == 3
 
 
 def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
     # one coefficient of d_2 changed before the push-down: homology would
     # be meaningless, so Tor must refuse rather than count ranks
     T = interval_truncation(3, 2, PrimeField(3))
-    assert tor_dimensions(T, 2, (0, 0, 2)) == {1: 0, 2: 0}
+    B = BorelAlgebra(3, 2, T.field, alg=T.alg)
+    assert tor_dimensions(T, B, (0, 0, 2)) == {1: 0, 2: 0}
 
     def corrupted(algebra, lam, length):
         res = resolve_simple(algebra, lam, length)
@@ -248,7 +274,7 @@ def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
 
     monkeypatch.setattr(idempotents, "resolve_simple", corrupted)
     with pytest.raises(ArithmeticError):
-        tor_dimensions(T, 2, (0, 0, 2))
+        tor_dimensions(T, B, (0, 0, 2))
 
 
 def test_chain_report_vacuous_for_two_rows():

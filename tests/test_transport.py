@@ -265,6 +265,21 @@ def test_transport_three_rows_degree_three():
     assert bc.verify()["dims"][:4] == [10, 21, 19, 7]
 
 
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_transport_four_rows_degree_three(char):
+    """The theorem at n = 4: one graded resolution, long and high enough
+    for every weight, transported to every simple of S+(4, 3) and matched
+    against direct covers over the Borel algebra."""
+    field = field_of_characteristic(char)
+    gc = minimal_resolution(DividedPowerAlgebra(4), field, 10, 9)
+    borel = BorelAlgebra(4, 3, field)
+    for lam in compositions(4, 3):
+        bc = transport_resolution(gc, lam, 3, borel=borel)
+        assert bc.verify()["passed"] and bc.complete and bc.terminated, lam
+        direct = resolve_simple(borel, lam, 10)
+        assert direct.ext_dimensions() == bc.ext_dimensions(), lam
+
+
 @st.composite
 def simples(draw):
     n = draw(st.sampled_from([2, 3]))
