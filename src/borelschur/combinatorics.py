@@ -182,25 +182,20 @@ def dominance_between(a, b):
 
 
 def is_convex(points):
-    """Brute-force convexity in the dominance order."""
+    """Convexity in the dominance order, by cover steps.
+
+    Steps v_i - v_{i+1} lead from a to any z <= b, and such a chain leaves
+    the set at a first step when z is outside it.  So the set is convex
+    iff no step a + (v_i - v_{i+1}) from a point a of the set lands
+    outside it and below a point of it.
+    """
     pts = set(points)
     for a in pts:
-        for b in pts:
-            if a != b and dominance_leq(a, b):
-                if any(z not in pts for z in dominance_between(a, b)):
-                    return False
+        for i in range(len(a) - 1):
+            z = a[:i] + (a[i] + 1, a[i + 1] - 1) + a[i + 2:]
+            if z not in pts and any(dominance_leq(z, b) for b in pts):
+                return False
     return True
-
-
-def in_column_monoid(d, n, k):
-    """Membership of d in the monoid generated by v_i - v_k, i < k."""
-    if len(d) != n:
-        raise ValueError("length mismatch")
-    if any(d[i] != 0 for i in range(k, n)):
-        return False
-    if any(d[i] < 0 for i in range(k - 1)):
-        return False
-    return d[k - 1] == -sum(d[i] for i in range(k - 1))
 
 
 def orbit_of_pair(i, j):

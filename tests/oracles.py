@@ -7,13 +7,19 @@ product table of a based algebra, the largest reachable height by
 search over the compositions, the Euler characteristics of a
 transported complex (criterion 7), Tor through the interval algebra's
 product filtered by the diagonal completion test, elimination against
-an echelon form by picking one pivot at a time, and the nullspace of a
-list of columns by eliminating the transposed matrix.
+an echelon form by picking one pivot at a time, the nullspace of a
+list of columns by eliminating the transposed matrix, convexity by
+every dominance interval between two points, and the layer hypotheses
+by testing every pair of points for a single-column monoid step.
 """
 
 from borelschur.arrows import arrow_head, arrow_is_kept
 from borelschur.combinatorics import (
     compositions,
+    dominance_between,
+    dominance_leq,
+    interval_points,
+    layer_points,
     point_sub,
     positive_root_coords,
 )
@@ -202,3 +208,70 @@ def column_kernel(columns, field):
     for j, vec in kernel.items():
         vec[j] = field.one
     return list(kernel.values())
+
+
+def is_convex(points):
+    """Brute-force convexity in the dominance order: every point between
+    two points of the set lies in it."""
+    pts = set(points)
+    for a in pts:
+        for b in pts:
+            if a != b and dominance_leq(a, b):
+                if any(z not in pts for z in dominance_between(a, b)):
+                    return False
+    return True
+
+
+def in_column_monoid(d, n, k):
+    """Membership of d in the monoid generated by v_i - v_k, i < k."""
+    if len(d) != n:
+        raise ValueError("length mismatch")
+    if any(d[i] != 0 for i in range(k, n)):
+        return False
+    if any(d[i] < 0 for i in range(k - 1)):
+        return False
+    return d[k - 1] == -sum(d[i] for i in range(k - 1))
+
+
+def check_layer_hypotheses(n, r):
+    """`idempotents.check_layer_hypotheses` by testing every pair (z, y)
+    of a layer (or union of layers) and the interval for a monoid step."""
+    Y = interval_points(n, r)
+    m = n - 1
+    if m < 1:
+        return {"zj_condition": True, "yj_condition": True, "cases": []}
+    Z = {1: [z for z in Y if all(x >= 0 for x in z)]}
+    for i in range(2, m + 1):
+        Z[i] = layer_points(n, r, n + 1 - i)
+    col = {i: n + 1 - i for i in range(1, m + 1)}
+    cases = []
+    ok_z = ok_y = True
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            allowed = set()
+            for k in range(i, j + 1):
+                allowed.update(Z[k])
+            reach = {
+                y
+                for z in Z[i]
+                for y in Y
+                if in_column_monoid(point_sub(y, z), n, col[j])
+            }
+            good = reach <= allowed
+            ok_z = ok_z and good
+            cases.append(("layer", i, j, good))
+    for j in range(1, m + 1):
+        Yj = set()
+        for k in range(1, j + 1):
+            Yj.update(Z[k])
+        for i in range(1, j):
+            reach = {
+                y
+                for z in Yj
+                for y in Y
+                if in_column_monoid(point_sub(y, z), n, col[i])
+            }
+            good = reach == Yj
+            ok_y = ok_y and good
+            cases.append(("union", i, j, good))
+    return {"zj_condition": ok_z, "yj_condition": ok_y, "cases": cases}

@@ -227,6 +227,8 @@ def test_byte_stability(tmp_path):
      "574f6fa9ee1837acad418e7ccad98085d14a9033cc30bea84b9fb4b3cadd9cd5"),
     ("check-ideals --n 3 --r 3 --char 0",
      "46de475da0257be46eb461cebc30b9b25fb9c28fdd7c8a3b055489f0c3f4335b"),
+    ("check-ideals --n 5 --r 2 --char 0",
+     "e287f615cd2cfaba15de954af479a33eed2c893f5391d43e794403e92f3c7910"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

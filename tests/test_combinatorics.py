@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product as iproduct
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelschur.combinatorics import (
@@ -12,7 +12,6 @@ from borelschur.combinatorics import (
     coords_to_vector,
     dominance_between,
     dominance_leq,
-    in_column_monoid,
     interval_points,
     is_convex,
     layer_key,
@@ -26,7 +25,8 @@ from borelschur.combinatorics import (
     tri_matrices_all,
     weight,
 )
-from oracles import pair_to_matrix
+from oracles import in_column_monoid, pair_to_matrix
+from oracles import is_convex as brute_is_convex
 
 
 # ---------------------------------------------------------------- dominance
@@ -346,10 +346,38 @@ def test_column_monoid_membership():
 
 # ----------------------------------------------------------------- convexity
 
+HOLED = [z for z in interval_points(3, 2) if z != (1, 0, 1)]
+
+
 def test_is_convex_examples():
     assert is_convex(interval_points(3, 2))
     assert not is_convex(compositions(3, 2))
+    assert not is_convex(HOLED)  # (0,0,2) < (1,0,1) < (2,0,0)
     assert is_convex([(1, 1)])
+
+
+@st.composite
+def point_sets(draw):
+    """A random subset of an interval, or a sub-interval of it with at
+    most one point removed."""
+    n = draw(st.integers(1, 4))
+    Y = interval_points(n, draw(st.integers(0, 3 if n == 4 else 4)))
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(Y), unique=True))
+    pts = dominance_between(draw(st.sampled_from(Y)), draw(st.sampled_from(Y)))
+    if pts and draw(st.booleans()):
+        pts.remove(draw(st.sampled_from(pts)))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+@example(compositions(3, 2))
+@example(HOLED)
+def test_is_convex_matches_every_interval(points):
+    """The cover-step test agrees with checking every dominance interval
+    between two points of the set."""
+    assert is_convex(points) == brute_is_convex(points)
 
 
 def test_convexity_witness():

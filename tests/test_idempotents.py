@@ -20,6 +20,7 @@ from borelschur.idempotents import (
 )
 from borelschur.linalg import Echelon
 from borelschur.transport import resolve_simple
+from oracles import check_layer_hypotheses as pairwise_hypotheses
 from oracles import filtered_tor, unit
 
 QQ = Rationals()
@@ -181,6 +182,33 @@ def test_removal_steps_match_rebuilt_quotients(case):
     assert rep["steps"] == rebuilt_quotient_steps(n, r, field)
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_cases)
+def test_surviving_closure_matches_the_all_pairs_closure(case):
+    """`removal_step` closes the ideal from at most p * q products of
+    surviving arrows, and after every step its rows equal those of the
+    all-pairs closure over every arrow at the removed points."""
+    (n, r), char = case
+    field = field_of(char)
+    T = interval_truncation(n, r, field)
+    calls = []
+    product_indices = T.product_indices
+
+    def counted(i, j):
+        calls.append((i, j))
+        return product_indices(i, j)
+
+    T.product_indices = counted
+    fast, slow = Echelon(field), Echelon(field)
+    for _, z in removal_order(n, r):
+        calls.clear()
+        step = removal_step(T, fast, z)
+        assert len(calls) <= step.get("dim_Ae", 0) * step.get("dim_eA", 0)
+        close_two_sided_ideal(T, slow, [z])
+        assert fast.rows == slow.rows, z
+    assert fast.rank == T.dim - tri_count(n, r)
+
+
 def test_chain_builds_no_quotient(monkeypatch):
     def refuse(*args):
         raise AssertionError("chain_report built a quotient")
@@ -224,6 +252,13 @@ def test_layer_hypotheses():
         hyp = check_layer_hypotheses(n, r)
         assert hyp["zj_condition"], (n, r)
         assert hyp["yj_condition"], (n, r)
+
+
+@pytest.mark.parametrize("n,r", SMALL + [(4, 4), (5, 3)])
+def test_layer_hypotheses_match_the_pairwise_oracle(n, r):
+    """Reaches looked up by the coordinates after the column equal the
+    reaches found by testing every pair of points, case by case."""
+    assert check_layer_hypotheses(n, r) == pairwise_hypotheses(n, r)
 
 
 def test_tor_vanishing_direct():
