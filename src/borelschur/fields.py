@@ -1,9 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-All arithmetic in this package is exact.  Scalars are either
-`fractions.Fraction` (characteristic 0) or plain ints in [0, p)
-(characteristic p).  A field object bundles the operations so that the
-linear algebra routines can stay generic.
+All arithmetic in this package is exact.  In characteristic 0 a scalar
+is a plain int when it is integral and a `fractions.Fraction` otherwise,
+never an integral `Fraction`, so the integer structure constants of the
+Z-form run at int speed; in characteristic p it is a plain int in
+[0, p).  A field object bundles the operations so that the linear
+algebra routines can stay generic.
 """
 
 from fractions import Fraction
@@ -14,24 +16,32 @@ from math import isqrt
 CHARACTERISTIC_CAP = 2**31
 
 
+def _canonical(c):
+    """A `Fraction` as an int when integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Rationals:
-    """Arbitrary-precision rational arithmetic."""
+    """Arbitrary-precision rational arithmetic on canonical scalars."""
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, a):
-        return Fraction(a)
+        return a if type(a) is int else _canonical(Fraction(a))
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _canonical(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _canonical(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _canonical(c)
 
     def neg(self, a):
         return -a
@@ -39,7 +49,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
     def __repr__(self):
         return "QQ"

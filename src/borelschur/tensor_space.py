@@ -135,18 +135,19 @@ class TensorAction:
         """Coefficients over the xi basis; raises if op is outside the span.
 
         Reads each coefficient off the canonical matrix position of its
-        orbit, then reconstructs and compares.
+        orbit, then reconstructs and compares.  Meeting an orbit marks
+        every position of its support, so each orbit is keyed once.
         """
         coeffs = {}
-        seen = set()
+        marked = set()
         for q, col in op.items():
             j = self.indices[q]
             for p in col:
-                i = self.indices[p]
-                key = self.orbit_key(i, j)
-                if key in seen:
+                if (p, q) in marked:
                     continue
-                seen.add(key)
+                key = self.orbit_key(self.indices[p], j)
+                marked.update((pp, qq) for qq, orbit_col
+                              in self.orbit_sum(key).items() for pp in orbit_col)
                 ci, cj = self.canonical_pair(key)
                 c = op.get(self.position[cj], {}).get(self.position[ci],
                                                       self.field.zero)

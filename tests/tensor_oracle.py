@@ -4,9 +4,9 @@ Each function takes a `TensorAction` and uses only its public operator
 calls, so it checks the library from outside: the identity, a matrix
 unit, linear combinations, a vector's image, the operator of a whole
 monomial composed factor by factor, the r-fold tensor power of a
-matrix, products in xi coordinates, and the xi coordinates of every
+matrix, products in xi coordinates, the xi coordinates of every
 product of a list of operators composed one pair at a time without any
-skipping.
+skipping, and xi coordinates read by keying every entry of an operator.
 """
 
 from itertools import product as iproduct
@@ -84,3 +84,20 @@ def composed_product_orbits(act, ops):
     """Xi coordinates of x . y for every x, y in ops, row-major, each pair
     composed whatever its supports."""
     return [act.operator_to_orbits(act.compose(x, y)) for x in ops for y in ops]
+
+
+def keyed_operator_to_orbits(act, op):
+    """Xi coordinates of op, keying the orbit of every nonzero entry and
+    reading each new orbit's coefficient at its canonical position."""
+    coeffs = {}
+    for q, col in op.items():
+        for p in col:
+            key = act.orbit_key(act.indices[p], act.indices[q])
+            if key not in coeffs:
+                ci, cj = act.canonical_pair(key)
+                coeffs[key] = op.get(act.position[cj], {}).get(
+                    act.position[ci], act.field.zero)
+    coeffs = {key: c for key, c in coeffs.items() if c != act.field.zero}
+    if not act.equal(act.orbits_to_operator(coeffs), op):
+        raise ValueError("operator is not in the span of the xi basis")
+    return coeffs

@@ -229,6 +229,14 @@ def test_byte_stability(tmp_path):
      "46de475da0257be46eb461cebc30b9b25fb9c28fdd7c8a3b055489f0c3f4335b"),
     ("check-ideals --n 5 --r 2 --char 0",
      "e287f615cd2cfaba15de954af479a33eed2c893f5391d43e794403e92f3c7910"),
+    ("resolve --n 4 --char 0 --length 4 --height 6",
+     "f42f47ceecf516a5433b711f0dc64d2e7aabd70f8970be25adc55775dd857436"),
+    ("verify-iso --n 3 --r 3 --char 0",
+     "7f0d384c7bf75af8eab6efdf8a84b205f60e13c13cd3cf573db184d2bd8c88c1"),
+    ("verify-iso --n 4 --r 2 --char 0",
+     "01f0ccd0f7abddef8aafa2a71529a3e94765f890b8f65dc6ee94f1266e02a36e"),
+    ("transport --n 3 --r 4 --char 0 --lambda 2,1,1 --length 6 --height 8",
+     "320962f47ce11743588c7b04cb77c3f4f3f3200d67f13fc21306bbb6ea533846"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

@@ -203,7 +203,7 @@ def test_field_constants_are_plain_attributes():
     """`zero`, `one` and `characteristic` are attributes, not properties;
     equality and hashing go by characteristic as before."""
     QQ, F7 = Rationals(), PrimeField(7)
-    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
     assert (QQ.zero, QQ.one, QQ.characteristic) == (0, 1, 0)
     assert (F7.zero, F7.one, F7.characteristic) == (0, 1, 7)
     for name in ("zero", "one", "characteristic"):
@@ -212,6 +212,42 @@ def test_field_constants_are_plain_attributes():
     assert QQ == Rationals() and hash(QQ) == hash(("field", 0))
     assert F7 == PrimeField(7) and hash(F7) == hash(("field", 7))
     assert F7 != PrimeField(5) and F7 != QQ and QQ != F7
+
+
+# a rational scalar: an int when integral, a reduced Fraction otherwise
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)).map(
+    lambda c: c.numerator if c.denominator == 1 else c)
+
+
+def is_canonical(c):
+    """An int exactly when the value is integral, else a Fraction."""
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals)
+def test_rational_scalars_are_canonical(a, b):
+    """Every `Rationals` operation agrees with plain `Fraction` arithmetic
+    and returns an int exactly when its value is integral."""
+    QQ = Rationals()
+    fa, fb = Fraction(a), Fraction(b)
+    results = [(QQ.of(a), fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
+    if a != 0:
+        results.append((QQ.inv(a), 1 / fa))
+    for got, want in results:
+        assert got == want and is_canonical(got)
+    assert QQ.of(fa) == fa and is_canonical(QQ.of(fa))
+
+
+def test_rational_results_collapse_to_ints():
+    QQ, half, third = Rationals(), Fraction(1, 2), Fraction(1, 3)
+    cases = [(QQ.add(half, half), 1), (QQ.mul(Fraction(2, 3), Fraction(3, 2)), 1),
+             (QQ.sub(third, third), 0), (QQ.inv(Fraction(1, 5)), 5),
+             (QQ.inv(-1), -1), (QQ.of(Fraction(6, 3)), 2), (QQ.of(7), 7)]
+    for got, want in cases:
+        assert type(got) is int and got == want
+    assert QQ.inv(3) == third and type(QQ.inv(3)) is Fraction
 
 
 def column_users(rows):

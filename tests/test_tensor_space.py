@@ -26,6 +26,7 @@ from tensor_oracle import (
     elementary,
     group_operator,
     identity,
+    keyed_operator_to_orbits,
     monomial_operator,
     schur_multiply,
 )
@@ -328,6 +329,33 @@ def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
     assert list(act.product_orbits(images)) == expected
     meeting = sum(supports_meet(x, y) for x in images for y in images)
     assert len(composed) == meeting < borel.dim ** 2
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_operator_to_orbits_keys_each_orbit_once(monkeypatch, n, r, char):
+    """On the images and their products, `operator_to_orbits` gives the
+    coordinates of keying every entry, in the same order, and calls
+    `orbit_key` once per distinct orbit of the operator's support."""
+    field = QQ if char == 0 else PrimeField(char)
+    borel = BorelAlgebra(n, r, field)
+    act = TensorAction(n, r, field)
+    images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
+    ops = images + [act.compose(x, y) for x in images for y in images]
+    ops = [op for op in ops if op]
+    expected = [list(keyed_operator_to_orbits(act, op).items()) for op in ops]
+    orbits = [{act.orbit_key(act.indices[p], act.indices[q])
+               for q, col in op.items() for p in col} for op in ops]
+    keyed = []
+    orbit_key = act.orbit_key
+    monkeypatch.setattr(act, "orbit_key",
+                        lambda i, j: keyed.append(1) or orbit_key(i, j))
+    for op, want, support in zip(ops, expected, orbits):
+        keyed.clear()
+        assert list(act.operator_to_orbits(op).items()) == want
+        assert len(keyed) == len(support)
+    assert any(len(support) < sum(map(len, op.values()))
+               for op, support in zip(ops, orbits))
 
 
 def test_verify_isomorphism_is_repeatable():
