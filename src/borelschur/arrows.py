@@ -77,7 +77,8 @@ class BasedAlgebra:
     A subclass sets `field`, `arrows` (pairs (exps, base)) and
     `heads`, calls `_index_arrows` once, and supplies `_product(i, j)`,
     the product of composable basis arrows as a vector over basis
-    indices; `product_indices` caches it.  The index answers "which
+    indices; `product_indices` and `product_terms` cache it and give a
+    copy the caller owns or the cached pairs.  The index answers "which
     arrows start at y", "which end at w" and "which run from y to w" by
     lookup; each answer lists indices in increasing order.  Basis arrows
     i and j compose only when base(i) == head(j); every other product is
@@ -130,23 +131,33 @@ class BasedAlgebra:
             hit = self._ptable[(i, j)] = self._product(i, j)
         return dict(hit)
 
+    def product_terms(self, i, j):
+        """The same product as (index, scalar) pairs, read from the cached
+        table entry without a copy: the resolution engine's `mul`."""
+        if self.bases[i] != self.heads[j]:
+            return ()
+        hit = self._ptable.get((i, j))
+        if hit is None:
+            hit = self._ptable[(i, j)] = self._product(i, j)
+        return hit.items()
+
     def _compose(self, i, j):
         """Product of composable basis arrows i and j as an arrow element."""
         (m1, _), (m2, y2) = self.arrows[i], self.arrows[j]
-        return {(m, y2): c for m, c
-                in self.alg.monomial_product(m1, m2, self.field).items()}
+        of = self.field.of
+        return {(m, y2): c for m, k in self.alg.product_terms(m1, m2)
+                if (c := of(k))}
 
     def product(self, x, y):
         """Bilinear product of index vectors."""
-        field = self.field
         bases = self.bases
         out = {}
         for j, cj in y.items():
             head = self.heads[j]
             for i, ci in x.items():
                 if bases[i] == head:
-                    add_scaled(out, self.product_indices(i, j),
-                               field.mul(ci, cj), field)
+                    add_scaled(out, self.product_indices(i, j), ci * cj,
+                               self.field)
         return out
 
 

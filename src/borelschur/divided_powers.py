@@ -21,8 +21,8 @@ table.
 import hashlib
 import json
 import os
-from math import comb
-from operator import mul
+from math import comb, prod
+from operator import add, mul
 
 from .combinatorics import compositions
 
@@ -160,27 +160,32 @@ class DividedPowerAlgebra:
         differ, at e_kl, the one with fewer e_kl has more of some e_jl with
         j < k (the degrees agree at v_{l-1} - v_l), and that letter comes
         next in its word and is less than e_kl.
+
+        Straightening e1 e2 moves letters of e2 left past letters of e1;
+        the only such crossing that is not a swap or a merge is an e_ij of
+        e1 with an e_jl of e2.  Without one the product is the single term
+        e1 + e2 with coefficient the product of the binomials C(p+q, p),
+        and the word is not rewritten.
         """
+        pairs = self.pairs
+        heads = {pairs[a][1] for a, k in enumerate(e1) if k}
+        if not any(k and pairs[a][0] in heads for a, k in enumerate(e2)):
+            exps = tuple(map(add, e1, e2))
+            return ((exps, prod(map(comb, exps, e1))),)
         terms = self._straighten(self._syllables(e1) + self._syllables(e2))
         order = self.written_order
         return tuple(sorted(terms.items(),
                             key=lambda t: [t[0][a] for a in order]))
 
-    def monomial_product(self, m1, m2, field):
-        """Product of two monomials as {monomial: nonzero scalar} in field."""
-        zero = field.zero
-        out = {}
-        for m, k in self.product_terms(m1, m2):
-            c = field.of(k)
-            if c != zero:
-                out[m] = c
-        return out
-
     # -- graded components ----------------------------------------------
 
     def component_basis(self, coords):
-        """All monomials of degree exactly coords, in increasing order:
-        `place` sets the exponents pair by pair, each one ascending."""
+        """All monomials of degree exactly coords, in increasing order.
+
+        `place` sets the exponents of the pairs (i, j) with j > i + 1; the
+        rest of the degree then fixes the exponent of each simple e_l,l+1,
+        so every placement is one monomial.
+        """
         coords = tuple(coords)
         hit = self._components.get(coords)
         if hit is not None:
@@ -190,25 +195,28 @@ class DividedPowerAlgebra:
         if any(c < 0 for c in coords):
             return []
         pairs = self.pairs
+        free = [a for a, (i, j) in enumerate(pairs) if j > i + 1]
+        simple = [self.pair_index[(l, l + 1)] for l in range(1, self.n)]
         out = []
         exps = [0] * len(pairs)
 
-        def place(a, rem):
-            if a == len(pairs):
-                if all(c == 0 for c in rem):
-                    out.append(tuple(exps))
+        def place(t, rem):
+            if t == len(free):
+                for a, k in zip(simple, rem):
+                    exps[a] = k
+                out.append(tuple(exps))
                 return
-            i, j = pairs[a]
-            cap = min(rem[l] for l in range(i - 1, j - 1))
-            for k in range(cap + 1):
-                exps[a] = k
+            i, j = pairs[free[t]]
+            span = range(i - 1, j - 1)
+            for k in range(min(rem[l] for l in span) + 1):
+                exps[free[t]] = k
                 nxt = list(rem)
-                for l in range(i - 1, j - 1):
+                for l in span:
                     nxt[l] -= k
-                place(a + 1, nxt)
-            exps[a] = 0
+                place(t + 1, nxt)
 
         place(0, list(coords))
+        out.sort()
         self._components[coords] = out
         return out
 
@@ -284,7 +292,8 @@ class DividedPowerAlgebra:
         to the header's height.  Only lines 0..h are parsed: every entry
         there must be a triple (exponents, exponents, terms) with exponent
         vectors of length n(n-1)/2 whose heights add up to its line number,
-        and integer coefficients.  Higher lines are checked by the load
+        and a non-empty term list with integer coefficients >= 1, as every
+        structure constant is.  Higher lines are checked by the load
         that needs them.  A digest only catches accidental edits, so on
         every parsed line the last entry, a product with the unit, and the
         first entry with two or more terms are also straightened again and
@@ -363,8 +372,10 @@ def _parse_entries(entries, weights, k, table):
                 return False
             e, c = term
             e = _exps(e, length)
-            if e is None or type(c) is not int:
+            if e is None or type(c) is not int or c < 1:
                 return False
             out.append((e, c))
+        if not out:
+            return False
         table[(e1, e2)] = tuple(out)
     return True

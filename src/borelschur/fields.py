@@ -4,8 +4,12 @@ All arithmetic in this package is exact.  In characteristic 0 a scalar
 is a plain int when it is integral and a `fractions.Fraction` otherwise,
 never an integral `Fraction`, so the integer structure constants of the
 Z-form run at int speed; in characteristic p it is a plain int in
-[0, p).  A field object bundles the operations so that the linear
-algebra routines can stay generic.
+[0, p).  Arithmetic is Python's own `+ - *` on those scalars: a loop
+multiplies and accumulates natively, integer structure constants
+included, and reduces each accumulated entry once with `field.of`,
+which maps any int or `Fraction` to its canonical scalar.  A field
+object holds only what that rule cannot: `of`, `inv`, `zero`, `one`
+and `characteristic`.
 """
 
 from fractions import Fraction
@@ -29,22 +33,9 @@ class Rationals:
     one = 1
 
     def of(self, a):
-        return a if type(a) is int else _canonical(Fraction(a))
-
-    def add(self, a, b):
-        c = a + b
-        return c if type(c) is int else _canonical(c)
-
-    def sub(self, a, b):
-        c = a - b
-        return c if type(c) is int else _canonical(c)
-
-    def mul(self, a, b):
-        c = a * b
-        return c if type(c) is int else _canonical(c)
-
-    def neg(self, a):
-        return -a
+        if type(a) is int:
+            return a
+        return _canonical(a if type(a) is Fraction else Fraction(a))
 
     def inv(self, a):
         if a == 0:
@@ -76,18 +67,6 @@ class PrimeField:
 
     def of(self, a):
         return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         a %= self.p

@@ -170,7 +170,7 @@ def two_idempotent_report(algebra, e):
 
     # tensor over eAe: kill (u s) (x) w - u (x) (s w)
     relations = Echelon(field)
-    minus_one = field.neg(field.one)
+    minus_one = field.of(-1)
     for u_idx, u in enumerate(ae_basis):
         for s in eae_basis:
             us = algebra.product(u, s)
@@ -272,7 +272,7 @@ def tor_dimensions(trunc, borel, lam):
     pushed = ModuleComplex(borel, lam, weights, diffs)
     bases = [pushed.module_basis(i) for i in range(len(weights))]
     ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
-                            borel.product_indices, borel.field)
+                            borel.product_terms, borel.field)
     if not d2:
         raise ArithmeticError("the pushed-down resolution is not a complex")
     # H_i = dim ker(d_i) - rank(d_{i+1}); P_i = 0 once the resolution ended

@@ -14,20 +14,25 @@ Elimination is one pass: each monic row is zero at every other pivot,
 so a vector's coefficient on the row at pivot q is its own entry at q.
 Inserting a row at a new pivot p clears p only from the rows that the
 column map (non-pivot index -> pivots of the rows holding it) names.
+Rows, combinations and residuals hold canonical scalars: the loops
+multiply and accumulate with native `+ - *` and reduce each entry once
+with `field.of`.
 """
 
 
 def add_scaled(dst, src, c, field):
-    """dst += c * src in place, dropping entries that become zero."""
-    zero, add, mul = field.zero, field.add, field.mul
-    if c == zero:
+    """dst += c * src in place, each changed entry reduced once by
+    `field.of` and dropped when it becomes zero; c may be any int as well
+    as a canonical scalar."""
+    if not c:
         return dst
+    of = field.of
     for j, v in src.items():
-        w = add(dst.get(j, zero), mul(c, v))
-        if w == zero:
-            dst.pop(j, None)
-        else:
+        w = of(dst.get(j, 0) + c * v)
+        if w:
             dst[j] = w
+        else:
+            dst.pop(j, None)
     return dst
 
 
@@ -69,20 +74,24 @@ class Echelon:
         return self._eliminate(vec)
 
     def _eliminate(self, vec, combo=None):
-        field, rows = self.field, self.rows
-        zero, sub, mul = field.zero, field.sub, field.mul
-        out = {j: v for j, v in vec.items() if v != zero}
+        rows, of = self.rows, self.field.of
+        out = {j: v for j, v in vec.items() if v}
         coords = {q: c for q, c in out.items() if q in rows}
+        if not coords:
+            return coords, out
         for q, c in coords.items():
             for j, v in rows[q].items():
-                w = sub(out.get(j, zero), mul(c, v))
-                if w == zero:
-                    out.pop(j, None)
-                else:
-                    out[j] = w
+                out[j] = out.get(j, 0) - c * v
             if combo is not None:
-                add_scaled(combo, self.combos[q], field.neg(c), field)
-        return coords, out
+                for k, v in self.combos[q].items():
+                    combo[k] = combo.get(k, 0) - c * v
+        if combo is not None:
+            for k, v in list(combo.items()):
+                if w := of(v):
+                    combo[k] = w
+                else:
+                    del combo[k]
+        return coords, {j: w for j, v in out.items() if (w := of(v))}
 
     def insert(self, vec, combo=None):
         """Add vec to the span; returns the new pivot or None if dependent.
@@ -92,32 +101,38 @@ class Echelon:
         combination, or as a kernel vector when vec is dependent.
         """
         field, rows, users, combos = self.field, self.rows, self.users, self.combos
-        res = self._eliminate(vec, combo)[1]
-        if not res:
+        of = field.of
+        row = self._eliminate(vec, combo)[1]
+        if not row:
             return None
-        p = self._pick(res)
-        inv = field.inv(res[p])
-        row = {j: field.mul(inv, v) for j, v in res.items()}
-        del res[p]
+        p = self._pick(row)
+        lead = row.pop(p)
+        if lead != field.one:
+            inv = field.inv(lead)
+            for j, v in row.items():
+                row[j] = of(inv * v)
+            if combo is not None:
+                for k, v in combo.items():
+                    combo[k] = of(inv * v)
         if combo is not None:
-            for k, v in combo.items():
-                combo[k] = field.mul(inv, v)
             combos[p] = combo
         # keep reduced form: clear the new pivot from the rows that hold it
         touched = users.pop(p, ())
-        for j in res:
+        for j in row:
             users.setdefault(j, set()).add(p)
         for q in touched:
             old = rows[q]
-            c = field.neg(old[p])
-            add_scaled(old, row, c, field)
-            if combo is not None:
-                add_scaled(combos[q], combo, c, field)
-            for j in res:
-                if j in old:
+            c = old.pop(p)
+            for j, v in row.items():
+                if w := of(old.get(j, 0) - c * v):
+                    old[j] = w
                     users[j].add(q)
                 else:
+                    del old[j]
                     users[j].discard(q)
+            if combo is not None:
+                add_scaled(combos[q], combo, -c, field)
+        row[p] = field.one
         rows[p] = row
         return p
 

@@ -6,9 +6,13 @@ only through two functions its caller supplies:
 
 - `between(g, p)`: the basis elements from piece g to piece p, empty
   when there are none; `between(p, p)` is the unit at p alone;
-- `mul(x, y)`: the product of two basis elements as {basis element:
-  nonzero scalar}.  It must be associative: the images of the
-  generators found at earlier pieces alone span the radical at a piece.
+- `mul(x, y)`: the product of two basis elements as (basis element,
+  scalar) pairs.  A scalar may be any int, such as an integer structure
+  constant read straight from a product table, or a canonical field
+  scalar: the engine multiplies and accumulates natively and reduces
+  each entry once with `field.of`.  It must be associative: the images
+  of the generators found at earlier pieces alone span the radical at a
+  piece.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
@@ -31,7 +35,8 @@ others, so it adds no kernel vector and is never computed.
 
 Here the pieces are degree coordinates over the simple positive vectors,
 covered in (height, lex) order, and the basis from g to p is the
-monomials of degree p - g: this resolves the trivial module of the
+monomials of degree p - g, and `mul` is `product_terms`, the cached
+integer structure constants: this resolves the trivial module of the
 divided-power algebra.  `transport.resolve_simple` runs the same engine
 over a based algebra with head weights as pieces.
 
@@ -52,8 +57,7 @@ from .linalg import Echelon, add_scaled, matrix_rank
 
 def free_basis(gens, piece, between):
     """Pairs (generator, basis element) spanning one piece of a free module."""
-    parts = {g: between(g, piece) for g in set(gens)}
-    return [(t, x) for t, g in enumerate(gens) for x in parts[g]]
+    return [(t, x) for t, g in enumerate(gens) for x in between(g, piece)]
 
 
 def by_column(diff):
@@ -71,20 +75,16 @@ def columns(src, dst, by_col, mul, field):
     Every product must land in `dst`.
     """
     index = {b: k for k, b in enumerate(dst)}
-    zero, add, fmul = field.zero, field.add, field.mul
+    of = field.of
     cols = []
     for s, x in src:
         col = {}
         for t, entry in by_col.get(s, {}).items():
             for y, c in entry.items():
-                for z, cz in mul(x, y).items():
+                for z, cz in mul(x, y):
                     k = index[t, z]
-                    w = add(col.get(k, zero), fmul(c, cz))
-                    if w == zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = w
-        cols.append(col)
+                    col[k] = col.get(k, 0) + c * cz
+        cols.append({k: w for k, v in col.items() if (w := of(v))})
     return cols
 
 
@@ -186,7 +186,8 @@ class GradedComplex:
     over the simple positive vectors).  `diffs[i]` is the matrix of
     d_{i+1}: P_{i+1} -> P_i as {(t, s): element}; entry (t, s) is an
     algebra element of degree degrees[i+1][s] - degrees[i][t] acting by
-    right multiplication on generator coordinates.
+    right multiplication on generator coordinates.  `mul` is the
+    algebra's `product_terms`, the engine's product.
     """
 
     def __init__(self, alg, field, length, height_cut, degrees, diffs):
@@ -196,15 +197,13 @@ class GradedComplex:
         self.height = height_cut
         self.degrees = degrees
         self.diffs = diffs
+        self.mul = alg.product_terms
 
     def between(self, g, p):
         """The monomials of degree p - g, empty unless g <= p coordinatewise."""
         if any(map(gt, g, p)):
             return []
         return self.alg.component_basis(tuple(map(sub, p, g)))
-
-    def mul(self, x, y):
-        return self.alg.monomial_product(x, y, self.field)
 
     def betti(self):
         """Homological index -> sorted list of generator degrees."""

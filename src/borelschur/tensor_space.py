@@ -222,7 +222,7 @@ def upper_table_json(n, r, field, basis="image"):
             raise ValueError("image operators are linearly dependent")
         if len(kernel) != len(products):
             raise ValueError("product left the image span")
-        expressed = [{k: field.neg(c) for k, c in v.items() if k < dim}
+        expressed = [{k: field.of(-c) for k, c in v.items() if k < dim}
                      for v in kernel]
     triples = []
     for ab, coeffs in enumerate(expressed):

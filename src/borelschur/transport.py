@@ -14,8 +14,8 @@ verified on the pushed-down complex.
 `resolve_simple` resolves the one-dimensional simple at lam directly
 over any based algebra with the engine of `resolutions`: the pieces are
 head weights, `between` is the algebra's arrows from one weight to
-another, `mul` is `product_indices`, and pieces are covered in weight
-order.  That is an independent route to the same Ext data.
+another, `mul` is `product_terms`, the cached products as (index,
+scalar) pairs, and pieces are covered in weight order.  That is an independent route to the same Ext data.
 """
 
 import csv
@@ -69,7 +69,7 @@ class ModuleComplex:
         dims = [len(b) for b in bases]
         steps = len(self.diffs)
         ranks, d2 = chain_ranks(bases, [by_column(d) for d in self.diffs],
-                                self.algebra.product_indices, self.field)
+                                self.algebra.product_terms, self.field)
         report = {
             "d_squared_zero": d2,
             "minimal": self.is_minimal(),
@@ -222,7 +222,7 @@ def resolve_simple(algebra, lam, length, pivoting="first"):
     """
     lam = tuple(lam)
     weights, diffs = resolve(sorted(set(algebra.heads)), lam,
-                             algebra.between, algebra.product_indices,
+                             algebra.between, algebra.product_terms,
                              algebra.field, length, pivoting)
     return ModuleComplex(algebra, lam, weights, diffs, complete=True,
                          terminated=not weights[-1])

@@ -60,8 +60,7 @@ def multiply(alg, x, y, field):
     out = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            add_scaled(out, alg.monomial_product(m1, m2, field),
-                       field.mul(c1, c2), field)
+            add_scaled(out, dict(alg.product_terms(m1, m2)), c1 * c2, field)
     return out
 
 
@@ -74,9 +73,8 @@ def arrow_product(alg, x, y, field):
         for (m1, y1), c1 in x.items():
             if y1 != head2:
                 continue
-            prod = alg.monomial_product(m1, m2, field)
-            add_scaled(out, {(m, y2): c for m, c in prod.items()},
-                       field.mul(c1, c2), field)
+            prod = alg.product_terms(m1, m2)
+            add_scaled(out, {(m, y2): k for m, k in prod}, c1 * c2, field)
     return out
 
 
@@ -137,8 +135,7 @@ def filtered_tor(trunc, r, lam):
         return memo[a]
 
     def mul(x, y):
-        return {z: c for z, c in trunc.product_indices(x, y).items()
-                if kept(z)}
+        return [(z, c) for z, c in trunc.product_terms(x, y) if kept(z)]
 
     bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
               if kept(a)] for ws in res.weights]
@@ -175,7 +172,7 @@ def picking_coordinates(ech, vec):
         coords[idx] = c
         for j, rj in row.items():
             if j != idx:
-                w = field.sub(work.get(j, zero), field.mul(c, rj))
+                w = field.of(work.get(j, zero) - c * rj)
                 if w == zero:
                     work.pop(j, None)
                 else:
@@ -204,7 +201,7 @@ def column_kernel(columns, field):
     for k in sorted(ech.rows):
         for j, v in ech.rows[k].items():
             if j != k:
-                kernel[j][k] = field.neg(v)
+                kernel[j][k] = field.of(-v)
     for j, vec in kernel.items():
         vec[j] = field.one
     return list(kernel.values())

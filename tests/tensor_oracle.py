@@ -72,7 +72,7 @@ def group_operator(act, g):
         for rows in iproduct(*(col_choices[x - 1] for x in idx)):
             c = field.one
             for row, x in zip(rows, idx):
-                c = field.mul(c, g[row][x - 1])
+                c = field.of(c * g[row][x - 1])
             p = act.position[tuple(t + 1 for t in rows)]
             add_scaled(col, {p: c}, field.one, field)
         if col:

@@ -237,6 +237,8 @@ def test_byte_stability(tmp_path):
      "01f0ccd0f7abddef8aafa2a71529a3e94765f890b8f65dc6ee94f1266e02a36e"),
     ("transport --n 3 --r 4 --char 0 --lambda 2,1,1 --length 6 --height 8",
      "320962f47ce11743588c7b04cb77c3f4f3f3200d67f13fc21306bbb6ea533846"),
+    ("resolve --n 3 --char 2 --length 5 --height 12",
+     "1d998df57f5d8dc74b124b3e8ebf0d59adf52eb31f338218ea51ae3741d4cc7e"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

@@ -100,7 +100,7 @@ def check_drop_rule(n, r, char):
             rhs = {}
             for k, c in B.product_indices(i, j).items():
                 for key, x in proj[k].items():
-                    w = field.add(rhs.get(key, field.zero), field.mul(c, x))
+                    w = field.of(rhs.get(key, field.zero) + c * x)
                     if w == field.zero:
                         rhs.pop(key, None)
                     else:

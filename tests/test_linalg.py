@@ -14,7 +14,7 @@ def apply_columns(cols, vec, field):
     out = {}
     for j, c in vec.items():
         for i, v in cols[j].items():
-            w = field.add(out.get(i, field.zero), field.mul(c, v))
+            w = field.of(out.get(i, field.zero) + c * v)
             if w == field.zero:
                 out.pop(i, None)
             else:
@@ -52,7 +52,7 @@ def test_echelon_coordinates():
     rebuilt = {}
     for p, c in coords.items():
         for j, x in ech.rows[p].items():
-            w = field.add(rebuilt.get(j, field.zero), field.mul(c, x))
+            w = field.of(rebuilt.get(j, field.zero) + c * x)
             if w == field.zero:
                 rebuilt.pop(j, None)
             else:
@@ -227,12 +227,13 @@ def is_canonical(c):
 @settings(max_examples=300, deadline=None)
 @given(rationals, rationals)
 def test_rational_scalars_are_canonical(a, b):
-    """Every `Rationals` operation agrees with plain `Fraction` arithmetic
-    and returns an int exactly when its value is integral."""
+    """Native arithmetic on canonical scalars, reduced by `Rationals.of`,
+    agrees with plain `Fraction` arithmetic and gives an int exactly when
+    its value is integral; so does `inv`."""
     QQ = Rationals()
     fa, fb = Fraction(a), Fraction(b)
-    results = [(QQ.of(a), fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
-               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa)]
+    results = [(QQ.of(a), fa), (QQ.of(a + b), fa + fb), (QQ.of(a - b), fa - fb),
+               (QQ.of(a * b), fa * fb), (QQ.of(-a), -fa)]
     if a != 0:
         results.append((QQ.inv(a), 1 / fa))
     for got, want in results:
@@ -240,10 +241,37 @@ def test_rational_scalars_are_canonical(a, b):
     assert QQ.of(fa) == fa and is_canonical(QQ.of(fa))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]), st.sampled_from(["first", "last"]),
+       st.data())
+def test_echelon_values_stay_canonical(char, pivoting, data):
+    """After `insert_columns` and `reduce`, every stored row, combination,
+    kernel vector and residual holds nonzero canonical scalars: over the
+    rationals, fed `Fraction`s, an int or a non-integral `Fraction`; over
+    GF(p) an int in [0, p)."""
+    field = Rationals() if char == 0 else PrimeField(char)
+    value = rationals.filter(bool) if char == 0 else st.integers(1, char - 1)
+    vectors = st.lists(st.dictionaries(st.integers(0, 7), value, max_size=5),
+                       max_size=8)
+    cols, probes = data.draw(vectors), data.draw(vectors)
+    ech = Echelon(field, pivoting)
+    kernel = ech.insert_columns(cols)
+    residuals = [ech.reduce(v) for v in probes]
+    for vecs in (ech.rows.values(), ech.combos.values(), kernel, residuals):
+        for vec in vecs:
+            for c in vec.values():
+                if char == 0:
+                    assert c != 0 and is_canonical(c)
+                else:
+                    assert type(c) is int and 0 < c < char
+    for vec in kernel:
+        assert apply_columns(cols, vec, field) == {}
+
+
 def test_rational_results_collapse_to_ints():
     QQ, half, third = Rationals(), Fraction(1, 2), Fraction(1, 3)
-    cases = [(QQ.add(half, half), 1), (QQ.mul(Fraction(2, 3), Fraction(3, 2)), 1),
-             (QQ.sub(third, third), 0), (QQ.inv(Fraction(1, 5)), 5),
+    cases = [(QQ.of(half + half), 1), (QQ.of(Fraction(2, 3) * Fraction(3, 2)), 1),
+             (QQ.of(third - third), 0), (QQ.inv(Fraction(1, 5)), 5),
              (QQ.inv(-1), -1), (QQ.of(Fraction(6, 3)), 2), (QQ.of(7), 7)]
     for got, want in cases:
         assert type(got) is int and got == want

@@ -140,7 +140,7 @@ def dense_compose(a, b, field):
             if a[i][k] == field.zero:
                 continue
             for j in range(size):
-                out[i][j] = field.add(out[i][j], field.mul(a[i][k], b[k][j]))
+                out[i][j] = field.of(out[i][j] + a[i][k] * b[k][j])
     return out
 
 
@@ -205,7 +205,7 @@ def test_group_operator_compatibility():
         assert act.equal(tau, acc)
     # and a torus generator weights the idempotents
     c = QQ.of(4)
-    g = [[QQ.add(QQ.one, c), QQ.zero], [QQ.zero, QQ.one]]
+    g = [[QQ.of(QQ.one + c), QQ.zero], [QQ.zero, QQ.one]]
     tau = group_operator(act, g)
     acc = combination(act, [((QQ.one + c) ** lam[0], act.weight_projector(lam))
                             for lam in compositions(2, 3)])
@@ -254,7 +254,7 @@ def test_verify_isomorphism_detects_tampering():
     i = next(k for k in range(borel.dim) if not borel.is_unit_arrow(k))
     unit_at_base = borel.index[(borel.alg.unit, borel.base(i))]
     good = borel.product_indices(i, unit_at_base)
-    borel._ptable[(i, unit_at_base)] = {k: field.add(v, field.one)
+    borel._ptable[(i, unit_at_base)] = {k: field.of(v + field.one)
                                         for k, v in good.items()}
     tampered = verify_isomorphism(2, 2, field, borel=borel)
     assert not tampered["passed"]

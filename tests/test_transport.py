@@ -375,7 +375,7 @@ def test_verify_d_squared_matches_entry_oracle(case, data):
     if slots and data.draw(st.booleans(), label="corrupt"):
         i, key, a = data.draw(st.sampled_from(slots), label="slot")
         entry = bc.diffs[i][key]
-        c = field.add(entry[a], field.of(data.draw(st.integers(1, 2))))
+        c = field.of(entry[a] + data.draw(st.integers(1, 2)))
         if c == field.zero:
             del entry[a]
         else:
