@@ -19,13 +19,11 @@ order, and makes that comparison at every step with `removal_step`,
 which reads it off the one ideal the walk grows instead of building each
 quotient, and closes that ideal at z from the p * q products of the
 p arrows leaving and q arrows entering z that survive in the quotient.
-That cut `check-ideals` at (4,4) char 2 from 3.6 s and 96 MB peak RSS
-to 1.7 s and 46 MB, and at (5,3) char 2 from 18.5 s and 434 MB to 5.5 s
-and 104 MB (2-vCPU host).  The combinatorial hypotheses on the layer
-sets and Tor-vanishing spot checks complete the report.  `tor_dimensions`
-resolves a simple over the interval algebra and reads Tor off the
-complex that `transport.push_down`, the same push-down the transport
-uses, gives over the Borel algebra.
+The combinatorial hypotheses on the layer sets and Tor-vanishing spot
+checks complete the report.  `tor_dimensions` resolves the trivial
+module once and reads Tor at each sampled simple off its push-down by
+`transport.push_graded`: the interval is convex, so the shifted graded
+resolution restricted to it resolves the simple over its algebra.
 """
 
 from .arrows import BasedAlgebra, BorelAlgebra, ConvexTruncation
@@ -34,12 +32,14 @@ from .combinatorics import (
     interval_points,
     layer_key,
     layer_points,
+    point_sub,
+    positive_root_coords,
     tri_count,
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import by_column, chain_ranks
-from .transport import ModuleComplex, push_down, resolve_simple
+from .resolutions import GradedComplex, by_column, chain_ranks, resolve
+from .transport import ModuleComplex, push_graded
 
 
 def _insert_products(trunc, ideal, leaving, entering):
@@ -256,28 +256,37 @@ def check_layer_hypotheses(n, r):
             "cases": cases}
 
 
-def tor_dimensions(trunc, borel, lam):
+def tor_dimensions(trunc, borel, lams):
     """dim Tor_1 and Tor_2 of (interval algebra / composition ideal, simple
-    at lam), as {1: ..., 2: ...}.
+    at lam) for each tuple lam in `lams`, as {lam: {1: ..., 2: ...}}.
 
-    Resolves the simple over the interval algebra `trunc` by projective
-    covers, pushes the resolution down to `borel` (`push_down`, an
-    entry's basis index read as the truncation arrow), and reads Tor off
-    the homology of the pushed-down complex: the module dimensions and
-    the ranks that `chain_ranks` counts, once it has checked d^2 = 0.
+    One graded resolution of the trivial module, over the down-closed
+    degrees D = union of (Y - lam) cap Gamma for Y the points of `trunc`,
+    serves every lam: Y is convex, so shifted by lam and restricted to Y
+    it resolves the simple at lam over C(Y).  Tor is the homology of its
+    push-down to `borel` (`push_graded`), counted by `chain_ranks` once
+    d^2 = 0.  Y must hold every lam and the compositions.
     """
-    res = resolve_simple(trunc, lam, 3)
-    weights, diffs, _ = push_down(borel, res.weights, res.diffs,
-                                  lambda i, t, a: trunc.arrows[a])
-    pushed = ModuleComplex(borel, lam, weights, diffs)
-    bases = [pushed.module_basis(i) for i in range(len(weights))]
-    ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
-                            borel.product_terms, borel.field)
-    if not d2:
-        raise ArithmeticError("the pushed-down resolution is not a complex")
-    # H_i = dim ker(d_i) - rank(d_{i+1}); P_i = 0 once the resolution ended
-    return {i: len(bases[i]) - ranks[i - 1] - ranks[i] if i < len(ranks)
-            else 0 for i in (1, 2)}
+    if not set(lams) <= set(trunc.points):
+        raise ValueError("every weight must be a point of the truncation")
+    pieces = {d for lam in lams for y in trunc.points
+              if (d := positive_root_coords(point_sub(y, lam))) is not None}
+    gc = GradedComplex(trunc.alg, trunc.field, 3, None, [], [])
+    gc.degrees, gc.diffs = resolve(pieces, (0,) * (trunc.alg.n - 1),
+                                   gc.between, gc.mul, gc.field, 3, "first")
+    out = {}
+    for lam in lams:
+        weights, diffs, _ = push_graded(borel, gc, lam)
+        pushed = ModuleComplex(borel, lam, weights, diffs)
+        bases = [pushed.module_basis(i) for i in range(len(weights))]
+        ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
+                                borel.product_terms, borel.field)
+        if not d2:
+            raise ArithmeticError("the pushed-down resolution is not a complex")
+        # H_i = dim ker(d_i) - rank(d_{i+1}); P_i = 0 once the resolution ended
+        out[lam] = {i: len(bases[i]) - ranks[i - 1] - ranks[i]
+                    if i < len(ranks) else 0 for i in (1, 2)}
+    return out
 
 
 def removal_step(trunc, ideal, z):
@@ -338,7 +347,7 @@ def chain_report(n, r, field, tor_sample=None, alg=None):
     borel = BorelAlgebra(n, r, field, alg=alg)
     if tor_sample is None:
         tor_sample = comps
-    tor = {lam: tor_dimensions(trunc, borel, lam) for lam in tor_sample}
+    tor = tor_dimensions(trunc, borel, tor_sample)
 
     passed = (
         hypotheses["zj_condition"]

@@ -37,8 +37,10 @@ Here the pieces are degree coordinates over the simple positive vectors,
 covered in (height, lex) order, and the basis from g to p is the
 monomials of degree p - g, and `mul` is `product_terms`, the cached
 integer structure constants: this resolves the trivial module of the
-divided-power algebra.  `transport.resolve_simple` runs the same engine
-over a based algebra with head weights as pieces.
+divided-power algebra, for `minimal_resolution` to a height and for the
+Tor check of `idempotents` over the degrees that reach its interval.
+`transport.resolve_simple` runs the same engine over a based algebra
+with head weights as pieces.
 
 Cutoffs: `length` bounds the homological degree, `height` bounds the
 degree slices.  Within the height window every slice of every kernel is

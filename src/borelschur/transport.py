@@ -3,19 +3,19 @@
 `push_down` is the functor F_lam: on a complex of projectives with
 known weights it deletes each summand whose weight is not a
 composition and reduces every map entry by the drop rule of the Borel
-algebra.  `transport_resolution` applies it to a graded resolution of
-the trivial module, a generator of degree gamma sitting at the weight
+algebra.  `push_graded` applies it to a graded resolution of the
+trivial module, a generator of degree gamma sitting at the weight
 lam + gamma and each differential entry re-based at its target weight;
-the Tor check of `idempotents` applies it to a resolution over the
-interval algebra.  The result is checked, never trusted: d^2,
-rank-counted exactness, the one-dimensional top and minimality are all
-verified on the pushed-down complex.
+`transport_resolution` and the Tor check of `idempotents` both go
+through it.  The result is checked, never trusted: d^2, rank-counted
+exactness, the one-dimensional top and minimality are all verified on
+the pushed-down complex.
 
 `resolve_simple` resolves the one-dimensional simple at lam directly
 over any based algebra with the engine of `resolutions`: the pieces are
 head weights, `between` is the algebra's arrows from one weight to
-another, `mul` is `product_terms`, the cached products as (index,
-scalar) pairs, and pieces are covered in weight order.  That is an independent route to the same Ext data.
+another and `mul` is `product_terms`, the cached (index, scalar) pairs.
+No command runs it; it is the tests' independent route to the Ext data.
 """
 
 import csv
@@ -184,15 +184,24 @@ def push_down(borel, weights, diffs, arrow):
     return kept, pushed, deleted
 
 
+def push_graded(borel, gc, lam):
+    """F_lam on a graded resolution `gc` of the trivial module: `push_down`
+    of its generators placed at lam + degree, the deleted ones returned
+    as (i, degree, weight)."""
+    full = [[point_add(lam, coords_to_vector(g)) for g in degs]
+            for degs in gc.degrees]
+    weights, pushed, dropped = push_down(
+        borel, full, gc.diffs, lambda i, t, m: (m, full[i][t]))
+    return weights, pushed, [(i, gc.degrees[i][s], full[i][s])
+                             for i, s in dropped]
+
+
 def transport_resolution(gc, lam, r, borel=None):
     """Push a graded resolution of the trivial module down to the Borel algebra.
 
-    A generator of degree gamma sits at the weight lam + gamma, and each
-    differential entry is re-based at its target weight; `push_down`
-    deletes the generators at non-compositions and reduces the entries.
-    Deleting rows and columns is justified by the strong-idempotent
-    quotient, and is re-verified by `ModuleComplex.verify` rather than
-    trusted.
+    `push_graded` places the generators at lam + gamma and deletes those at
+    non-compositions, as the strong-idempotent quotient justifies; the
+    result is re-verified by `ModuleComplex.verify` rather than trusted.
     """
     lam = tuple(lam)
     n = gc.alg.n
@@ -204,11 +213,7 @@ def transport_resolution(gc, lam, r, borel=None):
         borel = BorelAlgebra(n, r, gc.field)
     elif borel.field != gc.field or borel.n != n or borel.r != r:
         raise ValueError("quotient algebra does not match the resolution")
-    full = [[point_add(lam, coords_to_vector(g)) for g in degs]
-            for degs in gc.degrees]
-    weights, diffs, dropped = push_down(
-        borel, full, gc.diffs, lambda i, t, m: (m, full[i][t]))
-    deleted = [(i, gc.degrees[i][s], full[i][s]) for i, s in dropped]
+    weights, diffs, deleted = push_graded(borel, gc, lam)
     complete = max_reachable_height(lam, n, r) <= gc.height
     terminated = len(weights) >= 1 and not weights[-1]
     return ModuleComplex(borel, lam, weights, diffs, complete=complete,

@@ -9,9 +9,14 @@ transported complex (criterion 7), Tor through the interval algebra's
 product filtered by the diagonal completion test, elimination against
 an echelon form by picking one pivot at a time, the nullspace of a
 list of columns by eliminating the transposed matrix, convexity by
-every dominance interval between two points, and the layer hypotheses
-by testing every pair of points for a single-column monoid step.
+every dominance interval between two points, the layer hypotheses by
+testing every pair of points for a single-column monoid step, Tor at
+one weight from a resolution of that simple over the interval algebra,
+and the graded Betti numbers of the trivial module in closed form (two
+rows in characteristic p, Kostant's theorem in characteristic 0).
 """
+
+from itertools import accumulate, combinations, permutations
 
 from borelschur.arrows import arrow_head, arrow_is_kept
 from borelschur.combinatorics import (
@@ -26,7 +31,7 @@ from borelschur.combinatorics import (
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import by_column, chain_ranks
-from borelschur.transport import resolve_simple
+from borelschur.transport import push_down, resolve_simple
 
 
 def pair_to_matrix(i, j, n):
@@ -119,6 +124,23 @@ def max_reachable_height(lam, n, r):
         if d is not None:
             best = max(best, sum(d))
     return best
+
+
+def interval_tor(trunc, borel, lam):
+    """dim Tor_1 and Tor_2 at the simple lam, one resolution per weight: the
+    simple resolved over the interval algebra `trunc` itself, its maps
+    pushed down to `borel` (an entry's basis index read as the
+    truncation arrow), and the homology of the pushed-down complex."""
+    res = resolve_simple(trunc, lam, 3)
+    weights, diffs, _ = push_down(borel, res.weights, res.diffs,
+                                  lambda i, t, a: trunc.arrows[a])
+    bases = [[(t, a) for t, w in enumerate(ws) for a in borel.based_at(w)]
+             for ws in weights]
+    ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
+                            borel.product_terms, borel.field)
+    assert d2, "the pushed-down resolution is not a complex"
+    return {i: len(bases[i]) - ranks[i - 1] - ranks[i] if i < len(ranks)
+            else 0 for i in (1, 2)}
 
 
 def filtered_tor(trunc, r, lam):
@@ -272,3 +294,51 @@ def check_layer_hypotheses(n, r):
             ok_y = ok_y and good
             cases.append(("union", i, j, good))
     return {"zj_condition": ok_z, "yj_condition": ok_y, "cases": cases}
+
+
+def one_variable_betti(p, length, height):
+    """Graded Betti numbers of the trivial module over the divided powers
+    in one variable in characteristic p > 0, by closed form and with no
+    resolution: that algebra is the tensor product over k of the
+    truncated polynomial rings F_p[x_{p^k}]/(x^p), so its Betti series is
+
+        prod_k (1 + t u^{p^k}) / (1 - t^2 u^{p^{k+1}}),
+
+    t counting the homological degree and u the degree.  Returns
+    {i: sorted degrees (d,), with multiplicity} for i <= length and
+    d <= height: the `betti()` of the two-row resolution at those cutoffs.
+    """
+    series = {(0, 0): 1}
+    q = 1
+    while q <= height:
+        # times (1 + t u^q), then times 1 / (1 - t^2 u^{pq}) = sum of powers
+        for (dt, du), most in (((1, q), 1), ((2, p * q), None)):
+            out = dict(series)
+            for (i, d), c in series.items():
+                k = 1
+                while (i + k * dt <= length and d + k * du <= height
+                       and (most is None or k <= most)):
+                    key = (i + k * dt, d + k * du)
+                    out[key] = out.get(key, 0) + c
+                    k += 1
+            series = out
+        q *= p
+    return {i: sorted((d,) for (j, d), c in series.items() if j == i
+                      for _ in range(c)) for i in range(length + 1)}
+
+
+def kostant_betti(n, length, height):
+    """Graded Betti numbers of the trivial module over U(n+) in
+    characteristic 0, by Kostant's theorem: one generator for each
+    permutation w of n letters, in homological degree l(w) (its
+    inversions) and of degree rho - w rho.  With rho = (n-1, ..., 1, 0),
+    entry k of rho - w rho is w(k) - k, and the degree over the simple
+    positive vectors v_j - v_{j+1} is its prefix sums.  Returns
+    {i: sorted degrees} for i <= length and degree height <= height."""
+    out = {i: [] for i in range(length + 1)}
+    for w in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(w, 2))
+        degree = tuple(accumulate(w[k] - k for k in range(n - 1)))
+        if inversions <= length and sum(degree) <= height:
+            out[inversions].append(degree)
+    return {i: sorted(degs) for i, degs in out.items()}

@@ -239,6 +239,8 @@ def test_byte_stability(tmp_path):
      "320962f47ce11743588c7b04cb77c3f4f3f3200d67f13fc21306bbb6ea533846"),
     ("resolve --n 3 --char 2 --length 5 --height 12",
      "1d998df57f5d8dc74b124b3e8ebf0d59adf52eb31f338218ea51ae3741d4cc7e"),
+    ("check-ideals --n 4 --r 4 --char 2",
+     "12f10c0a3a4fb5bdeaa2c58c937b623fef5cb76cf48ddcc39e76a7d8fe0b69d4"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

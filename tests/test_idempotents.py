@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelschur import idempotents
+from borelschur import idempotents, resolutions
 from borelschur.arrows import BorelAlgebra, ConvexTruncation
 from borelschur.combinatorics import compositions, interval_points, tri_count
 from borelschur.divided_powers import DividedPowerAlgebra
@@ -19,9 +19,8 @@ from borelschur.idempotents import (
     two_idempotent_report,
 )
 from borelschur.linalg import Echelon
-from borelschur.transport import resolve_simple
 from oracles import check_layer_hypotheses as pairwise_hypotheses
-from oracles import filtered_tor, unit
+from oracles import filtered_tor, interval_tor, unit
 
 QQ = Rationals()
 
@@ -264,9 +263,10 @@ def test_layer_hypotheses_match_the_pairwise_oracle(n, r):
 def test_tor_vanishing_direct():
     T = interval_truncation(3, 2, PrimeField(2))
     B = BorelAlgebra(3, 2, T.field, alg=T.alg)
-    for lam in compositions(3, 2):
-        tor = tor_dimensions(T, B, lam)
-        assert tor == {1: 0, 2: 0}, (lam, tor)
+    tor = tor_dimensions(T, B, compositions(3, 2))
+    assert list(tor) == compositions(3, 2)
+    for lam, t in tor.items():
+        assert t == {1: 0, 2: 0}, (lam, t)
 
 
 @st.composite
@@ -287,29 +287,88 @@ def test_tor_matches_the_filtered_product_route(case):
     n, r, lam, char = case
     T = interval_truncation(n, r, field_of_characteristic(char))
     B = BorelAlgebra(n, r, T.field, alg=T.alg)
-    tor = tor_dimensions(T, B, lam)
+    tor = tor_dimensions(T, B, [lam])[lam]
     assert tor == filtered_tor(T, r, lam)
     if case == (3, 3, (1, -1, 3), 0):
         assert tor[1] == 3
 
 
-def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
-    # one coefficient of d_2 changed before the push-down: homology would
-    # be meaningless, so Tor must refuse rather than count ranks
+@st.composite
+def weight_samples(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    r = draw(st.integers(0, 3))
+    sample = draw(st.lists(st.sampled_from(interval_points(n, r)),
+                           min_size=1, unique=True))
+    return n, r, sample, draw(st.sampled_from([0, 2, 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_samples())
+def test_one_resolution_matches_a_resolution_per_weight(case):
+    """Tor from the one graded resolution, pushed down at every weight of
+    a sample, equals Tor from a resolution of each simple over the
+    interval algebra; and a weight's answer does not depend on the rest
+    of the sample."""
+    n, r, sample, char = case
+    T = interval_truncation(n, r, field_of_characteristic(char))
+    B = BorelAlgebra(n, r, T.field, alg=T.alg)
+    tor = tor_dimensions(T, B, sample)
+    assert list(tor) == sample
+    for lam in sample:
+        assert tor[lam] == interval_tor(T, B, lam), lam
+        assert tor_dimensions(T, B, [lam]) == {lam: tor[lam]}
+
+
+def test_tor_sample_edges(monkeypatch):
     T = interval_truncation(3, 2, PrimeField(3))
     B = BorelAlgebra(3, 2, T.field, alg=T.alg)
-    assert tor_dimensions(T, B, (0, 0, 2)) == {1: 0, 2: 0}
+    seen = []
 
-    def corrupted(algebra, lam, length):
-        res = resolve_simple(algebra, lam, length)
-        entry = res.diffs[1][(0, 0)]
-        assert entry[18] == 1
-        entry[18] = 2
-        return res
+    def recorded(pieces, *args):
+        seen.append(set(pieces))
+        return resolutions.resolve(pieces, *args)
 
-    monkeypatch.setattr(idempotents, "resolve_simple", corrupted)
+    monkeypatch.setattr(idempotents, "resolve", recorded)
+    assert tor_dimensions(T, B, []) == {}
+    assert seen == [set()]
+    with pytest.raises(ValueError):
+        tor_dimensions(T, B, [(3, 0, -1)])
+
+
+def test_chain_resolves_once(monkeypatch):
+    """check-ideals resolves the trivial module once for the whole Tor
+    sample."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return resolutions.resolve(*args)
+
+    monkeypatch.setattr(idempotents, "resolve", counted)
+    rep = chain_report(3, 3, PrimeField(2))
+    assert rep["passed"] and len(rep["tor"]) == 10
+    # here the degree set D has one degree per point of the interval
+    assert len(calls) == 1 and len(calls[0]) == len(interval_points(3, 3))
+
+
+def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
+    # one coefficient of d_2 of the graded resolution changed before the
+    # push-down: homology would be meaningless, so Tor must refuse rather
+    # than count ranks
+    T = interval_truncation(3, 2, PrimeField(3))
+    B = BorelAlgebra(3, 2, T.field, alg=T.alg)
+    assert tor_dimensions(T, B, [(0, 0, 2)]) == {(0, 0, 2): {1: 0, 2: 0}}
+
+    def corrupted(*args):
+        degrees, diffs = resolutions.resolve(*args)
+        entry = diffs[1][(0, 0)]
+        assert entry[(1, 0, 1)] == 1
+        entry[(1, 0, 1)] = 2
+        return degrees, diffs
+
+    monkeypatch.setattr(idempotents, "resolve", corrupted)
     with pytest.raises(ArithmeticError):
-        tor_dimensions(T, B, (0, 0, 2))
+        tor_dimensions(T, B, [(0, 0, 2)])
 
 
 def test_chain_report_vacuous_for_two_rows():

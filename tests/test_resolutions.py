@@ -13,7 +13,7 @@ from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import (GradedComplex, by_column, columns,
                                     free_basis, minimal_resolution)
 from borelschur.transport import max_reachable_height
-from oracles import column_kernel, multiply
+from oracles import column_kernel, kostant_betti, multiply, one_variable_betti
 
 QQ = Rationals()
 
@@ -57,6 +57,49 @@ def test_first_syzygy_two_rows_prime(p, bound, expected):
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, PrimeField(p), 1, bound)
     assert c.betti()[1] == [(k,) for k in expected]
+
+
+def betti_to(complex_, length):
+    """`betti()` with an empty list at every homological degree up to
+    `length` where the resolution has no generator."""
+    b = complex_.betti()
+    return {i: b.get(i, []) for i in range(length + 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 6), st.integers(0, 24))
+def test_two_rows_match_the_closed_form_betti_series(p, length, height):
+    """Every generator of the two-row resolution in characteristic p, as
+    the Betti series of the one-variable divided powers predicts."""
+    c = minimal_resolution(DividedPowerAlgebra(2), PrimeField(p), length,
+                           height)
+    assert betti_to(c, length) == one_variable_betti(p, length, height)
+
+
+def test_two_rows_closed_form_pinned():
+    c = minimal_resolution(DividedPowerAlgebra(2), PrimeField(2), 8, 33)
+    expected = one_variable_betti(2, 8, 33)
+    assert sum(map(len, expected.values())) == 534
+    assert betti_to(c, 8) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 5), st.integers(0, 6))
+def test_characteristic_zero_matches_kostant_random(n, length, height):
+    c = minimal_resolution(DividedPowerAlgebra(n), QQ, length, height)
+    assert betti_to(c, length) == kostant_betti(n, length, height)
+
+
+@pytest.mark.parametrize("n,length,height,count", [(3, 5, 6, 6),
+                                                   (4, 6, 10, 24)])
+def test_characteristic_zero_matches_kostant(n, length, height, count):
+    """Kostant's theorem: in characteristic 0 the generators are the
+    degrees rho - w rho, one per permutation w, in homological degree
+    l(w); these cutoffs hold all n! of them."""
+    c = minimal_resolution(DividedPowerAlgebra(n), QQ, length, height)
+    expected = kostant_betti(n, length, height)
+    assert sum(map(len, expected.values())) == count
+    assert betti_to(c, length) == expected
 
 
 def test_trivial_cutoffs():
@@ -277,7 +320,8 @@ def test_cover_matches_all_kernel_oracle_on_degrees(n, char, length, height,
 
 def head_algebras(n, r, char):
     """The algebras `resolve_simple` runs over: the Borel algebra and the
-    interval algebra that `tor_dimensions` resolves simples over."""
+    interval algebra that the Tor reference `interval_tor` resolves
+    simples over."""
     field = field_of_characteristic(char)
     alg = DividedPowerAlgebra(n)
     return [BorelAlgebra(n, r, field, alg=alg),
