@@ -21,13 +21,15 @@ basis; `arrow_is_kept` is the independent description tests compare it
 with.
 """
 
+from itertools import product as iproduct
+from operator import sub
+
 from .combinatorics import (
     coords_to_vector,
     is_composition,
     is_convex,
     point_add,
-    point_sub,
-    positive_root_coords,
+    prefix_sums,
     tri_matrices_all,
 )
 from .divided_powers import DividedPowerAlgebra
@@ -176,14 +178,21 @@ class ConvexTruncation(BasedAlgebra):
             raise ValueError("duplicate points")
         if not is_convex(self.points):
             raise ValueError("point set is not convex; use quotient_algebra")
+        # w lies above y iff every prefix sum of w is >= y's and the
+        # totals agree, so the heads above y are the points in the box of
+        # prefix sums from y's up to the largest ones of its total
+        sums = {prefix_sums(y): y for y in self.points}
+        tops = {}
+        for s in sums:
+            tops[s[-1]] = tuple(map(max, tops.get(s[-1], s), s))
         arrows = []
-        for y in self.points:
-            for w in self.points:
-                d = positive_root_coords(point_sub(w, y))
-                if d is None:
-                    continue
-                for m in alg.component_basis(d):
-                    arrows.append((y, w, m))
+        for s, y in sums.items():
+            ends = [t + 1 for t in tops[s[-1]]]
+            for above in iproduct(*map(range, s, ends)):
+                w = sums.get(above)
+                if w is not None:
+                    d = tuple(map(sub, above, s))[:-1]
+                    arrows.extend((y, w, m) for m in alg.component_basis(d))
         arrows.sort()
         self.arrows = [(m, y) for y, _, m in arrows]
         self.heads = [w for _, w, _ in arrows]

@@ -55,6 +55,10 @@ class DividedPowerAlgebra:
         for pos, a in enumerate(by_written):
             self.written_rank[a] = pos
         self.written_order = by_written
+        # (a, b) with pairs[a] = (i, j) and pairs[b] = (j, l): the only
+        # letters that do not commute when e_ij stands left of e_jl
+        self._meets = [(a, b) for a, (i, j) in enumerate(self.pairs)
+                       for b, (k, l) in enumerate(self.pairs) if j == k]
         self._products = {}
         self._straighten_memo = {}
         self._components = {}
@@ -152,6 +156,14 @@ class DividedPowerAlgebra:
             hit = self._products[m1, m2] = self._straighten_product(m1, m2)
         return hit
 
+    def _interacts(self, e1, e2):
+        """Whether some e_ij of e1 meets an e_jl of e2.
+
+        Straightening e1 e2 moves letters of e2 left past letters of e1;
+        such a meeting is the only crossing that is not a swap or a merge.
+        """
+        return any(e1[a] and e2[b] for a, b in self._meets)
+
     def _straighten_product(self, e1, e2):
         """The terms of product_terms, straightened without the table.
 
@@ -161,15 +173,11 @@ class DividedPowerAlgebra:
         j < k (the degrees agree at v_{l-1} - v_l), and that letter comes
         next in its word and is less than e_kl.
 
-        Straightening e1 e2 moves letters of e2 left past letters of e1;
-        the only such crossing that is not a swap or a merge is an e_ij of
-        e1 with an e_jl of e2.  Without one the product is the single term
+        When the factors do not interact the product is the single term
         e1 + e2 with coefficient the product of the binomials C(p+q, p),
         and the word is not rewritten.
         """
-        pairs = self.pairs
-        heads = {pairs[a][1] for a, k in enumerate(e1) if k}
-        if not any(k and pairs[a][0] in heads for a, k in enumerate(e2)):
+        if not self._interacts(e1, e2):
             exps = tuple(map(add, e1, e2))
             return ((exps, prod(map(comb, exps, e1))),)
         terms = self._straighten(self._syllables(e1) + self._syllables(e2))
@@ -233,7 +241,9 @@ class DividedPowerAlgebra:
         return out
 
     def fill_cache(self, h):
-        """Precompute products of all monomial pairs of total height <= h."""
+        """Precompute the products of all monomial pairs of total height
+        <= h, closed-form ones included; save_cache stores only the ones
+        whose factors interact."""
         monos = [(m, self.monomial_height(m))
                  for m in self.monomials_to_height(h)]
         for m1, h1 in monos:
@@ -243,66 +253,63 @@ class DividedPowerAlgebra:
 
     # -- cache persistence ----------------------------------------------
 
-    CACHE_SCHEMA = 3
+    CACHE_SCHEMA = 4
 
     def save_cache(self, path, h):
-        """Write the full product table up to pair height h.
+        """Write the products that need straightening, up to pair height h.
 
-        The file is a one-line JSON header {schema, n, height, sha256},
-        then h + 1 lines: line k is the JSON list of the entries whose two
-        factors' heights add up to k.  sha256 is the digest of those lines.
+        Only pairs whose factors interact are stored; every other product
+        is the closed form that product_terms computes on demand.  The
+        file is a one-line JSON header {schema, n, height, sha256}, then
+        h + 1 lines: line k is the JSON list of the stored entries whose
+        two factors' heights add up to k, sorted by key, and sha256[k] is
+        the digest of line k.  The file is written whole to a temporary
+        file and then moved into place.
         """
         self.fill_cache(h)
+        table, weights = self._products, self.pair_heights
         by_height = [[] for _ in range(h + 1)]
-        weights = self.pair_heights
-        for key, terms in sorted(self._products.items()):
-            k = _exps_height(key[0], weights) + _exps_height(key[1], weights)
-            if k <= h:
-                by_height[k].append((key, terms))
+        for e1, e2 in sorted(table):
+            k = _exps_height(e1, weights) + _exps_height(e2, weights)
+            if k <= h and self._interacts(e1, e2):
+                by_height[k].append((e1, e2))
+        lines = [("[" + ",".join(
+            json.dumps([e1, e2, table[e1, e2]], separators=(",", ":"))
+            for e1, e2 in keys) + "]\n").encode() for keys in by_height]
         header = {"schema": self.CACHE_SCHEMA, "n": self.n, "height": h,
-                  "sha256": "0" * 64}
-        digest = hashlib.sha256()
+                  "sha256": [hashlib.sha256(line).hexdigest()
+                             for line in lines]}
         path = os.fspath(path)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
                 fh.write(_header_line(header))
-                for entries in by_height:
-                    line = ("[" + ",".join(
-                        json.dumps([e1, e2, terms], separators=(",", ":"))
-                        for (e1, e2), terms in entries) + "]\n").encode()
-                    digest.update(line)
-                    fh.write(line)
-                # a hex digest has a fixed length, so the header keeps its
-                # size and is rewritten in place
-                header["sha256"] = digest.hexdigest()
-                fh.seek(0)
-                fh.write(_header_line(header))
+                fh.writelines(lines)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # only when writing or replacing failed
                 os.remove(tmp)
 
     def load_cache(self, path, h):
-        """Load the entries of pair height <= h from a cache file.
+        """Load the stored products of pair height <= h from a cache file.
 
-        Returns False if the file does not cover (n, h), fails its digest
-        or is malformed, and then nothing is loaded.  The body's bytes must
-        hash to the header's sha256 and hold one line per pair height up
-        to the header's height.  Only lines 0..h are parsed: every entry
-        there must be a triple (exponents, exponents, terms) with exponent
-        vectors of length n(n-1)/2 whose heights add up to its line number,
-        and a non-empty term list with integer coefficients >= 1, as every
-        structure constant is.  Higher lines are checked by the load
-        that needs them.  A digest only catches accidental edits, so on
-        every parsed line the last entry, a product with the unit, and the
-        first entry with two or more terms are also straightened again and
-        must equal their stored terms.
+        Returns False if the file does not cover (n, h) or fails any check,
+        and then nothing is loaded.  The header must list one digest per
+        line up to its height.  Only lines 0..h are read, line by line,
+        and nothing after them is hashed or parsed: each must end in a
+        newline and hash to its digest before it is parsed.  Every entry there must be a triple
+        (exponents, exponents, terms) with exponent vectors of length
+        n(n-1)/2 whose heights add up to its line number, factors that
+        interact, and a non-empty term list with integer coefficients
+        >= 1, as every structure constant is.  Higher lines are checked by
+        the load that needs them.  A digest only catches accidental edits,
+        so the first and the last entry of every line read are also
+        straightened again and must equal their stored terms.
         """
         try:
             with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
-                body = fh.read()
+                lines = [fh.readline() for _ in range(h + 1)]
         except (OSError, ValueError):
             return False
         if (type(header) is not dict
@@ -310,21 +317,22 @@ class DividedPowerAlgebra:
                 or header.get("n") != self.n
                 or type(header.get("height")) is not int
                 or header["height"] < h
-                or header.get("sha256") != hashlib.sha256(body).hexdigest()):
-            return False
-        lines = body.split(b"\n")
-        if len(lines) != header["height"] + 2 or lines[-1]:
+                or type(header.get("sha256")) is not list
+                or len(header["sha256"]) != header["height"] + 1):
             return False
         table = {}
-        for k in range(h + 1):
+        for k, line in enumerate(lines):
+            if (not line.endswith(b"\n")
+                    or header["sha256"][k] != hashlib.sha256(line).hexdigest()):
+                return False
             try:
-                entries = json.loads(lines[k])
+                entries = json.loads(line)
             except ValueError:
                 return False
-            if not _parse_entries(entries, self.pair_heights, k, table):
+            if not _parse_entries(entries, self.pair_heights, k,
+                                  self._interacts, table):
                 return False
-            sampled = entries[-1:] + [e for e in entries if len(e[2]) > 1][:1]
-            for e1, e2, _ in sampled:
+            for e1, e2, _ in entries[:1] + entries[1:][-1:]:
                 pair = (tuple(e1), tuple(e2))
                 if table[pair] != self._straighten_product(*pair):
                     return False
@@ -352,9 +360,10 @@ def _exps(value, length):
     return tuple(value)
 
 
-def _parse_entries(entries, weights, k, table):
+def _parse_entries(entries, weights, k, interacts, table):
     """Add the cache entries of pair height k to table; False if any is
-    malformed or of another pair height."""
+    malformed, of another pair height or a product that does not
+    interact."""
     if type(entries) is not list:
         return False
     length = len(weights)
@@ -364,7 +373,8 @@ def _parse_entries(entries, weights, k, table):
         e1, e2, terms = entry
         e1, e2 = _exps(e1, length), _exps(e2, length)
         if (e1 is None or e2 is None or type(terms) is not list
-                or _exps_height(e1, weights) + _exps_height(e2, weights) != k):
+                or _exps_height(e1, weights) + _exps_height(e2, weights) != k
+                or not interacts(e1, e2)):
             return False
         out = []
         for term in terms:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from borelschur.combinatorics import (
     compositions,
     dominance_leq,
     interval_points,
+    is_convex,
     point_sub,
     positive_root_coords,
     tri_count,
@@ -65,6 +67,38 @@ def test_truncation_dimensions():
     T3 = ConvexTruncation(A3, interval_points(3, 2), QQ)
     # oracle count over the nine-point interval
     assert T3.dim == count_arrows(A3, interval_points(3, 2)) == 46
+
+
+def all_pairs_arrows(alg, points):
+    """The basis of the truncation to `points` as sorted (base, head, exps),
+    found by testing every ordered pair of points."""
+    return sorted((y, w, m) for y in points for w in points
+                  if (d := positive_root_coords(point_sub(w, y))) is not None
+                  for m in alg.component_basis(d))
+
+
+def _convex_subsets(points):
+    return [list(s) for k in range(len(points) + 1)
+            for s in combinations(points, k) if is_convex(s)]
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3),
+                                 (5, 2)])
+def test_arrows_match_the_all_pairs_scan(n, r):
+    """Heads found from prefix sums give the all-pairs basis in its order,
+    on the interval, on every convex subset of the (3, 2) interval, and on
+    a set whose points have two totals."""
+    alg = DividedPowerAlgebra(n)
+    sets = [interval_points(n, r)]
+    if (n, r) == (3, 2):
+        sets += _convex_subsets(interval_points(n, r))
+    if n == 2:
+        sets.append([(0, 0), (1, -1), (1, 1), (2, 0), (3, -1)])
+    for points in sets:
+        T = ConvexTruncation(alg, points, QQ)
+        expected = all_pairs_arrows(alg, sorted(points))
+        assert T.arrows == [(m, y) for y, _, m in expected]
+        assert T.heads == [w for _, w, _ in expected]
 
 
 def test_truncation_rejects_non_convex():

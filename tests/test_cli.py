@@ -251,29 +251,42 @@ def test_payload_bytes_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    outs = []
-    for _ in range(2):
-        code, out, _ = run_cli(["resolve", "--n", "2", "--char", "2",
-                                "--length", "3", "--height", "6",
-                                "--cache", str(cache)], capsys)
-        assert code == 0
-        outs.append(out)
-    assert cache.exists()
-    cache.unlink()
-    code, out, _ = run_cli(["resolve", "--n", "2", "--char", "2",
-                            "--length", "3", "--height", "6",
-                            "--cache", str(cache)], capsys)
-    assert code == 0
-    outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+def test_cache_round_trip(tmp_path, capsys, monkeypatch):
+    """Every command that multiplies prints the same bytes with no cache,
+    with a cache it writes, and with a cache it reads."""
+    def refuse(*args):
+        raise AssertionError("a warm cache was written again")
+
+    jobs = [
+        "resolve --n 2 --char 2 --length 3 --height 6",
+        "verify-iso --n 3 --r 2 --char 3",
+        "transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 4"
+        " --height 6",
+        "transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 4"
+        " --height 6 --format csv",
+        "check-ideals --n 3 --r 2 --char 0",
+    ]
+    for k, job in enumerate(jobs):
+        argv = job.split()
+        flags = ["--cache", str(tmp_path / f"cache-{k}.json")]
+        outs = [run_cli(argv, capsys), run_cli(argv + flags, capsys)]
+        with monkeypatch.context() as patch:
+            patch.setattr(DividedPowerAlgebra, "save_cache", refuse)
+            outs.append(run_cli(argv + flags, capsys))
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[0] == outs[1] == outs[2], job
+
+
+def _header_bytes(header):
+    return json.dumps(header).encode() + b"\n"
 
 
 def _signed(header, body):
-    """Cache bytes: the header with the digest of body, a newline, body."""
-    header = dict(header, sha256=hashlib.sha256(body).hexdigest())
-    return json.dumps(header).encode() + b"\n" + body
+    """Cache bytes: the header with the digest of each line of body, a
+    newline, body."""
+    digests = [hashlib.sha256(line).hexdigest()
+               for line in body.splitlines(keepends=True)]
+    return _header_bytes(dict(header, sha256=digests)) + body
 
 
 def _cache_lines(path):
@@ -289,8 +302,8 @@ def _line_bytes(lines):
 
 @pytest.mark.parametrize("text", [
     "[1]",
-    _signed({"schema": 3, "n": 3, "height": 4},
-            b"[]\n[[[1], [0, 0, 0], []]]\n[]\n[]\n[]\n").decode(),
+    _signed({"schema": 4, "n": 3, "height": 4},
+            b"[]\n[]\n[[[1],[0,0,1],[[[0,1,0],1]]]]\n[]\n[]\n").decode(),
 ], ids=["[1]", "short-exponents"])
 def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
@@ -307,22 +320,54 @@ def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
     assert all(len(e1) == 3 for line in lines for e1, _, _ in line)
 
 
-def _sampled(line):
-    """The entries of a cache line that every load straightens again: the
-    last one and the first one with two or more terms."""
-    return line[-1:] + [e for e in line if len(e[2]) > 1][:1]
+def _schema_3_bytes(n, h):
+    """The schema-3 file of (n, h), byte for byte: every product of pair
+    height <= h, one line per pair height, one digest of the whole body."""
+    alg = DividedPowerAlgebra(n)
+    alg.fill_cache(h)
+    lines = [[] for _ in range(h + 1)]
+    for (e1, e2), terms in sorted(alg._products.items()):
+        lines[alg.monomial_height(e1) + alg.monomial_height(e2)].append(
+            [e1, e2, terms])
+    body = _line_bytes(lines)
+    header = {"height": h, "n": n, "schema": 3,
+              "sha256": hashlib.sha256(body).hexdigest()}
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
 
 
-def test_tampered_cache_is_rebuilt(tmp_path, capsys):
-    """Raising 78 coefficients of a rank-3 height-4 cache keeps its shape;
-    the digest still rejects it and the rebuilt run matches the uncached one.
-    No raised term is on an entry that every load re-derives."""
-    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
+def test_schema_3_cache_is_rebuilt(tmp_path, capsys):
+    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
             "--height", "4"]
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache.json"
-    DividedPowerAlgebra(3).save_cache(cache, 4)
+    cache.write_bytes(_schema_3_bytes(3, 4))
+    alg = DividedPowerAlgebra(3)
+    assert not alg.load_cache(cache, 4)
+    assert alg._products == {}
+    code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert out == expected
+    assert _cache_lines(cache)[0]["schema"] == 4
+    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+
+
+def _sampled(line):
+    """The entries of a cache line that every load straightens again: the
+    first one and the last one."""
+    return line[:1] + line[1:][-1:]
+
+
+def test_tampered_cache_is_rebuilt(tmp_path, capsys):
+    """Raising 78 coefficients of a rank-3 height-5 cache keeps its shape;
+    the digests still reject it and the rebuilt run matches the uncached
+    one.  No raised term is on an entry that every load re-derives."""
+    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
+            "--height", "5"]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    DividedPowerAlgebra(3).save_cache(cache, 5)
     header, lines = _cache_lines(cache)
     terms = [t for line in lines for e in line if e not in _sampled(line)
              for t in e[2]][:78]
@@ -331,19 +376,19 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
         t[1] += 1
     tampered = _line_bytes(lines)
 
-    # with a matching digest the tampered table loads and changes the answer
+    # with matching digests the tampered table loads and changes the answer
     cache.write_bytes(_signed(header, tampered))
-    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+    assert DividedPowerAlgebra(3).load_cache(cache, 5)
     _, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert out != expected
 
-    # under the stored digest it is refused and rebuilt
-    cache.write_bytes(json.dumps(header).encode() + b"\n" + tampered)
-    assert not DividedPowerAlgebra(3).load_cache(cache, 4)
+    # under the stored digests it is refused and rebuilt
+    cache.write_bytes(_header_bytes(header) + tampered)
+    assert not DividedPowerAlgebra(3).load_cache(cache, 5)
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
     assert code == 0
     assert out == expected
-    assert DividedPowerAlgebra(3).load_cache(cache, 4)
+    assert DividedPowerAlgebra(3).load_cache(cache, 5)
 
 
 def _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit):
@@ -368,24 +413,26 @@ def _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit):
     assert cache.read_bytes() == saved
 
 
-@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("k", [3, 4])
 def test_resigned_edit_of_a_last_entry_is_rebuilt(tmp_path, capsys, k):
     """A coefficient edit that is signed again passes the digest, but the
-    last entry of each line is straightened again on load."""
+    last entry of each line is straightened again on load: here
+    e_12^(k-1) * e_23."""
     def edit(lines):
-        lines[k][-1][2][0][1] += 1
+        e1, e2, terms = lines[k][-1]
+        assert (e1, e2) == ([k - 1, 0, 0], [0, 0, 1])
+        terms[0][1] += 1
 
     _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit)
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_resigned_edit_of_a_multi_term_entry_is_rebuilt(tmp_path, capsys, k):
-    """The last entry of a line is a product with the unit, so the first
-    entry with two or more terms is straightened again too: here
+    """The first entry of each line is straightened again too: here
     e_12 * e_23^(k-1), whose term e_13 e_23^(k-2) comes from the rule
     for e_12 and e_23 out of order."""
     def edit(lines):
-        e1, e2, terms = _sampled(lines[k])[1]
+        e1, e2, terms = lines[k][0]
         assert (e1, e2) == ([1, 0, 0], [0, 0, k - 1])
         assert terms[0] == [[0, 1, k - 2], 1] and len(terms) == 2
         terms[0][1] += 1
@@ -393,15 +440,14 @@ def test_resigned_edit_of_a_multi_term_entry_is_rebuilt(tmp_path, capsys, k):
     _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit)
 
 
-def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,
-                                                              capsys):
-    """A signed file with a malformed entry on line 5 serves height 4,
-    is refused at height 5, and the CLI rebuilds it there."""
+def _check_line_5_is_checked_when_needed(tmp_path, capsys, body):
+    """A rank-3 file of height 6 whose line 5 is spoiled by body(header,
+    lines) serves height 4, is refused at height 5, and the CLI rebuilds
+    it there."""
     cache = tmp_path / "cache.json"
     DividedPowerAlgebra(3).save_cache(cache, 6)
     header, lines = _cache_lines(cache)
-    lines[5][0][2][0][1] = 1.5
-    cache.write_bytes(_signed(header, _line_bytes(lines)))
+    cache.write_bytes(body(header, lines))
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
     assert not DividedPowerAlgebra(3).load_cache(cache, 5)
     argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
@@ -413,6 +459,30 @@ def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,
     assert out == expected
     assert _cache_lines(cache)[0]["height"] == 5
     assert DividedPowerAlgebra(3).load_cache(cache, 5)
+
+
+def test_bad_line_above_the_job_height_is_checked_when_needed(tmp_path,
+                                                              capsys):
+    """Line 5 holds a malformed entry and is signed again."""
+    def body(header, lines):
+        lines[5][0][2][0][1] = 1.5
+        return _signed(header, _line_bytes(lines))
+
+    _check_line_5_is_checked_when_needed(tmp_path, capsys, body)
+
+
+@pytest.mark.parametrize("change", ["cut", "changed"])
+def test_bytes_after_the_job_height_are_not_read(tmp_path, capsys, change):
+    """The file is cut off inside line 5, or line 5 changed after it was
+    signed; a height-4 job never reads those bytes."""
+    def body(header, lines):
+        out = _line_bytes(lines[:5])
+        if change == "cut":
+            return _header_bytes(header) + out + _line_bytes(lines[5:6])[:40]
+        lines[5][0][2][0][1] += 1
+        return _header_bytes(header) + out + _line_bytes(lines[5:])
+
+    _check_line_5_is_checked_when_needed(tmp_path, capsys, body)
 
 
 def test_transport_reads_a_higher_cache(tmp_path, capsys):
