@@ -8,6 +8,7 @@ everywhere else in the package.
 
 from itertools import combinations, product as iproduct
 from math import comb
+from operator import ge
 
 
 def _check_point(z):
@@ -187,14 +188,21 @@ def is_convex(points):
     Steps v_i - v_{i+1} lead from a to any z <= b, and such a chain leaves
     the set at a first step when z is outside it.  So the set is convex
     iff no step a + (v_i - v_{i+1}) from a point a of the set lands
-    outside it and below a point of it.
+    outside it and below a point of it.  The step adds 1 to a's i-th
+    prefix sum, and z <= b iff b has z's length and total and every
+    prefix sum of b is at least z's.
     """
-    pts = set(points)
-    for a in pts:
-        for i in range(len(a) - 1):
-            z = a[:i] + (a[i] + 1, a[i + 1] - 1) + a[i + 2:]
-            if z not in pts and any(dominance_leq(z, b) for b in pts):
-                return False
+    level = {}
+    for a in set(points):
+        level.setdefault((len(a), sum(a)), set()).add(prefix_sums(a))
+    for sums in level.values():
+        top = tuple(map(max, zip(*sums)))
+        for s in sums:
+            for i in range(len(s) - 1):
+                z = s[:i] + (s[i] + 1,) + s[i + 1:]
+                if s[i] < top[i] and z not in sums and any(
+                        all(map(ge, t, z)) for t in sums):
+                    return False
     return True
 
 

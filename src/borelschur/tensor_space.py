@@ -3,7 +3,8 @@
 Operators act on the r-fold tensor power of the natural n-dimensional
 module, with basis indexed by multi-indices.  The orbit sums xi_{i,j}
 (one elementary matrix per distinct simultaneous rearrangement of the
-pair) give the classical basis; divided powers act by choosing the
+pair) give the classical basis, and an operator lies in their span iff
+it is constant on each orbit; divided powers act by choosing the
 positions to raise.  This is the ground truth the arrow construction is
 checked against: the isomorphism sends a kept arrow (m, mu) to the
 operator of m cut down to the weight space of mu.
@@ -63,10 +64,6 @@ class TensorAction:
             if acc:
                 out[q] = acc
         return out
-
-    def equal(self, a, b):
-        keys = set(a) | set(b)
-        return all(a.get(k, {}) == b.get(k, {}) for k in keys)
 
     # -- basis operators -------------------------------------------------
 
@@ -134,9 +131,10 @@ class TensorAction:
     def operator_to_orbits(self, op):
         """Coefficients over the xi basis; raises if op is outside the span.
 
-        Reads each coefficient off the canonical matrix position of its
-        orbit, then reconstructs and compares.  Meeting an orbit marks
-        every position of its support, so each orbit is keyed once.
+        Meeting an orbit reads c at its canonical position and, marking
+        its positions so each orbit is keyed once, requires op to hold c at
+        each.  The orbits partition the positions and xi_O is 1 on O, so
+        op = sum c_O xi_O iff this holds; a stored zero entry is refused.
         """
         coeffs = {}
         marked = set()
@@ -146,15 +144,16 @@ class TensorAction:
                 if (p, q) in marked:
                     continue
                 key = self.orbit_key(self.indices[p], j)
-                marked.update((pp, qq) for qq, orbit_col
-                              in self.orbit_sum(key).items() for pp in orbit_col)
                 ci, cj = self.canonical_pair(key)
-                c = op.get(self.position[cj], {}).get(self.position[ci],
-                                                      self.field.zero)
-                if c != self.field.zero:
-                    coeffs[key] = c
-        if not self.equal(self.orbits_to_operator(coeffs), op):
-            raise ValueError("operator is not in the span of the xi basis")
+                c = op.get(self.position[cj], {}).get(self.position[ci])
+                for qq, orbit_col in self.orbit_sum(key).items():
+                    held = op.get(qq, {})
+                    for pp in orbit_col:
+                        if not c or held.get(pp) != c:
+                            raise ValueError(
+                                "operator is not in the span of the xi basis")
+                        marked.add((pp, qq))
+                coeffs[key] = c
         return coeffs
 
     def orbit_sum(self, key):
@@ -165,27 +164,19 @@ class TensorAction:
             op = self._orbit_sums[key] = self.xi(*self.canonical_pair(key))
         return op
 
-    def orbits_to_operator(self, coeffs):
-        op = {}
-        for key, c in coeffs.items():
-            for q, col in self.orbit_sum(key).items():
-                add_scaled(op.setdefault(q, {}), col, c, self.field)
-        return {q: col for q, col in op.items() if col}
-
     def product_orbits(self, ops):
-        """Xi coordinates of x . y for every x, y in ops, row-major.
+        """Xi coordinates of x . y, keyed (a, b) in row-major order, for
+        the pairs x = ops[a], y = ops[b] whose supports meet.
 
         compose(x, y) meets an entry only where a row of y is a column of
-        x, so a pair whose supports miss is zero and is not composed.
+        x, so every other pair is zero and is not composed.
         """
         cols = [set(op) for op in ops]
         rows = [set().union(*op.values()) for op in ops]
-        for x, x_cols in zip(ops, cols):
-            for y, y_rows in zip(ops, rows):
-                if y_rows.isdisjoint(x_cols):
-                    yield {}
-                else:
-                    yield self.operator_to_orbits(self.compose(x, y))
+        return {(a, b): self.operator_to_orbits(self.compose(x, y))
+                for a, (x, x_cols) in enumerate(zip(ops, cols))
+                for b, (y, y_rows) in enumerate(zip(ops, rows))
+                if not y_rows.isdisjoint(x_cols)}
 
 
 def upper_table_json(n, r, field, basis="image"):
@@ -207,8 +198,9 @@ def upper_table_json(n, r, field, basis="image"):
         ops = [action.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    products = list(action.product_orbits(ops))
     dim = len(ops)
+    meeting = action.product_orbits(ops)
+    products = [meeting.get(ab, {}) for ab in iproduct(range(dim), repeat=2)]
     if basis == "orbit":
         expressed = [{key_to_index[key]: c for key, c in coeffs.items()}
                      for coeffs in products]
@@ -242,12 +234,12 @@ def verify_isomorphism(n, r, field, borel=None):
     of the marginal-matrix count, (c) structure constants matching the
     drop-rule products on every basis pair.
 
-    Each pair multiplies the two image operators it already holds and
-    reads the product back in xi coordinates, reconstructing it to check
-    it lies in the span; a pair whose supports miss has the zero product
-    and is not composed, but is still compared.  The cost is one sparse
-    composition per pair whose supports meet, and one xi per distinct
-    orbit, built from its r!/prod K_st! distinct arrangements, not r!.
+    Each pair probes the drop-rule product once.  A pair whose image
+    supports meet multiplies the images it holds and reads the product
+    back in xi coordinates; any other pair is zero, is not composed, and
+    is compared only when its drop-rule product is not.  The cost is one
+    sparse composition per pair whose supports meet, and one xi per
+    distinct orbit, built from its r!/prod K_st! arrangements, not r!.
     """
     if borel is None:
         borel = BorelAlgebra(n, r, field)
@@ -259,12 +251,8 @@ def verify_isomorphism(n, r, field, borel=None):
         "dim": borel.dim,
         "mismatches": [],
     }
-    images = []
-    image_orbits = []
-    for m, mu in borel.arrows:
-        op = action.based_operator(m, mu, borel.alg)
-        images.append(op)
-        image_orbits.append(action.operator_to_orbits(op))
+    images = [action.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
+    image_orbits = [action.operator_to_orbits(op) for op in images]
 
     ech = Echelon(field)
     independent = True
@@ -275,22 +263,23 @@ def verify_isomorphism(n, r, field, borel=None):
     report["rank"] = ech.rank
     report["dim_match"] = (ech.rank == borel.dim)
 
-    ordered = all(
-        all(p <= q for p, q in key)
-        for orb in image_orbits for key in orb
-    )
-    report["triangular"] = ordered
+    report["triangular"] = all(p <= q for orb in image_orbits
+                               for key in orb for p, q in key)
 
+    products = action.product_orbits(images)
     mismatches = 0
-    for ab, lhs in enumerate(action.product_orbits(images)):
-        a, b = divmod(ab, borel.dim)
+    for ab in iproduct(range(borel.dim), repeat=2):
+        terms = borel.product_indices(*ab)
+        lhs = products.get(ab, {})
+        if not (lhs or terms):
+            continue
         rhs = {}
-        for k, c in borel.product_indices(a, b).items():
+        for k, c in terms.items():
             add_scaled(rhs, image_orbits[k], c, field)
         if lhs != rhs:
             mismatches += 1
             if len(report["mismatches"]) < 10:
-                report["mismatches"].append((a, b))
+                report["mismatches"].append(ab)
     report["mismatch_count"] = mismatches
     report["passed"] = (independent and report["dim_match"]
                         and report["triangular"] and mismatches == 0)

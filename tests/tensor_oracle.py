@@ -6,7 +6,8 @@ unit, linear combinations, a vector's image, the operator of a whole
 monomial composed factor by factor, the r-fold tensor power of a
 matrix, products in xi coordinates, the xi coordinates of every
 product of a list of operators composed one pair at a time without any
-skipping, and xi coordinates read by keying every entry of an operator.
+skipping, and xi coordinates read by keying every entry of an operator
+and rebuilding the operator from them to check it lies in the span.
 """
 
 from itertools import product as iproduct
@@ -33,10 +34,26 @@ def combination(act, terms):
     return {q: col for q, col in out.items() if col}
 
 
+def equal(a, b):
+    """Whether two operators hold the same entries, an empty column
+    counting as no column."""
+    keys = set(a) | set(b)
+    return all(a.get(k, {}) == b.get(k, {}) for k in keys)
+
+
+def orbits_to_operator(act, coeffs):
+    """The operator sum of c * xi over the orbit keys and scalars in coeffs."""
+    op = {}
+    for key, c in coeffs.items():
+        for q, col in act.orbit_sum(key).items():
+            add_scaled(op.setdefault(q, {}), col, c, act.field)
+    return {q: col for q, col in op.items() if col}
+
+
 def schur_multiply(act, x, y):
     """Product in xi coordinates via operator composition."""
     return act.operator_to_orbits(
-        act.compose(act.orbits_to_operator(x), act.orbits_to_operator(y)))
+        act.compose(orbits_to_operator(act, x), orbits_to_operator(act, y)))
 
 
 def apply(act, op, vec):
@@ -98,6 +115,6 @@ def keyed_operator_to_orbits(act, op):
                 coeffs[key] = op.get(act.position[cj], {}).get(
                     act.position[ci], act.field.zero)
     coeffs = {key: c for key, c in coeffs.items() if c != act.field.zero}
-    if not act.equal(act.orbits_to_operator(coeffs), op):
+    if not equal(orbits_to_operator(act, coeffs), op):
         raise ValueError("operator is not in the span of the xi basis")
     return coeffs

@@ -241,6 +241,10 @@ def test_byte_stability(tmp_path):
      "1d998df57f5d8dc74b124b3e8ebf0d59adf52eb31f338218ea51ae3741d4cc7e"),
     ("check-ideals --n 4 --r 4 --char 2",
      "12f10c0a3a4fb5bdeaa2c58c937b623fef5cb76cf48ddcc39e76a7d8fe0b69d4"),
+    ("verify-iso --n 3 --r 4 --char 2",
+     "359df7f41dcc8a016e56b18c64e0c668447fbb1b05b4c7cf7d67f26797b5451c"),
+    ("verify-iso --n 2 --r 7 --char 3",
+     "30c9966e346a7c7ddcad4e74b5f5fc7225450dad28ea03d3c8d4365d7454b571"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor

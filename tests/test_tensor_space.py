@@ -24,10 +24,12 @@ from tensor_oracle import (
     combination,
     composed_product_orbits,
     elementary,
+    equal,
     group_operator,
     identity,
     keyed_operator_to_orbits,
     monomial_operator,
+    orbits_to_operator,
     schur_multiply,
 )
 
@@ -42,7 +44,7 @@ def test_xi_examples():
     # weight idempotents decompose the identity
     total = combination(act, [(QQ.one, act.weight_projector(lam))
                               for lam in compositions(2, 2)])
-    assert act.equal(total, identity(act))
+    assert equal(total, identity(act))
     # xi_lam projects onto the weight space
     proj = act.weight_projector((1, 1))
     for q, idx in enumerate(act.indices):
@@ -71,7 +73,7 @@ def test_xi_commutes_with_place_permutations():
         x = act.xi(i, j)
         for perm in permutations(range(3)):
             p = permutation_operator(act, perm)
-            assert act.equal(act.compose(p, x), act.compose(x, p))
+            assert equal(act.compose(p, x), act.compose(x, p))
 
 
 def test_schur_multiply_weight_idempotents():
@@ -191,7 +193,7 @@ def test_divided_power_action_is_algebra_map(char):
         rhs = combination(act, [
             (field.of(c), monomial_operator(act, m, alg))
             for m, c in alg.product_terms(m1, m2)])
-        assert act.equal(lhs, rhs), (m1, m2)
+        assert equal(lhs, rhs), (m1, m2)
 
 
 def test_group_operator_compatibility():
@@ -202,14 +204,14 @@ def test_group_operator_compatibility():
         tau = group_operator(act, g)
         acc = combination(act, [(QQ.one, identity(act))] + [
             (c ** k, act.divided_power(1, 2, k)) for k in range(1, 4)])
-        assert act.equal(tau, acc)
+        assert equal(tau, acc)
     # and a torus generator weights the idempotents
     c = QQ.of(4)
     g = [[QQ.of(QQ.one + c), QQ.zero], [QQ.zero, QQ.one]]
     tau = group_operator(act, g)
     acc = combination(act, [((QQ.one + c) ** lam[0], act.weight_projector(lam))
                             for lam in compositions(2, 3)])
-    assert act.equal(tau, acc)
+    assert equal(tau, acc)
 
 
 def test_operator_outside_span_is_rejected():
@@ -218,6 +220,13 @@ def test_operator_outside_span_is_rejected():
     bad = elementary(act, (1, 1), (1, 2))
     with pytest.raises(ValueError):
         act.operator_to_orbits(bad)
+    # an orbit sum holding a stored zero inside its orbit, or alone on an
+    # orbit of one position
+    for p, q in [((1, 1), (2, 1)), ((2, 2), (2, 2))]:
+        bad = act.xi((1, 1), (1, 2))
+        bad.setdefault(act.position[q], {})[act.position[p]] = QQ.zero
+        with pytest.raises(ValueError):
+            act.operator_to_orbits(bad)
 
 
 def test_dimension_cap():
@@ -315,8 +324,9 @@ def test_disjoint_supports_compose_to_zero(data):
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
-    """`product_orbits` composes only the pairs whose supports meet, and
-    agrees on every pair with composing all of them."""
+    """`product_orbits` composes only the pairs whose supports meet, keys
+    exactly those pairs in row-major order, and agrees on every pair with
+    composing all of them."""
     field = QQ if char == 0 else PrimeField(char)
     borel = BorelAlgebra(n, r, field)
     act = TensorAction(n, r, field)
@@ -326,9 +336,101 @@ def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
     compose = act.compose
     monkeypatch.setattr(act, "compose",
                         lambda x, y: composed.append(1) or compose(x, y))
-    assert list(act.product_orbits(images)) == expected
+    products = act.product_orbits(images)
+    pairs = list(iproduct(range(borel.dim), repeat=2))
+    assert [products.get(ab, {}) for ab in pairs] == expected
+    meeting = [(a, b) for a, b in pairs if supports_meet(images[a], images[b])]
+    assert list(products) == meeting
+    assert len(composed) == len(meeting) < borel.dim ** 2
+
+
+@pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (4, 2)])
+def test_verify_isomorphism_probes_every_pair(monkeypatch, n, r):
+    """Every pair probes the drop-rule product once, in row-major order,
+    and only the images and the products of meeting pairs are read back
+    in xi coordinates."""
+    field = PrimeField(3)
+    borel = BorelAlgebra(n, r, field)
+    act = TensorAction(n, r, field)
+    images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     meeting = sum(supports_meet(x, y) for x in images for y in images)
-    assert len(composed) == meeting < borel.dim ** 2
+    probed, read = [], []
+    product_indices = borel.product_indices
+    monkeypatch.setattr(borel, "product_indices",
+                        lambda a, b: probed.append((a, b))
+                        or product_indices(a, b))
+    to_orbits = TensorAction.operator_to_orbits
+    monkeypatch.setattr(TensorAction, "operator_to_orbits",
+                        lambda self, op: read.append(1) or to_orbits(self, op))
+    assert verify_isomorphism(n, r, field, borel=borel)["passed"]
+    assert probed == list(iproduct(range(borel.dim), repeat=2))
+    assert len(read) == borel.dim + meeting
+    assert meeting < borel.dim ** 2
+
+
+SPAN_CASES = [(n, r, char) for n, r in [(2, 3), (3, 2), (2, 4), (3, 3)]
+              for char in (0, 2, 3)]
+
+
+def scalars(field):
+    """Canonical scalars of the field, zero included."""
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.fractions(-3, 3, max_denominator=2).map(field.of)
+
+
+def outcome(read, act, op):
+    """The coefficients read, in order, or ValueError if read refuses op."""
+    try:
+        return list(read(act, op).items())
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_span_check_refuses_what_rebuilding_refuses(data):
+    """Checking constancy on each orbit while marking it accepts and
+    refuses exactly the operators that rebuilding from the coefficients
+    and comparing does: orbit combinations, with one entry changed,
+    deleted or added, with an explicit zero entry or an orbit of
+    explicit zeros, and random sparse operators."""
+    n, r, char = data.draw(st.sampled_from(SPAN_CASES))
+    field = QQ if char == 0 else PrimeField(char)
+    act = TensorAction(n, r, field)
+    size = len(act.indices)
+    position = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    keys = sorted({act.orbit_key(i, j)
+                   for i in act.indices for j in act.indices})
+    nonzero = scalars(field).filter(bool)
+    kind = data.draw(st.sampled_from(
+        ["combination", "changed", "deleted", "added", "zero-entry",
+         "zero-orbit", "sparse"]))
+    if kind == "sparse":
+        op = {}
+        for p, q in data.draw(st.lists(position, max_size=12)):
+            op.setdefault(q, {})[p] = data.draw(scalars(field))
+    else:
+        op = orbits_to_operator(act, data.draw(st.dictionaries(
+            st.sampled_from(keys), nonzero, max_size=4)))
+    entries = [(p, q) for q, col in op.items() for p in col]
+    if kind in ("changed", "deleted") and entries:
+        p, q = data.draw(st.sampled_from(entries))
+        if kind == "changed":
+            op[q][p] = data.draw(scalars(field).filter(
+                lambda c: c != op[q][p]))
+        else:
+            del op[q][p]
+    elif kind in ("added", "zero-entry"):
+        p, q = data.draw(position)
+        op.setdefault(q, {})[p] = (data.draw(nonzero) if kind == "added"
+                                   else field.zero)
+    elif kind == "zero-orbit":
+        for q, col in act.orbit_sum(data.draw(st.sampled_from(keys))).items():
+            for p in col:
+                op.setdefault(q, {})[p] = field.zero
+    assert (outcome(TensorAction.operator_to_orbits, act, op)
+            == outcome(keyed_operator_to_orbits, act, op))
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
