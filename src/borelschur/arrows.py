@@ -25,20 +25,13 @@ from itertools import product as iproduct
 from operator import sub
 
 from .combinatorics import (
-    coords_to_vector,
     is_composition,
     is_convex,
-    point_add,
     prefix_sums,
     tri_matrices_all,
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import add_scaled
-
-
-def arrow_head(alg, arrow):
-    m, base = arrow
-    return point_add(base, coords_to_vector(alg.degree(m)))
 
 
 def indicator(alg, point):
@@ -226,7 +219,9 @@ class BorelAlgebra(BasedAlgebra):
         self.field = field
         self.matrices = tri_matrices_all(n, r)
         self.arrows = [matrix_to_arrow(self.alg, K) for K in self.matrices]
-        self.heads = [arrow_head(self.alg, a) for a in self.arrows]
+        # the base of K is its column sums (matrix_to_arrow), its head
+        # the row sums
+        self.heads = [tuple(map(sum, K)) for K in self.matrices]
         self.index = {a: i for i, a in enumerate(self.arrows)}
         self._index_arrows()
 

@@ -8,6 +8,7 @@ error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,8 +43,7 @@ def _parse_lambda(text):
         raise argparse.ArgumentTypeError(f"cannot parse weight {text!r}")
 
 
-def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False,
-                need_cache=True):
+def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False):
     p.add_argument("--n", type=int, required=True, help="matrix size")
     if need_r:
         p.add_argument("--r", type=int, required=True, help="tensor degree")
@@ -57,9 +57,6 @@ def _add_common(p, need_r=True, need_lambda=False, need_cutoffs=False,
                        help="homological length cutoff (default 4)")
         p.add_argument("--height", type=_non_negative, default=4,
                        help="degree height cutoff (default 4)")
-    if need_cache:
-        p.add_argument("--cache",
-                       help="path to the structure-constant cache file")
     p.add_argument("--out", help="write the payload to this file")
 
 
@@ -76,7 +73,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("basis", help="marginal-matrix basis of the algebra")
-    _add_common(p, need_cache=False)
+    _add_common(p)
     _add_format(p)
 
     p = sub.add_parser("verify-iso",
@@ -91,24 +88,14 @@ def build_parser():
                        help="transported resolution of a simple module")
     _add_common(p, need_lambda=True, need_cutoffs=True)
     _add_format(p)
+    p.add_argument("--cache",
+                   help="path to the structure-constant cache file")
 
     p = sub.add_parser("check-ideals",
                        help="layered idempotent-ideal diagnostics")
     _add_common(p)
 
     return parser
-
-
-def _with_cache(alg, args, needed_height):
-    if args.cache:
-        if not alg.load_cache(args.cache, needed_height):
-            alg.save_cache(args.cache, needed_height)
-    return alg
-
-
-def _interval_height(n, r):
-    # largest arrow height inside the interval truncation
-    return r * (n - 1)
 
 
 def cmd_basis(args):
@@ -137,10 +124,7 @@ def cmd_basis(args):
 def cmd_verify_iso(args):
     field = field_of_characteristic(args.char)
     check_tensor_dimension(args.n, args.r)
-    dpa = DividedPowerAlgebra(args.n)
-    _with_cache(dpa, args, _interval_height(args.n, args.r))
-    borel = BorelAlgebra(args.n, args.r, field, alg=dpa)
-    report = verify_isomorphism(args.n, args.r, field, borel=borel)
+    report = verify_isomorphism(args.n, args.r, field)
     report["command"] = "verify-iso"
     status = "pass" if report["passed"] else "FAIL"
     summary = [f"isomorphism n={args.n} r={args.r} char {args.char}: {status} "
@@ -151,7 +135,6 @@ def cmd_verify_iso(args):
 def cmd_resolve(args):
     field = field_of_characteristic(args.char)
     alg = DividedPowerAlgebra(args.n)
-    _with_cache(alg, args, args.height)
     complex_ = minimal_resolution(alg, field, args.length, args.height)
     payload = complex_.to_json()
     payload["command"] = "resolve"
@@ -173,7 +156,12 @@ def cmd_transport(args):
         raise ValueError(f"--lambda {args.lam} is not a composition of "
                          f"{args.r} with {args.n} parts")
     alg = DividedPowerAlgebra(args.n)
-    _with_cache(alg, args, max(args.height, _interval_height(args.n, args.r)))
+    if args.cache:
+        # the resolution's height, or the largest arrow height of the
+        # interval truncation if that is more
+        height = max(args.height, args.r * (args.n - 1))
+        if not alg.load_cache(args.cache, height):
+            alg.save_cache(args.cache, height)
     complex_ = minimal_resolution(alg, field, args.length, args.height)
     borel = BorelAlgebra(args.n, args.r, field, alg=alg)
     transported = transport_resolution(complex_, args.lam, args.r, borel=borel)
@@ -208,9 +196,7 @@ def cmd_transport(args):
 
 def cmd_check_ideals(args):
     field = field_of_characteristic(args.char)
-    dpa = DividedPowerAlgebra(args.n)
-    _with_cache(dpa, args, _interval_height(args.n, args.r))
-    report = chain_report(args.n, args.r, field, alg=dpa)
+    report = chain_report(args.n, args.r, field)
     payload = {
         "command": "check-ideals",
         "n": report["n"],
@@ -254,9 +240,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """One parser per process: building it costs more than parsing."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, ok, summary = COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

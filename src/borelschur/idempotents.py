@@ -325,15 +325,14 @@ def removal_step(trunc, ideal, z):
     }
 
 
-def chain_report(n, r, field, tor_sample=None, alg=None):
+def chain_report(n, r, field, tor_sample=None):
     """Full layered-removal diagnostics from the interval to the compositions.
 
     Returns per-step two-idempotent reports (`removal_step`), the
     combinatorial layer hypotheses, the final quotient dimension, and
     Tor-vanishing spot checks for simples at the sampled compositions.
     """
-    if alg is None:
-        alg = DividedPowerAlgebra(n)
+    alg = DividedPowerAlgebra(n)
     trunc = ConvexTruncation(alg, interval_points(n, r), field)
     hypotheses = check_layer_hypotheses(n, r)
 

@@ -1,8 +1,9 @@
 """Test oracles: reference computations that no command runs.
 
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
-products and column factors of divided-power elements, the product of
-arrow elements in the ambient arrow algebra, the unit and the arrow-side
+the head of an arrow from its degree, products and column factors of
+divided-power elements, the product of arrow elements in the ambient
+arrow algebra, the unit and the arrow-side
 product table of a based algebra, the largest reachable height by
 search over the compositions, the Euler characteristics of a
 transported complex (criterion 7), Tor through the interval algebra's
@@ -18,13 +19,15 @@ rows in characteristic p, Kostant's theorem in characteristic 0).
 
 from itertools import accumulate, combinations, permutations
 
-from borelschur.arrows import arrow_head, arrow_is_kept
+from borelschur.arrows import arrow_is_kept
 from borelschur.combinatorics import (
     compositions,
+    coords_to_vector,
     dominance_between,
     dominance_leq,
     interval_points,
     layer_points,
+    point_add,
     point_sub,
     positive_root_coords,
 )
@@ -46,6 +49,12 @@ def pair_to_matrix(i, j, n):
             raise ValueError("multi-index entry out of range")
         k[a - 1][b - 1] += 1
     return tuple(tuple(row) for row in k)
+
+
+def arrow_head(alg, arrow):
+    """The head of an arrow: its base plus the degree of its monomial."""
+    m, base = arrow
+    return point_add(base, coords_to_vector(alg.degree(m)))
 
 
 def arrow_to_matrix(alg, arrow):

@@ -6,7 +6,6 @@ import pytest
 from borelschur.arrows import (
     BorelAlgebra,
     ConvexTruncation,
-    arrow_head,
     arrow_is_kept,
     indicator,
     matrix_to_arrow,
@@ -24,7 +23,13 @@ from borelschur.combinatorics import (
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from borelschur.idempotents import quotient_algebra, removal_order
-from oracles import arrow_product, arrow_to_matrix, column_factors, unit
+from oracles import (
+    arrow_head,
+    arrow_product,
+    arrow_to_matrix,
+    column_factors,
+    unit,
+)
 
 QQ = Rationals()
 
@@ -218,6 +223,15 @@ def test_borel_dimensions():
     assert BorelAlgebra(2, 2, QQ).dim == 6
     assert BorelAlgebra(3, 2, QQ).dim == 21
     assert BorelAlgebra(2, 0, QQ).dim == 1
+
+
+def test_borel_heads_are_arrow_heads():
+    """The head read off a marginal matrix (its row sums) is the base plus
+    the degree of the arrow's monomial."""
+    for n in range(1, 6):
+        for r in range(6):
+            B = BorelAlgebra(n, r, QQ)
+            assert B.heads == [arrow_head(B.alg, a) for a in B.arrows], (n, r)
 
 
 def test_projective_dimensions():

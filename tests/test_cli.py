@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from borelschur import cli
+from borelschur import tensor_space
 from borelschur.cli import build_parser, main
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import CHARACTERISTIC_CAP, PrimeField
@@ -142,26 +142,30 @@ def test_characteristic_cap_boundary():
 
 @pytest.mark.parametrize("n,r", [(5, 8), (6, 8), (2, 1500)])
 def test_verify_iso_checks_the_tensor_cap_first(n, r, capsys, monkeypatch):
-    """Over the tensor-space cap, no algebra is built and no cache written."""
+    """Over the tensor-space cap, no algebra and no tensor action is built."""
     def refuse(*args):
         raise AssertionError("work done before the cap was checked")
 
-    monkeypatch.setattr(cli, "BorelAlgebra", refuse)
-    monkeypatch.setattr(DividedPowerAlgebra, "save_cache", refuse)
-    code, _, err = run_cli(f"verify-iso --n {n} --r {r} --cache x".split(),
-                           capsys)
+    monkeypatch.setattr(DividedPowerAlgebra, "__init__", refuse)
+    monkeypatch.setattr(tensor_space, "TensorAction", refuse)
+    code, _, err = run_cli(f"verify-iso --n {n} --r {r}".split(), capsys)
     assert code == 2 and "exceeds the supported cap" in err
 
 
-def test_cache_flag_only_on_commands_that_multiply(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main("basis --n 2 --r 2 --cache x".split())
-    assert exc.value.code == 2
-    for argv in ["verify-iso --n 2 --r 2", "resolve --n 2",
-                 "check-ideals --n 2 --r 2",
-                 "transport --n 2 --r 2 --lambda 1,1"]:
-        args = build_parser().parse_args(f"{argv} --cache x".split())
-        assert args.cache == "x"
+def test_cache_flag_only_on_transport(tmp_path, capsys):
+    """Only transport reads the cache; every other command refuses the
+    flag as a usage error and writes no file."""
+    cache = tmp_path / "cache.json"
+    for argv in ["basis --n 2 --r 2", "verify-iso --n 2 --r 2",
+                 "resolve --n 2", "check-ideals --n 2 --r 2"]:
+        with pytest.raises(SystemExit) as exc:
+            main(f"{argv} --cache {cache}".split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not cache.exists()
+    args = build_parser().parse_args(
+        f"transport --n 2 --r 2 --lambda 1,1 --cache {cache}".split())
+    assert args.cache == str(cache)
 
 
 def test_out_file_and_summary(tmp_path, capsys):
@@ -256,19 +260,16 @@ def test_payload_bytes_are_pinned(argv, digest, capsys):
 
 
 def test_cache_round_trip(tmp_path, capsys, monkeypatch):
-    """Every command that multiplies prints the same bytes with no cache,
-    with a cache it writes, and with a cache it reads."""
+    """Transport prints the same bytes with no cache, with a cache it
+    writes, and with a cache it reads."""
     def refuse(*args):
         raise AssertionError("a warm cache was written again")
 
     jobs = [
-        "resolve --n 2 --char 2 --length 3 --height 6",
-        "verify-iso --n 3 --r 2 --char 3",
         "transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 4"
         " --height 6",
         "transport --n 3 --r 3 --char 2 --lambda 1,1,1 --length 4"
         " --height 6 --format csv",
-        "check-ideals --n 3 --r 2 --char 0",
     ]
     for k, job in enumerate(jobs):
         argv = job.split()
@@ -279,6 +280,13 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
             outs.append(run_cli(argv + flags, capsys))
         assert outs[0][0] == 0 and outs[0][1]
         assert outs[0] == outs[1] == outs[2], job
+
+
+def cached_job(char, height):
+    """A rank-3 transport job that loads its cache at exactly `height`
+    (4 or more): transport loads at max(height, r(n-1)), and r(n-1) = 4."""
+    return (f"transport --n 3 --r 2 --char {char} --lambda 0,0,2 --length 3"
+            f" --height {height}").split()
 
 
 def _header_bytes(header):
@@ -310,8 +318,7 @@ def _line_bytes(lines):
             b"[]\n[]\n[[[1],[0,0,1],[[[0,1,0],1]]]]\n[]\n[]\n").decode(),
 ], ids=["[1]", "short-exponents"])
 def test_malformed_cache_is_rebuilt(tmp_path, capsys, text):
-    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
-            "--height", "4"]
+    argv = cached_job(2, 4)
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache.json"
@@ -340,8 +347,7 @@ def _schema_3_bytes(n, h):
 
 
 def test_schema_3_cache_is_rebuilt(tmp_path, capsys):
-    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
-            "--height", "4"]
+    argv = cached_job(2, 4)
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache.json"
@@ -366,8 +372,7 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     """Raising 78 coefficients of a rank-3 height-5 cache keeps its shape;
     the digests still reject it and the rebuilt run matches the uncached
     one.  No raised term is on an entry that every load re-derives."""
-    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
-            "--height", "5"]
+    argv = cached_job(0, 5)
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache.json"
@@ -398,8 +403,7 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
 def _check_resigned_edit_is_rebuilt(tmp_path, capsys, edit):
     """edit(lines) changes one coefficient of a rank-3 height-4 cache; the
     file, signed again, must be refused and rebuilt byte for byte."""
-    argv = ["resolve", "--n", "3", "--char", "0", "--length", "3",
-            "--height", "4"]
+    argv = cached_job(0, 4)
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     cache = tmp_path / "cache.json"
@@ -454,8 +458,7 @@ def _check_line_5_is_checked_when_needed(tmp_path, capsys, body):
     cache.write_bytes(body(header, lines))
     assert DividedPowerAlgebra(3).load_cache(cache, 4)
     assert not DividedPowerAlgebra(3).load_cache(cache, 5)
-    argv = ["resolve", "--n", "3", "--char", "2", "--length", "3",
-            "--height", "5"]
+    argv = cached_job(2, 5)
     code, expected, _ = run_cli(argv, capsys)
     assert code == 0
     code, out, _ = run_cli(argv + ["--cache", str(cache)], capsys)
