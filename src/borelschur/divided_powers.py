@@ -6,15 +6,18 @@ columns from the right, and within a column the row index descending.
 A monomial is its exponent tuple: the exponent k of each e_ij, over the
 pairs (i, j), i < j, in row-major order; the unit is the zero tuple.
 These monomials span Kostant's Z-form, so products are computed over the
-integers, on words of syllables e_ij^(k), by three rules:
+integers by three rewriting rules on syllables e_ij^(k):
 
     e_ij^(p) e_ij^(q) = C(p+q, p) e_ij^(p+q),
     e_ij^(p) e_kl^(q) = e_kl^(q) e_ij^(p)          when j != k and l != i,
     e_ij^(p) e_jl^(q) = sum_{t=0}^{min(p,q)} e_jl^(q-t) e_il^(t) e_ij^(p-t).
 
-No factorials and no rationals are involved, and every structure
-constant is a non-negative integer by construction.  Structure constants
-are cached once over the integers, so all characteristics share a single
+A product m1 m2 is built one syllable at a time: the syllables of m2
+are multiplied onto m1 in written order, and each step m e_ij^(k) moves
+the new syllable left into place by these rules and is memoized.  No
+factorials and no rationals are involved, and every structure constant
+is a non-negative integer by construction.  Structure constants are
+cached once over the integers, so all characteristics share a single
 table.
 """
 
@@ -98,50 +101,57 @@ class DividedPowerAlgebra:
         """The canonical word of e_A^(k) syllables, as (pair index, k)."""
         return tuple((a, exps[a]) for a in self.written_order if exps[a])
 
-    def _straighten(self, word):
-        """Rewrite a word of syllables (a, k), each standing for e_A^(k),
-        as {canonical exponent vector: integer coefficient}.
+    def _times(self, m, a, k):
+        """m e_a^(k) for a canonical monomial m, as {canonical exponent
+        vector: integer coefficient}; memoized by (m, a, k).
 
-        The first adjacent pair out of canonical order is rewritten: equal
-        pairs merge, commuting pairs swap, and e_ij^(p) e_jl^(q) expands
-        by the Heisenberg rule (the one non-commuting pair that can be out
-        of order: e_ij before e_ki is in order).  Terminates because each
+        Write m = m' e_b^(q) with e_b^(q) its last syllable.  If m is the
+        unit or e_b stands before e_a, e_a^(k) is appended; if b = a they
+        merge with coefficient C(q+k, k).  Otherwise e_a^(k) moves left
+        past e_b^(q): the two commute unless e_b = e_ij and e_a = e_jl,
+        which expands by the Heisenberg rule, and each new word is folded
+        from m' one syllable at a time.  This is one strategy of the
+        rewriting system of the module docstring, so it terminates: each
         rewrite shortens the word's expansion into letters, removes
-        inversions from it, or merges two syllables.
+        inversions from it, or merges two syllables.  Memo values are
+        shared; callers must not mutate them.
         """
         memo = self._straighten_memo
-        hit = memo.get(word)
+        hit = memo.get((m, a, k))
         if hit is not None:
             return hit
-        rank = self.written_rank
-        for pos in range(len(word) - 1):
-            (a, p), (b, q) = word[pos], word[pos + 1]
-            if rank[a] >= rank[b]:
-                break
+        b = next((b for b in reversed(self.written_order) if m[b]), a)
+        exps = list(m)
+        if self.written_rank[b] <= self.written_rank[a]:  # append or merge
+            exps[a] += k
+            result = {tuple(exps): comb(exps[a], k)}
         else:
-            exps = [0] * len(self.pairs)
-            for a, k in word:
-                exps[a] = k
-            memo[word] = result = {tuple(exps): 1}
-            return result
-        head, tail = word[:pos], word[pos + 2:]
-        (i, j), (k, l) = self.pairs[a], self.pairs[b]
-        if a == b:    # e^(p) e^(q) = C(p+q, p) e^(p+q)
-            rewrites = [(comb(p + q, p), ((a, p + q),))]
-        elif j != k:  # commuting pairs
-            rewrites = [(1, ((b, q), (a, p)))]
-        else:         # sum over t of e_jl^(q-t) e_il^(t) e_ij^(p-t)
-            c = self.pair_index[(i, l)]
-            rewrites = []
-            for t in range(min(p, q) + 1):
-                middle = ((b, q - t), (c, t), (a, p - t))
-                rewrites.append((1, tuple(s for s in middle if s[1])))
-        result = {}
-        for coeff, middle in rewrites:
-            for exps, x in self._straighten(head + middle + tail).items():
-                result[exps] = result.get(exps, 0) + coeff * x
-        memo[word] = result
+            q, exps[b] = m[b], 0
+            (i, j), (j2, l) = self.pairs[b], self.pairs[a]
+            if j != j2:   # commuting pairs
+                words = [((a, k), (b, q))]
+            else:         # sum over t of e_jl^(k-t) e_il^(t) e_ij^(q-t)
+                c = self.pair_index[(i, l)]
+                words = [((a, k - t), (c, t), (b, q - t))
+                         for t in range(min(q, k) + 1)]
+            result = {}
+            for word in words:
+                for e, x in self._fold({tuple(exps): 1}, word).items():
+                    result[e] = result.get(e, 0) + x
+        memo[m, a, k] = result
         return result
+
+    def _fold(self, terms, word):
+        """terms ({monomial: coefficient}) times each syllable (a, k) of
+        word in turn; a zero exponent is skipped."""
+        for a, k in word:
+            if k:
+                out = {}
+                for m, c in terms.items():
+                    for e, x in self._times(m, a, k).items():
+                        out[e] = out.get(e, 0) + c * x
+                terms = out
+        return terms
 
     # -- multiplication ------------------------------------------------
 
@@ -175,12 +185,13 @@ class DividedPowerAlgebra:
 
         When the factors do not interact the product is the single term
         e1 + e2 with coefficient the product of the binomials C(p+q, p),
-        and the word is not rewritten.
+        and nothing is rewritten.  Otherwise e1 is multiplied by each
+        syllable of e2 in written order, one `_times` step per term.
         """
         if not self._interacts(e1, e2):
             exps = tuple(map(add, e1, e2))
             return ((exps, prod(map(comb, exps, e1))),)
-        terms = self._straighten(self._syllables(e1) + self._syllables(e2))
+        terms = self._fold({e1: 1}, self._syllables(e2))
         order = self.written_order
         return tuple(sorted(terms.items(),
                             key=lambda t: [t[0][a] for a in order]))

@@ -2,7 +2,8 @@
 
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
 the head of an arrow from its degree, products and column factors of
-divided-power elements, the product of arrow elements in the ambient
+divided-power elements, structure constants by rewriting whole words
+of syllables, the product of arrow elements in the ambient
 arrow algebra, the unit and the arrow-side
 product table of a based algebra, the largest reachable height by
 search over the compositions, the Euler characteristics of a
@@ -18,6 +19,7 @@ rows in characteristic p, Kostant's theorem in characteristic 0).
 """
 
 from itertools import accumulate, combinations, permutations
+from math import comb
 
 from borelschur.arrows import arrow_is_kept
 from borelschur.combinatorics import (
@@ -97,6 +99,69 @@ def column_factors(alg, m):
     in this order they reproduce m."""
     return [tuple(k if alg.pairs[a][1] == j else 0 for a, k in enumerate(m))
             for j in range(alg.n, 1, -1)]
+
+
+class WordOracle:
+    """Products of DividedPowerAlgebra monomials by rewriting whole words
+    of syllables e_ij^(k), memoized by word.
+
+    The first adjacent pair out of canonical order is rewritten: equal
+    pairs merge, commuting pairs swap, and e_ij^(p) e_jl^(q) expands by
+    the Heisenberg rule (the one non-commuting pair that can be out of
+    order: e_ij before e_ki is in order).  Terminates because each
+    rewrite shortens the word's expansion into letters, removes
+    inversions from it, or merges two syllables.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.memo = {}
+
+    def straighten(self, word):
+        """A word of syllables (a, k), each standing for e_A^(k), as
+        {canonical exponent vector: integer coefficient}."""
+        hit = self.memo.get(word)
+        if hit is not None:
+            return hit
+        alg = self.alg
+        rank = alg.written_rank
+        for pos in range(len(word) - 1):
+            (a, p), (b, q) = word[pos], word[pos + 1]
+            if rank[a] >= rank[b]:
+                break
+        else:
+            exps = [0] * len(alg.pairs)
+            for a, k in word:
+                exps[a] = k
+            self.memo[word] = result = {tuple(exps): 1}
+            return result
+        head, tail = word[:pos], word[pos + 2:]
+        (i, j), (k, l) = alg.pairs[a], alg.pairs[b]
+        if a == b:    # e^(p) e^(q) = C(p+q, p) e^(p+q)
+            rewrites = [(comb(p + q, p), ((a, p + q),))]
+        elif j != k:  # commuting pairs
+            rewrites = [(1, ((b, q), (a, p)))]
+        else:         # sum over t of e_jl^(q-t) e_il^(t) e_ij^(p-t)
+            c = alg.pair_index[(i, l)]
+            rewrites = []
+            for t in range(min(p, q) + 1):
+                middle = ((b, q - t), (c, t), (a, p - t))
+                rewrites.append((1, tuple(s for s in middle if s[1])))
+        result = {}
+        for coeff, middle in rewrites:
+            for exps, x in self.straighten(head + middle + tail).items():
+                result[exps] = result.get(exps, 0) + coeff * x
+        self.memo[word] = result
+        return result
+
+    def product_terms(self, m1, m2):
+        """Same contract as DividedPowerAlgebra.product_terms: a tuple of
+        (exponent vector, integer coefficient) sorted by letter word."""
+        order = self.alg.written_order
+        word = tuple((a, m[a]) for m in (m1, m2) for a in order if m[a])
+        return tuple(sorted(
+            self.straighten(word).items(),
+            key=lambda t: [a for a in order for _ in range(t[0][a])]))
 
 
 def euler_ok(complex_):

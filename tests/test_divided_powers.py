@@ -13,7 +13,7 @@ from borelschur.combinatorics import coords_to_vector
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from letter_oracle import LetterOracle, word
-from oracles import column_factors, multiply
+from oracles import WordOracle, column_factors, multiply
 
 QQ = Rationals()
 
@@ -153,26 +153,40 @@ def test_integrality_on_cache_fill():
         assert terms == oracle.product_terms(e1, e2)
 
 
-_ALGEBRAS = {n: DividedPowerAlgebra(n) for n in range(2, 6)}
+_ALGEBRAS = {n: DividedPowerAlgebra(n) for n in range(2, 7)}
 _ORACLES = {n: LetterOracle(alg) for n, alg in _ALGEBRAS.items()}
+_WORD_ORACLES = {n: WordOracle(alg) for n, alg in _ALGEBRAS.items()}
+
+
+def _draw_exponents(draw, alg, budget):
+    """An exponent vector of height <= budget, filled in a drawn order so
+    that no pair is favoured by the budget."""
+    exps = [0] * len(alg.pairs)
+    for a in draw(st.permutations(range(len(alg.pairs)))):
+        exps[a] = draw(st.integers(0, budget // alg.pair_heights[a]))
+        budget -= exps[a] * alg.pair_heights[a]
+    return tuple(exps)
 
 
 @st.composite
-def monomial_pairs(draw, height=8):
-    """(algebra, m1, m2) for n in 2..5 with the two heights adding up to at
-    most `height`; pairs are filled in a drawn order so that no pair is
-    favoured by the budget."""
-    n = draw(st.integers(2, 5))
-    alg = _ALGEBRAS[n]
-    budget = height
-    monos = []
-    for _ in range(2):
-        exps = [0] * len(alg.pairs)
-        for a in draw(st.permutations(range(len(alg.pairs)))):
-            exps[a] = draw(st.integers(0, budget // alg.pair_heights[a]))
-            budget -= exps[a] * alg.pair_heights[a]
-        monos.append(tuple(exps))
-    return (alg, *monos)
+def monomial_pairs(draw, height=8, top=5):
+    """(algebra, m1, m2) for n in 2..top with the two heights adding up to
+    at most `height`."""
+    alg = _ALGEBRAS[draw(st.integers(2, top))]
+    m1 = _draw_exponents(draw, alg, height)
+    m2 = _draw_exponents(draw, alg, height - alg.monomial_height(m1))
+    return alg, m1, m2
+
+
+@st.composite
+def syllable_products(draw, height=8):
+    """(algebra, m, a, k) for n in 2..5: a monomial m and one syllable
+    e_a^(k), k >= 1, of total height at most `height`."""
+    alg = _ALGEBRAS[draw(st.integers(2, 5))]
+    a = draw(st.integers(0, len(alg.pairs) - 1))
+    k = draw(st.integers(1, height // alg.pair_heights[a]))
+    m = _draw_exponents(draw, alg, height - k * alg.pair_heights[a])
+    return alg, m, a, k
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,6 +195,54 @@ def test_products_equal_the_letter_oracle(case):
     """Terms, coefficients and term order all agree with the oracle."""
     alg, m1, m2 = case
     assert alg.product_terms(m1, m2) == _ORACLES[alg.n].product_terms(m1, m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs(height=10, top=6))
+def test_products_equal_the_word_rewriting(case):
+    """Folding one syllable at a time gives the terms, coefficients and
+    term order of rewriting the whole concatenated word."""
+    alg, m1, m2 = case
+    assert (alg.product_terms(m1, m2)
+            == _WORD_ORACLES[alg.n].product_terms(m1, m2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllable_products())
+def test_times_one_syllable_equals_the_letter_oracle(case):
+    """`_times(m, a, k)` is the product of m with the monomial e_a^(k)."""
+    alg, m, a, k = case
+    syllable = tuple(k if b == a else 0 for b in range(len(alg.pairs)))
+    assert alg._times(m, a, k) == dict(
+        _ORACLES[alg.n].product_terms(m, syllable))
+
+
+@pytest.mark.parametrize("n,h,entries", [(3, 12, 6594), (4, 8, 11226)])
+def test_product_table_equals_the_word_rewriting(n, h, entries):
+    """Every entry of the filled table, terms and order, against the word
+    oracle."""
+    alg = DividedPowerAlgebra(n)
+    alg.fill_cache(h)
+    oracle = WordOracle(DividedPowerAlgebra(n))
+    assert len(alg._products) == entries
+    for (m1, m2), terms in alg._products.items():
+        assert terms == oracle.product_terms(m1, m2)
+
+
+def test_straighten_memo_stays_small_and_unchanged():
+    """Rank 3 to height 16 memoizes a few thousand one-syllable products
+    (whole-word memoization stored 47,936 words).  Refilling the table
+    from the memo leaves every memo value as it was: no caller mutates a
+    shared value."""
+    alg = DividedPowerAlgebra(3)
+    alg.fill_cache(16)
+    assert len(alg._straighten_memo) <= 10_000
+    memo = {key: dict(value) for key, value in alg._straighten_memo.items()}
+    products = dict(alg._products)
+    alg._products.clear()
+    alg.fill_cache(16)
+    assert alg._straighten_memo == memo
+    assert alg._products == products
 
 
 @pytest.mark.parametrize("n,h", [(3, 8), (4, 6)])
@@ -199,12 +261,13 @@ def test_product_terms_come_in_word_order(n, h):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_single_term_products_match_the_rewriting(n):
     """For every pair of total height <= 8, `_straighten_product` equals
-    `_straighten` of the concatenated word, run on a second algebra.  A
-    pair with no e_ij in m1 and e_jl in m2 is one that `_interacts` says
-    does not interact; it leaves the straightening memo as it was, and its
-    one term is m1 + m2 with coefficient the product of the C(p+q, p).
+    the word oracle's rewriting of the concatenated word.  A pair with no
+    e_ij in m1 and e_jl in m2 is one that `_interacts` says does not
+    interact; it leaves the straightening memo as it was, and its one
+    term is m1 + m2 with coefficient the product of the C(p+q, p).
     Every pair that interacts has two or more terms."""
-    alg, oracle = DividedPowerAlgebra(n), DividedPowerAlgebra(n)
+    alg = DividedPowerAlgebra(n)
+    oracle = WordOracle(alg)
     monos = [(m, alg.monomial_height(m)) for m in alg.monomials_to_height(8)]
     routes = {True: 0, False: 0}
     for m1, h1 in monos:
@@ -213,8 +276,7 @@ def test_single_term_products_match_the_rewriting(n):
                 continue
             before = len(alg._straighten_memo)
             got = alg._straighten_product(m1, m2)
-            word_ = oracle._syllables(m1) + oracle._syllables(m2)
-            assert dict(got) == oracle._straighten(word_)
+            assert got == oracle.product_terms(m1, m2)
             meets = any(m1[a] and m2[b] and alg.pairs[a][1] == alg.pairs[b][0]
                         for a in range(len(m1)) for b in range(len(m2)))
             assert alg._interacts(m1, m2) == meets == (len(got) > 1)
