@@ -119,12 +119,7 @@ class BasedAlgebra:
 
     def product_indices(self, i, j):
         """Product of basis arrows i and j as a vector over basis indices."""
-        if self.bases[i] != self.heads[j]:
-            return {}
-        hit = self._ptable.get((i, j))
-        if hit is None:
-            hit = self._ptable[(i, j)] = self._product(i, j)
-        return dict(hit)
+        return dict(self.product_terms(i, j))
 
     def product_terms(self, i, j):
         """The same product as (index, scalar) pairs, read from the cached

@@ -173,14 +173,8 @@ def cmd_transport(args):
         return ext_table_csv(transported), ok, summary
     payload = transported.to_json()
     payload["command"] = "transport"
-    payload["verification"] = {
-        k: report[k]
-        for k in ("passed", "d_squared_zero", "minimal", "top_is_simple",
-                  "structure", "complete", "terminated", "dims", "ranks")
-    }
-    payload["verification"]["exact_spots"] = {
-        str(i): v for i, v in report["exact_spots"].items()
-    }
+    payload["verification"] = {**report, "exact_spots": {
+        str(i): v for i, v in report["exact_spots"].items()}}
     payload["ext"] = [
         {"degree": i, "weight": list(w), "count": c}
         for (i, w), c in sorted(transported.ext_dimensions().items())

@@ -21,7 +21,8 @@ quotient, and closes that ideal at z from the p * q products of the
 p arrows leaving and q arrows entering z that survive in the quotient.
 The combinatorial hypotheses on the layer sets and Tor-vanishing spot
 checks complete the report.  `tor_dimensions` resolves the trivial
-module once and reads Tor at each sampled simple off its push-down by
+module once and reads Tor at each sampled simple off the dimensions and
+ranks that `transport.ModuleComplex.verify` reports on its push-down by
 `transport.push_graded`: the interval is convex, so the shifted graded
 resolution restricted to it resolves the simple over its algebra.
 """
@@ -38,7 +39,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import GradedComplex, by_column, chain_ranks, resolve
+from .resolutions import GradedComplex, resolve
 from .transport import ModuleComplex, push_graded
 
 
@@ -264,8 +265,9 @@ def tor_dimensions(trunc, borel, lams):
     degrees D = union of (Y - lam) cap Gamma for Y the points of `trunc`,
     serves every lam: Y is convex, so shifted by lam and restricted to Y
     it resolves the simple at lam over C(Y).  Tor is the homology of its
-    push-down to `borel` (`push_graded`), counted by `chain_ranks` once
-    d^2 = 0.  Y must hold every lam and the compositions.
+    push-down to `borel` (`push_graded`), read off the dimensions and
+    ranks that `ModuleComplex.verify` reports once d^2 = 0.  Y must hold
+    every lam and the compositions.
     """
     if not set(lams) <= set(trunc.points):
         raise ValueError("every weight must be a point of the truncation")
@@ -277,14 +279,12 @@ def tor_dimensions(trunc, borel, lams):
     out = {}
     for lam in lams:
         weights, diffs, _ = push_graded(borel, gc, lam)
-        pushed = ModuleComplex(borel, lam, weights, diffs)
-        bases = [pushed.module_basis(i) for i in range(len(weights))]
-        ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
-                                borel.product_terms, borel.field)
-        if not d2:
+        report = ModuleComplex(borel, lam, weights, diffs).verify()
+        if not report["d_squared_zero"]:
             raise ArithmeticError("the pushed-down resolution is not a complex")
+        dims, ranks = report["dims"], report["ranks"]
         # H_i = dim ker(d_i) - rank(d_{i+1}); P_i = 0 once the resolution ended
-        out[lam] = {i: len(bases[i]) - ranks[i - 1] - ranks[i]
+        out[lam] = {i: dims[i] - ranks[i - 1] - ranks[i]
                     if i < len(ranks) else 0 for i in (1, 2)}
     return out
 

@@ -48,7 +48,9 @@ complete, because radical products only ever raise height.
 
 `chain_ranks` is the one checker of a complex: it tests d_i d_{i+1} = 0
 and counts ranks between given bases.  It is behind `resolve`'s `exact`
-verdict, `transport`'s verification and the Tor check of `idempotents`.
+verdict, slice by slice, and, on whole modules, behind
+`transport.ModuleComplex.verify`, which `transport`'s verification and
+the Tor check of `idempotents` both read.
 """
 
 from operator import gt, sub

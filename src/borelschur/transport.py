@@ -1,15 +1,14 @@
 """Transport of graded resolutions into the composition-indexed quotient.
 
-`push_down` is the functor F_lam: on a complex of projectives with
-known weights it deletes each summand whose weight is not a
-composition and reduces every map entry by the drop rule of the Borel
-algebra.  `push_graded` applies it to a graded resolution of the
-trivial module, a generator of degree gamma sitting at the weight
-lam + gamma and each differential entry re-based at its target weight;
-`transport_resolution` and the Tor check of `idempotents` both go
-through it.  The result is checked, never trusted: d^2, rank-counted
-exactness, the one-dimensional top and minimality are all verified on
-the pushed-down complex.
+`push_graded` is the functor F_lam on a graded resolution of the
+trivial module: a generator of degree gamma sits at the weight
+lam + gamma, each summand whose weight is not a composition is deleted,
+and every map entry, re-based at its target weight, is reduced by the
+drop rule of the Borel algebra.  `transport_resolution` and the Tor
+check of `idempotents` both go through it, and both read the result
+through `ModuleComplex.verify`, the one reader of a pushed-down complex:
+it checks d^2, rank-counted exactness, the one-dimensional top and
+minimality, and reports the dimensions and ranks the Tor check needs.
 
 `resolve_simple` resolves the one-dimensional simple at lam directly
 over any based algebra with the engine of `resolutions`: the pieces are
@@ -52,27 +51,18 @@ class ModuleComplex:
     def field(self):
         return self.algebra.field
 
-    def module_basis(self, i):
-        """Pairs (summand, algebra basis index) spanning P_i."""
-        out = []
-        for t, w in enumerate(self.weights[i]):
-            for a in self.algebra.based_at(w):
-                out.append((t, a))
-        return out
-
-    def is_minimal(self):
-        return unit_free(self.diffs, self.algebra.is_unit_arrow)
-
     def verify(self):
-        """Full report: d^2, exactness by rank counting, top, minimality."""
-        bases = [self.module_basis(i) for i in range(len(self.weights))]
+        """Full report: d^2, exactness by rank counting, top, minimality,
+        and the module dimensions and map ranks the Tor check reads."""
+        bases = [[(t, a) for t, w in enumerate(ws)
+                  for a in self.algebra.based_at(w)] for ws in self.weights]
         dims = [len(b) for b in bases]
         steps = len(self.diffs)
         ranks, d2 = chain_ranks(bases, [by_column(d) for d in self.diffs],
                                 self.algebra.product_terms, self.field)
         report = {
             "d_squared_zero": d2,
-            "minimal": self.is_minimal(),
+            "minimal": unit_free(self.diffs, self.algebra.is_unit_arrow),
             "complete": self.complete,
             "terminated": self.terminated,
             "dims": dims,
@@ -150,50 +140,40 @@ def max_reachable_height(lam, n, r):
     return sum(r - sum(lam[:k]) for k in range(1, n))
 
 
-def push_down(borel, weights, diffs, arrow):
-    """The functor F_lam on a complex of projectives.
+def push_graded(borel, gc, lam):
+    """The functor F_lam on a graded resolution `gc` of the trivial module.
 
-    `weights[i]` lists the weights of the summands of P_i and `diffs[i]`
-    is d_{i+1} as {(t, s): {x: scalar}}, basis element x of the entry at
-    row t read as the arrow `arrow(i, t, x)`.  Summands whose weight is
-    not a composition of `borel.r` are deleted, and every entry between
-    kept summands is reduced by `borel.reduce_element`.  Returns the kept
-    weights, the pushed maps over `borel`'s basis indices and the deleted
-    summands as pairs (i, s).
+    A generator of degree gamma is placed at the weight lam + gamma; the
+    summands whose weight is not a composition of `borel.r` are deleted,
+    and every entry between kept summands, each monomial re-based at the
+    entry's target weight, is reduced by `borel.reduce_element`.  Returns
+    the kept weights, the pushed maps over `borel`'s basis indices and
+    the deleted summands as (i, degree, weight).
     """
     kept, keep, deleted = [], [], []   # keep: per module, {old s: new s}
-    for i, ws in enumerate(weights):
-        kp = {}
-        for s, w in enumerate(ws):
+    for i, degs in enumerate(gc.degrees):
+        ws, kp = [], {}
+        for s, g in enumerate(degs):
+            w = point_add(lam, coords_to_vector(g))
             if is_composition(w, borel.r):
-                kp[s] = len(kp)
+                kp[s] = len(ws)
+                ws.append(w)
             else:
-                deleted.append((i, s))
-        kept.append([ws[s] for s in kp])
+                deleted.append((i, g, w))
+        kept.append(ws)
         keep.append(kp)
     pushed = []
-    for i, diff in enumerate(diffs):
+    for i, diff in enumerate(gc.diffs):
         rows, cols, out = keep[i], keep[i + 1], {}
         for (t, s), entry in diff.items():
             if t in rows and s in cols:
+                w = kept[i][rows[t]]
                 vec = borel.reduce_element(
-                    {arrow(i, t, x): c for x, c in entry.items()})
+                    {(m, w): c for m, c in entry.items()})
                 if vec:
                     out[(rows[t], cols[s])] = vec
         pushed.append(out)
     return kept, pushed, deleted
-
-
-def push_graded(borel, gc, lam):
-    """F_lam on a graded resolution `gc` of the trivial module: `push_down`
-    of its generators placed at lam + degree, the deleted ones returned
-    as (i, degree, weight)."""
-    full = [[point_add(lam, coords_to_vector(g)) for g in degs]
-            for degs in gc.degrees]
-    weights, pushed, dropped = push_down(
-        borel, full, gc.diffs, lambda i, t, m: (m, full[i][t]))
-    return weights, pushed, [(i, gc.degrees[i][s], full[i][s])
-                             for i, s in dropped]
 
 
 def transport_resolution(gc, lam, r, borel=None):

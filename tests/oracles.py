@@ -13,9 +13,10 @@ an echelon form by picking one pivot at a time, the nullspace of a
 list of columns by eliminating the transposed matrix, convexity by
 every dominance interval between two points, the layer hypotheses by
 testing every pair of points for a single-column monoid step, Tor at
-one weight from a resolution of that simple over the interval algebra,
-and the graded Betti numbers of the trivial module in closed form (two
-rows in characteristic p, Kostant's theorem in characteristic 0).
+one weight from a resolution of that simple over the interval algebra
+pushed down by hand through the diagonal completion test, and the
+graded Betti numbers of the trivial module in closed form (two rows in
+characteristic p, Kostant's theorem in characteristic 0).
 """
 
 from itertools import accumulate, combinations, permutations
@@ -28,6 +29,7 @@ from borelschur.combinatorics import (
     dominance_between,
     dominance_leq,
     interval_points,
+    is_composition,
     layer_points,
     point_add,
     point_sub,
@@ -36,7 +38,7 @@ from borelschur.combinatorics import (
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import by_column, chain_ranks
-from borelschur.transport import push_down, resolve_simple
+from borelschur.transport import resolve_simple
 
 
 def pair_to_matrix(i, j, n):
@@ -202,14 +204,28 @@ def max_reachable_height(lam, n, r):
 
 def interval_tor(trunc, borel, lam):
     """dim Tor_1 and Tor_2 at the simple lam, one resolution per weight: the
-    simple resolved over the interval algebra `trunc` itself, its maps
-    pushed down to `borel` (an entry's basis index read as the
-    truncation arrow), and the homology of the pushed-down complex."""
+    simple resolved over the interval algebra `trunc` itself, pushed down
+    to `borel` by hand (the summands at compositions kept, and of each
+    entry the truncation arrows that pass `arrow_is_kept`, read as `borel`
+    basis elements), and the homology of the pushed-down complex."""
     res = resolve_simple(trunc, lam, 3)
-    weights, diffs, _ = push_down(borel, res.weights, res.diffs,
-                                  lambda i, t, a: trunc.arrows[a])
-    bases = [[(t, a) for t, w in enumerate(ws) for a in borel.based_at(w)]
-             for ws in weights]
+    r = borel.r
+    keep = []   # per module, {old summand: new summand}
+    for ws in res.weights:
+        kept = [s for s, w in enumerate(ws) if is_composition(w, r)]
+        keep.append({s: k for k, s in enumerate(kept)})
+    diffs = []
+    for rows, cols, diff in zip(keep, keep[1:], res.diffs):
+        out = {}
+        for (t, s), entry in diff.items():
+            if t in rows and s in cols:
+                vec = {borel.index[a]: c for x, c in entry.items()
+                       if arrow_is_kept(trunc.alg, a := trunc.arrows[x], r)}
+                if vec:
+                    out[rows[t], cols[s]] = vec
+        diffs.append(out)
+    bases = [[(k, a) for s, k in kp.items() for a in borel.based_at(ws[s])]
+             for ws, kp in zip(res.weights, keep)]
     ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
                             borel.product_terms, borel.field)
     assert d2, "the pushed-down resolution is not a complex"

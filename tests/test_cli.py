@@ -249,6 +249,9 @@ def test_byte_stability(tmp_path):
      "359df7f41dcc8a016e56b18c64e0c668447fbb1b05b4c7cf7d67f26797b5451c"),
     ("verify-iso --n 2 --r 7 --char 3",
      "30c9966e346a7c7ddcad4e74b5f5fc7225450dad28ea03d3c8d4365d7454b571"),
+    # eleven exact spots: "10" and "11" sort between "1" and "2"
+    ("transport --n 2 --r 2 --char 2 --lambda 0,2 --length 12 --height 16",
+     "a1506f60c39c07a29eb901513696c85cbc6ce9d45bd42a6a37c38877c07986cc"),
 ])
 def test_payload_bytes_are_pinned(argv, digest, capsys):
     """Payload bytes of jobs that run both resolution routes, the Tor
