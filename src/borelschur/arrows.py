@@ -102,7 +102,7 @@ class BasedAlgebra:
     def base(self, i):
         return self.bases[i]
 
-    def is_unit_arrow(self, i):
+    def is_unit(self, i):
         return not any(self.arrows[i][0])
 
     def based_at(self, y):

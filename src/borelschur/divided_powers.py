@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 from math import comb, prod
-from operator import add, mul
+from operator import add, gt, mul, sub
 
 from .combinatorics import compositions
 
@@ -36,6 +36,9 @@ def _pairs(n):
 
 class DividedPowerAlgebra:
     """Multiplication, grading and column structure for one rank n.
+
+    Like a based algebra, it answers what the resolution engine and its
+    checkers ask: `between`, `product_terms` and `is_unit`.
 
     The only mutable state is three compute-once/read-many tables: the
     product table, the straightening memo and the graded components.
@@ -80,17 +83,10 @@ class DividedPowerAlgebra:
     def unit(self):
         return (0,) * len(self.pairs)
 
-    # -- grading ------------------------------------------------------
+    def is_unit(self, m):
+        return not any(m)
 
-    def degree(self, m):
-        """Coefficients over the simple positive vectors v_l - v_{l+1}."""
-        c = [0] * (self.n - 1)
-        for a, k in enumerate(m):
-            if k:
-                i, j = self.pairs[a]
-                for l in range(i - 1, j - 1):
-                    c[l] += k
-        return tuple(c)
+    # -- grading ------------------------------------------------------
 
     def monomial_height(self, m):
         return _exps_height(m, self.pair_heights)
@@ -238,6 +234,13 @@ class DividedPowerAlgebra:
         out.sort()
         self._components[coords] = out
         return out
+
+    def between(self, g, p):
+        """The monomials of degree p - g, empty unless g <= p coordinatewise:
+        the basis from piece g to piece p of the resolution engine."""
+        if any(map(gt, g, p)):
+            return []
+        return self.component_basis(tuple(map(sub, p, g)))
 
     def degrees_to_height(self, h):
         """All degree coordinate vectors of height <= h, sorted by (height, lex)."""

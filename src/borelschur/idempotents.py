@@ -39,7 +39,7 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import GradedComplex, resolve
+from .resolutions import resolve
 from .transport import ModuleComplex, push_graded
 
 
@@ -264,8 +264,10 @@ def tor_dimensions(trunc, borel, lams):
     One graded resolution of the trivial module, over the down-closed
     degrees D = union of (Y - lam) cap Gamma for Y the points of `trunc`,
     serves every lam: Y is convex, so shifted by lam and restricted to Y
-    it resolves the simple at lam over C(Y).  Tor is the homology of its
-    push-down to `borel` (`push_graded`), read off the dimensions and
+    it resolves the simple at lam over C(Y).  `resolve` builds it straight
+    from the divided-power algebra's `between` and `product_terms`, and
+    `push_graded` pushes its degrees and maps down to `borel` at each lam.
+    Tor is the homology of that push-down, read off the dimensions and
     ranks that `ModuleComplex.verify` reports once d^2 = 0.  Y must hold
     every lam and the compositions.
     """
@@ -273,12 +275,12 @@ def tor_dimensions(trunc, borel, lams):
         raise ValueError("every weight must be a point of the truncation")
     pieces = {d for lam in lams for y in trunc.points
               if (d := positive_root_coords(point_sub(y, lam))) is not None}
-    gc = GradedComplex(trunc.alg, trunc.field, 3, None, [], [])
-    gc.degrees, gc.diffs = resolve(pieces, (0,) * (trunc.alg.n - 1),
-                                   gc.between, gc.mul, gc.field, 3, "first")
+    alg = trunc.alg
+    degrees, graded = resolve(pieces, (0,) * (alg.n - 1), alg.between,
+                              alg.product_terms, trunc.field, 3, "first")
     out = {}
     for lam in lams:
-        weights, diffs, _ = push_graded(borel, gc, lam)
+        weights, diffs, _ = push_graded(borel, degrees, graded, lam)
         report = ModuleComplex(borel, lam, weights, diffs).verify()
         if not report["d_squared_zero"]:
             raise ArithmeticError("the pushed-down resolution is not a complex")

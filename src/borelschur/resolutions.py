@@ -33,12 +33,13 @@ reduces modulo, and the same pass reads off the next step's kernel at
 p.  A new generator's own column is its residual, independent of the
 others, so it adds no kernel vector and is never computed.
 
-Here the pieces are degree coordinates over the simple positive vectors,
-covered in (height, lex) order, and the basis from g to p is the
-monomials of degree p - g, and `mul` is `product_terms`, the cached
-integer structure constants: this resolves the trivial module of the
-divided-power algebra, for `minimal_resolution` to a height and for the
-Tor check of `idempotents` over the degrees that reach its interval.
+Both algebra families supply the two functions themselves, as their
+`between` and `product_terms`, and `is_unit` for the minimality check.
+Over the divided-power algebra the pieces are degree coordinates over
+the simple positive vectors, covered in (height, lex) order, and the
+basis from g to p is the monomials of degree p - g: this resolves the
+trivial module, for `minimal_resolution` to a height and for the Tor
+check of `idempotents` over the degrees that reach its interval.
 `transport.resolve_simple` runs the same engine over a based algebra
 with head weights as pieces.
 
@@ -52,8 +53,6 @@ verdict, slice by slice, and, on whole modules, behind
 `transport.ModuleComplex.verify`, which `transport`'s verification and
 the Tor check of `idempotents` both read.
 """
-
-from operator import gt, sub
 
 from .fields import serialize_scalar as _ser
 from .linalg import Echelon, add_scaled, matrix_rank
@@ -190,8 +189,8 @@ class GradedComplex:
     over the simple positive vectors).  `diffs[i]` is the matrix of
     d_{i+1}: P_{i+1} -> P_i as {(t, s): element}; entry (t, s) is an
     algebra element of degree degrees[i+1][s] - degrees[i][t] acting by
-    right multiplication on generator coordinates.  `mul` is the
-    algebra's `product_terms`, the engine's product.
+    right multiplication on generator coordinates.  The checks ask `alg`
+    what the engine asks: `between`, `product_terms` and `is_unit`.
     """
 
     def __init__(self, alg, field, length, height_cut, degrees, diffs):
@@ -201,13 +200,6 @@ class GradedComplex:
         self.height = height_cut
         self.degrees = degrees
         self.diffs = diffs
-        self.mul = alg.product_terms
-
-    def between(self, g, p):
-        """The monomials of degree p - g, empty unless g <= p coordinatewise."""
-        if any(map(gt, g, p)):
-            return []
-        return self.alg.component_basis(tuple(map(sub, p, g)))
 
     def betti(self):
         """Homological index -> sorted list of generator degrees."""
@@ -223,9 +215,10 @@ class GradedComplex:
         steps = len(self.diffs)
         maps = [by_column(diff) for diff in self.diffs]
         for coords in self.alg.degrees_to_height(self.height):
-            bases = [free_basis(degs, coords, self.between)
+            bases = [free_basis(degs, coords, self.alg.between)
                      for degs in self.degrees]
-            ranks, d2 = chain_ranks(bases, maps, self.mul, self.field)
+            ranks, d2 = chain_ranks(bases, maps, self.alg.product_terms,
+                                    self.field)
             if not d2:
                 return False
             aug_ker = len(bases[0]) if any(coords) else 0
@@ -238,7 +231,7 @@ class GradedComplex:
 
     def verify_minimality(self):
         """Every differential entry must avoid the unit degree."""
-        return unit_free(self.diffs, lambda m: not any(m))
+        return unit_free(self.diffs, self.alg.is_unit)
 
     def to_json(self):
         return {
@@ -266,8 +259,6 @@ def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
     generators chosen minimally (independent modulo radical multiples of
     the kernel).
     """
-    complex_ = GradedComplex(alg, field, length, height_cut, [], [])
-    complex_.degrees, complex_.diffs = resolve(
+    return GradedComplex(alg, field, length, height_cut, *resolve(
         alg.degrees_to_height(height_cut), (0,) * (alg.n - 1),
-        complex_.between, complex_.mul, field, length, pivoting)
-    return complex_
+        alg.between, alg.product_terms, field, length, pivoting))

@@ -12,8 +12,9 @@ minimality, and reports the dimensions and ranks the Tor check needs.
 
 `resolve_simple` resolves the one-dimensional simple at lam directly
 over any based algebra with the engine of `resolutions`: the pieces are
-head weights, `between` is the algebra's arrows from one weight to
-another and `mul` is `product_terms`, the cached (index, scalar) pairs.
+head weights, and the algebra's own `between` (its arrows from one
+weight to another) and `product_terms` (the cached (index, scalar)
+pairs) are the engine's two functions.
 No command runs it; it is the tests' independent route to the Ext data.
 """
 
@@ -62,17 +63,15 @@ class ModuleComplex:
                                 self.algebra.product_terms, self.field)
         report = {
             "d_squared_zero": d2,
-            "minimal": unit_free(self.diffs, self.algebra.is_unit_arrow),
+            "minimal": unit_free(self.diffs, self.algebra.is_unit),
             "complete": self.complete,
             "terminated": self.terminated,
             "dims": dims,
             "ranks": ranks,
         }
-        report["top_is_simple"] = (
-            len(self.weights[0]) == 1
-            and self.weights[0][0] == self.lam
-            and (dims[0] - (ranks[0] if ranks else 0)) == 1
-        )
+        # P_0 is the one summand at lam; d_1, if any, has corank one in it
+        report["top_is_simple"] = list(self.weights[0]) == [self.lam] and (
+            not ranks or dims[0] - ranks[0] == 1)
         # once a module dies the rest must be dead
         structural = True
         seen_empty = False
@@ -140,8 +139,9 @@ def max_reachable_height(lam, n, r):
     return sum(r - sum(lam[:k]) for k in range(1, n))
 
 
-def push_graded(borel, gc, lam):
-    """The functor F_lam on a graded resolution `gc` of the trivial module.
+def push_graded(borel, degrees, diffs, lam):
+    """The functor F_lam on a graded resolution of the trivial module, given
+    by its generator degrees and maps as `resolve` returns them.
 
     A generator of degree gamma is placed at the weight lam + gamma; the
     summands whose weight is not a composition of `borel.r` are deleted,
@@ -151,7 +151,7 @@ def push_graded(borel, gc, lam):
     the deleted summands as (i, degree, weight).
     """
     kept, keep, deleted = [], [], []   # keep: per module, {old s: new s}
-    for i, degs in enumerate(gc.degrees):
+    for i, degs in enumerate(degrees):
         ws, kp = [], {}
         for s, g in enumerate(degs):
             w = point_add(lam, coords_to_vector(g))
@@ -163,7 +163,7 @@ def push_graded(borel, gc, lam):
         kept.append(ws)
         keep.append(kp)
     pushed = []
-    for i, diff in enumerate(gc.diffs):
+    for i, diff in enumerate(diffs):
         rows, cols, out = keep[i], keep[i + 1], {}
         for (t, s), entry in diff.items():
             if t in rows and s in cols:
@@ -193,7 +193,7 @@ def transport_resolution(gc, lam, r, borel=None):
         borel = BorelAlgebra(n, r, gc.field)
     elif borel.field != gc.field or borel.n != n or borel.r != r:
         raise ValueError("quotient algebra does not match the resolution")
-    weights, diffs, deleted = push_graded(borel, gc, lam)
+    weights, diffs, deleted = push_graded(borel, gc.degrees, gc.diffs, lam)
     complete = max_reachable_height(lam, n, r) <= gc.height
     terminated = len(weights) >= 1 and not weights[-1]
     return ModuleComplex(borel, lam, weights, diffs, complete=complete,

@@ -1,11 +1,11 @@
 """Test oracles: reference computations that no command runs.
 
 Marginal matrices of ordered pairs (criterion 4) and of kept arrows,
-the head of an arrow from its degree, products and column factors of
-divided-power elements, structure constants by rewriting whole words
-of syllables, the product of arrow elements in the ambient
-arrow algebra, the unit and the arrow-side
-product table of a based algebra, the largest reachable height by
+the degree of a monomial and the head of an arrow from it, products
+and column factors of divided-power elements, structure constants by
+rewriting whole words of syllables, the product of arrow elements in
+the ambient arrow algebra, the unit and the arrow-side product table
+of a based algebra, the largest reachable height by
 search over the compositions, the Euler characteristics of a
 transported complex (criterion 7), Tor through the interval algebra's
 product filtered by the diagonal completion test, elimination against
@@ -55,10 +55,22 @@ def pair_to_matrix(i, j, n):
     return tuple(tuple(row) for row in k)
 
 
+def degree(alg, m):
+    """Coefficients of a monomial's degree over the simple positive
+    vectors v_l - v_{l+1}."""
+    c = [0] * (alg.n - 1)
+    for a, k in enumerate(m):
+        if k:
+            i, j = alg.pairs[a]
+            for l in range(i - 1, j - 1):
+                c[l] += k
+    return tuple(c)
+
+
 def arrow_head(alg, arrow):
     """The head of an arrow: its base plus the degree of its monomial."""
     m, base = arrow
-    return point_add(base, coords_to_vector(alg.degree(m)))
+    return point_add(base, coords_to_vector(degree(alg, m)))
 
 
 def arrow_to_matrix(alg, arrow):
@@ -181,7 +193,7 @@ def euler_ok(complex_):
 def unit(algebra):
     """Sum of the indicator arrows: the unit of a based algebra."""
     one = algebra.field.one
-    return {i: one for i in range(algebra.dim) if algebra.is_unit_arrow(i)}
+    return {i: one for i in range(algebra.dim) if algebra.is_unit(i)}
 
 
 def products_json(algebra):

@@ -28,6 +28,7 @@ from oracles import (
     arrow_product,
     arrow_to_matrix,
     column_factors,
+    degree,
     unit,
 )
 
@@ -185,7 +186,7 @@ def test_kept_test_equals_partial_point_condition(n, r):
         path_ok = is_composition(mu, r)
         pt = mu
         for f in reversed(column_factors(alg, m)):
-            pt = point_add(pt, coords_to_vector(alg.degree(f)))
+            pt = point_add(pt, coords_to_vector(degree(alg, f)))
             path_ok = path_ok and is_composition(pt, r)
         assert path_ok == arrow_is_kept(alg, a, r), a
 

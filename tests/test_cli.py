@@ -9,6 +9,7 @@ import pytest
 
 from borelschur import tensor_space
 from borelschur.cli import build_parser, main
+from borelschur.combinatorics import compositions
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import CHARACTERISTIC_CAP, PrimeField
 
@@ -78,6 +79,20 @@ def test_transport(capsys):
     assert data["verification"]["passed"]
     assert data["weights"][0] == [[0, 2]]
     assert sorted(tuple(w) for w in data["weights"][1]) == [(1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2)])
+def test_transport_at_length_zero_passes(n, r, capsys):
+    """With no d_1 the top is simple when P_0 is the one summand at
+    lambda, however many arrows start there."""
+    for lam in compositions(n, r):
+        code, out, _ = run_cli(["transport", "--n", str(n), "--r", str(r),
+                                "--lambda", ",".join(map(str, lam)),
+                                "--length", "0", "--height", "2"], capsys)
+        data = json.loads(out)
+        assert data["weights"] == [[list(lam)]]
+        assert data["verification"]["top_is_simple"], lam
+        assert code == 0 and data["verification"]["passed"]
 
 
 def test_transport_csv(capsys):

@@ -1,12 +1,14 @@
 """Every function in src/borelschur runs from src/ or is a documented export.
 
 A function or method counts as used when its name appears in src/ as a
-name, attribute, import or string outside its own definition and outside
-`__init__.py`, whose imports and `__all__` only export.  A function
-that no src/ code calls may stay only when it is in `borelschur.__all__`
-and the README names it in backticks, saying why a library user wants
-it.  Dunders are exempt.  Code that only tests call belongs in a test
-helper module such as `oracles.py`.
+name, attribute, import or the name argument of `getattr`, `hasattr` or
+`setattr`, outside its own definition and outside `__init__.py`, whose
+imports and `__all__` only export.  Any other string, a dict key say,
+names no function.  A function that no src/ code calls may stay only
+when it is in `borelschur.__all__` and the README names it in
+backticks, saying why a library user wants it.  Dunders are exempt.
+Code that only tests call belongs in a test helper module such as
+`oracles.py`.
 """
 
 import ast
@@ -18,13 +20,17 @@ import borelschur
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "borelschur"
 FIELDS = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+BY_NAME = {"getattr", "hasattr", "setattr"}
 
 
 def identifier(node):
     if type(node) in FIELDS:
         return getattr(node, FIELDS[type(node)])
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in BY_NAME and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return node.args[1].value
     return None
 
 
@@ -73,3 +79,12 @@ def test_guard_wants_a_reason_for_an_unused_export(tmp_path):
     assert unexplained(tmp_path, {"helper"}, "") == ["a.py:1 helper"]
     assert unexplained(tmp_path, set(), "`helper`") == ["a.py:1 helper"]
     assert unexplained(tmp_path, {"helper"}, "run `helper()` to see") == []
+
+
+def test_guard_counts_only_attribute_lookups_by_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def keyed():\n    return 1\n\n\n"
+        "def looked_up():\n    return 2\n\n\n"
+        "def report(obj):\n"
+        "    return {\"keyed\": getattr(obj, \"looked_up\")}\n")
+    assert unreferenced(tmp_path) == ["a.py:1 keyed", "a.py:9 report"]

@@ -13,7 +13,7 @@ from borelschur.combinatorics import coords_to_vector
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from letter_oracle import LetterOracle, word
-from oracles import WordOracle, column_factors, multiply
+from oracles import WordOracle, column_factors, degree, multiply
 
 QQ = Rationals()
 
@@ -24,11 +24,11 @@ def elem(pairs_to_scalars, alg, field=QQ):
 
 def test_degree_examples():
     A2 = DividedPowerAlgebra(2)
-    assert coords_to_vector(A2.degree(A2.monomial({(1, 2): 3}))) == (3, -3)
+    assert coords_to_vector(degree(A2, A2.monomial({(1, 2): 3}))) == (3, -3)
     A3 = DividedPowerAlgebra(3)
     m = A3.monomial({(2, 3): 2, (1, 3): 1, (1, 2): 1})
-    assert coords_to_vector(A3.degree(m)) == (2, 1, -3)
-    assert A3.degree(A3.unit) == (0, 0)
+    assert coords_to_vector(degree(A3, m)) == (2, 1, -3)
+    assert degree(A3, A3.unit) == (0, 0)
 
 
 def test_canonical_word_order():
@@ -84,9 +84,9 @@ def test_product_is_graded():
     monos = alg.monomials_to_height(4)
     for _ in range(40):
         m1, m2 = rng.choice(monos), rng.choice(monos)
-        d = tuple(a + b for a, b in zip(alg.degree(m1), alg.degree(m2)))
+        d = tuple(a + b for a, b in zip(degree(alg, m1), degree(alg, m2)))
         for m, _c in alg.product_terms(m1, m2):
-            assert alg.degree(m) == d
+            assert degree(alg, m) == d
 
 
 def test_column_factors():
@@ -307,11 +307,28 @@ def test_component_basis_matches_a_filter_of_all_exponents(n):
     alg = DividedPowerAlgebra(n)
     components = {}
     for exps in exponent_vectors(alg.pair_heights, 6):
-        components.setdefault(alg.degree(exps), []).append(exps)
+        components.setdefault(degree(alg, exps), []).append(exps)
     degrees = alg.degrees_to_height(6)
     assert set(components) <= set(degrees)
     for coords in degrees:
         assert alg.component_basis(coords) == components.get(coords, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_between_is_the_component_of_the_difference(n, data):
+    """`between(g, p)`, the engine's basis from piece g to piece p, is the
+    increasing list of the monomials of degree p - g, and empty unless
+    g <= p coordinatewise."""
+    alg = DividedPowerAlgebra(n)
+    pieces = st.sampled_from(alg.degrees_to_height(6))
+    g, p = data.draw(pieces), data.draw(pieces)
+    diff = tuple(b - a for a, b in zip(g, p))
+    expected = [m for m in exponent_vectors(alg.pair_heights, 6)
+                if degree(alg, m) == diff]
+    assert alg.between(g, p) == expected
+    if not all(a <= b for a, b in zip(g, p)):
+        assert alg.between(g, p) == []
 
 
 def test_deep_heisenberg_product():

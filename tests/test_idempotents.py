@@ -135,7 +135,7 @@ def test_indicator_vector_is_a_truncation_method():
     T = interval_truncation(3, 2)
     y = (0, 0, 2)
     ((i, c),) = T.indicator_vector(y).items()
-    assert T.is_unit_arrow(i) and T.base(i) == T.head(i) == y and c == QQ.one
+    assert T.is_unit(i) and T.base(i) == T.head(i) == y and c == QQ.one
     q = quotient_algebra(T, [(2, -2, 2)])
     assert not hasattr(q, "indicator_vector")
     assert not hasattr(BorelAlgebra(3, 2, QQ), "indicator_vector")
@@ -220,7 +220,7 @@ def test_chain_builds_no_quotient(monkeypatch):
 
 def test_two_idempotent_rejects_non_idempotent():
     T = interval_truncation(2, 2)
-    arrow_e = next(i for i in range(T.dim) if not T.is_unit_arrow(i))
+    arrow_e = next(i for i in range(T.dim) if not T.is_unit(i))
     with pytest.raises(ValueError):
         two_idempotent_report(T, {arrow_e: T.field.one})
 

@@ -185,7 +185,7 @@ def test_slice_dimensions_match_component_counts():
                 rem = tuple(a - b for a, b in zip(coords, g))
                 if all(x >= 0 for x in rem):
                     expected += len(alg.component_basis(rem))
-            assert len(free_basis(degs, coords, c.between)) == expected
+            assert len(free_basis(degs, coords, alg.between)) == expected
 
 
 @pytest.mark.parametrize("n,char,L,H", [
@@ -311,10 +311,9 @@ def test_cover_matches_all_kernel_oracle_on_degrees(n, char, length, height,
                                                     pivoting):
     alg = DividedPowerAlgebra(n)
     field = field_of_characteristic(char)
-    c = GradedComplex(alg, field, length, height, [], [])
     engine, oracle = both_engines(alg.degrees_to_height(height),
-                                  (0,) * (n - 1), c.between, c.mul, field,
-                                  length, pivoting)
+                                  (0,) * (n - 1), alg.between,
+                                  alg.product_terms, field, length, pivoting)
     assert engine == oracle
 
 
@@ -363,9 +362,9 @@ def test_graded_mul_is_associative(n, char, data):
     """The engine's cover needs `mul` associative."""
     alg = DividedPowerAlgebra(n)
     field = field_of_characteristic(char)
-    c = GradedComplex(alg, field, 0, 0, [], [])
     monos = st.sampled_from(alg.monomials_to_height(8 - n))
-    assert_associative(c.mul, field, *(data.draw(monos) for _ in range(3)))
+    assert_associative(alg.product_terms, field,
+                       *(data.draw(monos) for _ in range(3)))
 
 
 @settings(max_examples=60, deadline=None)

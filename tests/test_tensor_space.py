@@ -227,6 +227,14 @@ def test_operator_outside_span_is_rejected():
         bad.setdefault(act.position[q], {})[act.position[p]] = QQ.zero
         with pytest.raises(ValueError):
             act.operator_to_orbits(bad)
+    # an orbit sum without the entry at its canonical pair, whose other
+    # position is still stored
+    bad = act.xi((1, 1), (1, 2))
+    i, j = act.canonical_pair(act.orbit_key((1, 1), (1, 2)))
+    assert bad.pop(act.position[j]) == {act.position[i]: QQ.one}
+    assert bad
+    with pytest.raises(ValueError):
+        act.operator_to_orbits(bad)
 
 
 def test_dimension_cap():
@@ -260,11 +268,11 @@ def test_verify_isomorphism_detects_tampering():
     borel = BorelAlgebra(2, 2, field)
     base = verify_isomorphism(2, 2, field, borel=borel)
     assert base["passed"]
-    i = next(k for k in range(borel.dim) if not borel.is_unit_arrow(k))
+    i = next(k for k in range(borel.dim) if not borel.is_unit(k))
     unit_at_base = borel.index[(borel.alg.unit, borel.base(i))]
-    good = borel.product_indices(i, unit_at_base)
+    good = borel.product_terms(i, unit_at_base)
     borel._ptable[(i, unit_at_base)] = {k: field.of(v + field.one)
-                                        for k, v in good.items()}
+                                        for k, v in good}
     tampered = verify_isomorphism(2, 2, field, borel=borel)
     assert not tampered["passed"]
     assert tampered["mismatch_count"] > 0
@@ -286,13 +294,13 @@ def test_verify_isomorphism_compares_skipped_pairs(monkeypatch):
     images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     pair = next((a, b) for a in range(borel.dim) for b in range(borel.dim)
                 if not supports_meet(images[a], images[b]))
-    assert borel.product_indices(*pair) == {}
-    product_indices = borel.product_indices
+    assert dict(borel.product_terms(*pair)) == {}
+    product_terms = borel.product_terms
 
     def tampered(a, b):
-        return {0: field.one} if (a, b) == pair else product_indices(a, b)
+        return ((0, field.one),) if (a, b) == pair else product_terms(a, b)
 
-    monkeypatch.setattr(borel, "product_indices", tampered)
+    monkeypatch.setattr(borel, "product_terms", tampered)
     rep = verify_isomorphism(2, 3, field, borel=borel)
     assert rep["mismatch_count"] >= 1
     assert pair in rep["mismatches"]
@@ -355,10 +363,10 @@ def test_verify_isomorphism_probes_every_pair(monkeypatch, n, r):
     images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     meeting = sum(supports_meet(x, y) for x in images for y in images)
     probed, read = [], []
-    product_indices = borel.product_indices
-    monkeypatch.setattr(borel, "product_indices",
+    product_terms = borel.product_terms
+    monkeypatch.setattr(borel, "product_terms",
                         lambda a, b: probed.append((a, b))
-                        or product_indices(a, b))
+                        or product_terms(a, b))
     to_orbits = TensorAction.operator_to_orbits
     monkeypatch.setattr(TensorAction, "operator_to_orbits",
                         lambda self, op: read.append(1) or to_orbits(self, op))

@@ -15,7 +15,7 @@ from borelschur.transport import (
     resolve_simple,
     transport_resolution,
 )
-from oracles import euler_ok
+from oracles import degree, euler_ok
 from oracles import max_reachable_height as reachable_by_search
 
 QQ = Rationals()
@@ -220,7 +220,7 @@ def test_two_stage_truncation_matches_direct():
                 base = keep[i][t]
                 # stage one restricts to arrows inside the interval
                 staged = {(m, base): c for m, c in entry.items()
-                          if point_add(base, coords_to_vector(alg.degree(m)))
+                          if point_add(base, coords_to_vector(degree(alg, m)))
                           in interval}
                 if t not in new_t or s not in new_s:
                     continue
@@ -238,6 +238,15 @@ def test_ext_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "degree,weight,count"
     assert lines[1].startswith("0,0 2,")
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2)])
+def test_resolve_simple_at_length_zero_passes(n, r):
+    for lam in compositions(n, r):
+        direct = resolve_simple(BorelAlgebra(n, r, QQ), lam, 0)
+        report = direct.verify()
+        assert direct.weights == [[lam]] and not direct.diffs
+        assert report["top_is_simple"] and report["passed"], lam
 
 
 def test_resolve_simple_r_zero():
