@@ -7,7 +7,10 @@ pair) give the classical basis, and an operator lies in their span iff
 it is constant on each orbit; divided powers act by choosing the
 positions to raise.  This is the ground truth the arrow construction is
 checked against: the isomorphism sends a kept arrow (m, mu) to the
-operator of m cut down to the weight space of mu.
+operator of m cut down to the weight space of mu.  The span is closed
+under composition and every orbit meets the sorted index of its
+column weight, so a product of operators in the span is read off one
+column per weight without being composed (Green, LNM 830, section 2.3).
 """
 
 from itertools import combinations, product as iproduct
@@ -24,8 +27,13 @@ def check_tensor_dimension(n, r):
     """Refuse a tensor space of dimension n^r over TENSOR_DIMENSION_CAP.
 
     For n >= 2 the power passes the cap once r reaches the cap's bit
-    length, so a large r is refused without computing n^r.
+    length, so a large r is refused without computing n^r.  At n = 1
+    the one index is an r-tuple, so r itself is held to the cap.
     """
+    if n == 1 and r > TENSOR_DIMENSION_CAP:
+        raise ValueError(
+            f"tensor index length {r} exceeds the supported cap "
+            f"{TENSOR_DIMENSION_CAP}")
     if n > 1 and (r >= TENSOR_DIMENSION_CAP.bit_length()
                   or n ** r > TENSOR_DIMENSION_CAP):
         raise ValueError(
@@ -165,17 +173,46 @@ class TensorAction:
 
     def product_orbits(self, ops):
         """Xi coordinates of x . y, keyed (a, b) in row-major order, for
-        the pairs x = ops[a], y = ops[b] whose supports meet.
+        the pairs x = ops[a], y = ops[b] whose supports meet; every op
+        must lie in the xi span.
 
-        compose(x, y) meets an entry only where a row of y is a column of
-        x, so every other pair is zero and is not composed.
+        The span, End_{KS_r}, is closed under composition, so x . y lies
+        in it, and every orbit of pairs (i, j) has a member whose j is
+        sorted, the least index of its weight.  So x . y is read off one
+        column q of y per weight, the sorted one, as x(y(e_q)) from the
+        stored columns of x, each entry keyed by its orbit; an orbit
+        whose entries in that column differ is refused.  Both supports
+        are S_r-stable, so they meet iff a row of y in a read column is
+        a column of x, and the x's are looked up by those rows.  No
+        operator is composed and no orbit of a product is walked.
         """
-        cols = [set(op) for op in ops]
-        rows = [set().union(*op.values()) for op in ops]
-        return {(a, b): self.operator_to_orbits(self.compose(x, y))
-                for a, (x, x_cols) in enumerate(zip(ops, cols))
-                for b, (y, y_rows) in enumerate(zip(ops, rows))
-                if not y_rows.isdisjoint(x_cols)}
+        field = self.field
+        indices = self.indices
+        orbit_key = self.orbit_key
+        least = {ks[0] for ks in self._by_weight.values()}
+        owners = {}
+        for a, x in enumerate(ops):
+            for q in x:
+                owners.setdefault(q, []).append(a)
+        out = {}
+        for b, y in enumerate(ops):
+            read = [(q, y[q]) for q in y if q in least]
+            for a in {a for _, col in read for p in col
+                      for a in owners.get(p, ())}:
+                x = ops[a]
+                coeffs = out[a, b] = {}
+                for q, col in read:
+                    acc = {}
+                    for p, c in col.items():
+                        colx = x.get(p)
+                        if colx:
+                            add_scaled(acc, colx, c, field)
+                    j = indices[q]
+                    for p, c in acc.items():
+                        if coeffs.setdefault(orbit_key(indices[p], j), c) != c:
+                            raise ValueError(
+                                "product is not constant on an orbit")
+        return dict(sorted(out.items()))
 
 
 def upper_table_json(n, r, field, basis="image"):
@@ -195,6 +232,8 @@ def upper_table_json(n, r, field, basis="image"):
         key_to_index = {action.orbit_key(i, j): k for k, (i, j) in enumerate(pairs)}
     elif basis == "image":
         ops = [action.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
+        # the span test on the images that product_orbits relies on
+        images = [action.operator_to_orbits(op) for op in ops]
     else:
         raise ValueError(f"unknown basis {basis!r}")
     dim = len(ops)
@@ -207,7 +246,6 @@ def upper_table_json(n, r, field, basis="image"):
         # with the images independent, each product column depends on the
         # image columns before it: its kernel vector is e_j minus its
         # expression over them
-        images = [action.operator_to_orbits(op) for op in ops]
         kernel = Echelon(field).insert_columns(images + products)
         if any(max(v) < dim for v in kernel):
             raise ValueError("image operators are linearly dependent")
@@ -233,12 +271,13 @@ def verify_isomorphism(n, r, field, borel=None):
     of the marginal-matrix count, (c) structure constants matching the
     drop-rule products on every basis pair.
 
-    Each pair probes the drop-rule product once.  A pair whose image
-    supports meet multiplies the images it holds and reads the product
-    back in xi coordinates; any other pair is zero, is not composed, and
-    is compared only when its drop-rule product is not.  The cost is one
-    sparse composition per pair whose supports meet, and one xi per
-    distinct orbit, built from its r!/prod K_st! arrangements, not r!.
+    Each pair probes the drop-rule product once.  The images pass the
+    full span test, so each product of a pair whose supports meet is
+    read at one column per weight (`TensorAction.product_orbits`); any
+    other pair is zero and is compared only when its drop-rule product
+    is not.  The cost is one walk of each image's orbits, one xi per
+    distinct orbit, built from its r!/prod K_st! arrangements, not r!,
+    and one column of each product.
     """
     if borel is None:
         borel = BorelAlgebra(n, r, field)
@@ -260,11 +299,13 @@ def verify_isomorphism(n, r, field, borel=None):
     report["triangular"] = all(p <= q for orb in image_orbits
                                for key in orb for p, q in key)
 
-    products = action.product_orbits(images)
+    lhs_of = action.product_orbits(images).get
+    product_terms = borel.product_terms
+    zero = {}
     mismatches = 0
     for ab in iproduct(range(borel.dim), repeat=2):
-        terms = borel.product_terms(*ab)
-        lhs = products.get(ab, {})
+        terms = product_terms(*ab)
+        lhs = lhs_of(ab, zero)
         if not (lhs or terms):
             continue
         rhs = {}

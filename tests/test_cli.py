@@ -155,7 +155,7 @@ def test_characteristic_cap_boundary():
         PrimeField(CHARACTERISTIC_CAP)
 
 
-@pytest.mark.parametrize("n,r", [(5, 8), (6, 8), (2, 1500)])
+@pytest.mark.parametrize("n,r", [(5, 8), (6, 8), (2, 1500), (1, 300_001)])
 def test_verify_iso_checks_the_tensor_cap_first(n, r, capsys, monkeypatch):
     """Over the tensor-space cap, no algebra and no tensor action is built."""
     def refuse(*args):

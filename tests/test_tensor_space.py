@@ -241,10 +241,13 @@ def test_dimension_cap():
     with pytest.raises(ValueError):
         TensorAction(8, 8, QQ)
     assert 8 ** 8 > TENSOR_DIMENSION_CAP
-    # at the edges of the cap and far past them
-    for n, r in [(2, 18), (547, 2), (TENSOR_DIMENSION_CAP, 1), (1, 10 ** 9)]:
+    # at the edges of the cap and far past them; at n = 1 the index is
+    # an r-tuple, so r is held to the cap
+    for n, r in [(2, 18), (547, 2), (TENSOR_DIMENSION_CAP, 1),
+                 (1, TENSOR_DIMENSION_CAP)]:
         check_tensor_dimension(n, r)
-    for n, r in [(2, 19), (548, 2), (TENSOR_DIMENSION_CAP + 1, 1), (2, 10 ** 9)]:
+    for n, r in [(2, 19), (548, 2), (TENSOR_DIMENSION_CAP + 1, 1), (2, 10 ** 9),
+                 (1, TENSOR_DIMENSION_CAP + 1), (1, 10 ** 9)]:
         pytest.raises(ValueError, check_tensor_dimension, n, r)
 
 
@@ -332,9 +335,9 @@ def test_disjoint_supports_compose_to_zero(data):
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
-    """`product_orbits` composes only the pairs whose supports meet, keys
-    exactly those pairs in row-major order, and agrees on every pair with
-    composing all of them."""
+    """`product_orbits` keys exactly the pairs whose supports meet, in
+    row-major order, agrees on every pair with composing all of them,
+    and composes none."""
     field = QQ if char == 0 else PrimeField(char)
     borel = BorelAlgebra(n, r, field)
     act = TensorAction(n, r, field)
@@ -349,19 +352,17 @@ def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
     assert [products.get(ab, {}) for ab in pairs] == expected
     meeting = [(a, b) for a, b in pairs if supports_meet(images[a], images[b])]
     assert list(products) == meeting
-    assert len(composed) == len(meeting) < borel.dim ** 2
+    assert len(meeting) < borel.dim ** 2
+    assert composed == []
 
 
 @pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (4, 2)])
 def test_verify_isomorphism_probes_every_pair(monkeypatch, n, r):
     """Every pair probes the drop-rule product once, in row-major order,
-    and only the images and the products of meeting pairs are read back
-    in xi coordinates."""
+    and only the images are read back in xi coordinates by the orbit
+    walk; no product is."""
     field = PrimeField(3)
     borel = BorelAlgebra(n, r, field)
-    act = TensorAction(n, r, field)
-    images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
-    meeting = sum(supports_meet(x, y) for x in images for y in images)
     probed, read = [], []
     product_terms = borel.product_terms
     monkeypatch.setattr(borel, "product_terms",
@@ -372,8 +373,7 @@ def test_verify_isomorphism_probes_every_pair(monkeypatch, n, r):
                         lambda self, op: read.append(1) or to_orbits(self, op))
     assert verify_isomorphism(n, r, field, borel=borel)["passed"]
     assert probed == list(iproduct(range(borel.dim), repeat=2))
-    assert len(read) == borel.dim + meeting
-    assert meeting < borel.dim ** 2
+    assert len(read) == borel.dim
 
 
 SPAN_CASES = [(n, r, char) for n, r in [(2, 3), (3, 2), (2, 4), (3, 3)]
@@ -439,6 +439,47 @@ def test_span_check_refuses_what_rebuilding_refuses(data):
                 op.setdefault(q, {})[p] = field.zero
     assert (outcome(TensorAction.operator_to_orbits, act, op)
             == outcome(keyed_operator_to_orbits, act, op))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_orbits_of_span_elements(data):
+    """Closure beyond the images: for random xi combinations x and y,
+    whose columns may span several weights, reading each product at one
+    column per weight gives the coordinates of composing it, on all four
+    pairs, and keys exactly the pairs whose supports meet."""
+    n, r, char = data.draw(st.sampled_from(SPAN_CASES))
+    field = QQ if char == 0 else PrimeField(char)
+    act = TensorAction(n, r, field)
+    keys = sorted({act.orbit_key(i, j)
+                   for i in act.indices for j in act.indices})
+    coeffs = st.dictionaries(st.sampled_from(keys),
+                             scalars(field).filter(bool), max_size=4)
+    ops = [orbits_to_operator(act, data.draw(coeffs)) for _ in range(2)]
+    products = act.product_orbits(ops)
+    pairs = list(iproduct(range(2), repeat=2))
+    assert ([products.get(ab, {}) for ab in pairs]
+            == composed_product_orbits(act, ops))
+    assert list(products) == [(a, b) for a, b in pairs
+                              if supports_meet(ops[a], ops[b])]
+
+
+def test_product_orbits_refuses_a_product_not_constant_on_an_orbit():
+    """y = xi meets its read column (1, 1) in the two rows (1, 2) and
+    (2, 1) of one orbit; an x that scales only one of them gives x . y
+    two values on that orbit there, which is refused."""
+    act = TensorAction(2, 2, QQ)
+    y = act.xi((1, 2), (1, 1))
+    read = act.position[(1, 1)]
+    rows = [act.position[(1, 2)], act.position[(2, 1)]]
+    assert sorted(y[read]) == sorted(rows)
+    assert len({act.orbit_key(act.indices[p], (1, 1)) for p in rows}) == 1
+    x = identity(act)
+    assert act.product_orbits([x, y])[0, 1] == {
+        act.orbit_key((1, 2), (1, 1)): QQ.one}
+    x[rows[1]] = {rows[1]: QQ.of(2)}
+    with pytest.raises(ValueError):
+        act.product_orbits([x, y])
 
 
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (2, 4)])
