@@ -154,11 +154,12 @@ def two_idempotent_report(algebra, e):
     for v in ae_gens:
         eae.insert(algebra.product(e, v))
 
-    ae_basis = [ae.rows[p] for p in sorted(ae.rows)]
-    ea_basis = [ea.rows[p] for p in sorted(ea.rows)]
-    eae_basis = [eae.rows[p] for p in sorted(eae.rows)]
-    ae_pos = {p: k for k, p in enumerate(sorted(ae.rows))}
-    ea_pos = {p: k for k, p in enumerate(sorted(ea.rows))}
+    ae_rows, ea_rows, eae_rows = ae.rows, ea.rows, eae.rows
+    ae_basis = [ae_rows[p] for p in sorted(ae_rows)]
+    ea_basis = [ea_rows[p] for p in sorted(ea_rows)]
+    eae_basis = [eae_rows[p] for p in sorted(eae_rows)]
+    ae_pos = {p: k for k, p in enumerate(sorted(ae_rows))}
+    ea_pos = {p: k for k, p in enumerate(sorted(ea_rows))}
     p, q = len(ae_basis), len(ea_basis)
 
     aea = Echelon(field)
@@ -169,7 +170,8 @@ def two_idempotent_report(algebra, e):
                 aea.insert(v)
     dim_aea = aea.rank
 
-    # tensor over eAe: kill (u s) (x) w - u (x) (s w)
+    # tensor over eAe: kill (u s) (x) w - u (x) (s w); u_k (x) w_l is
+    # numbered k * q + l
     relations = Echelon(field)
     minus_one = field.of(-1)
     for u_idx, u in enumerate(ae_basis):
@@ -179,12 +181,13 @@ def two_idempotent_report(algebra, e):
             if res:
                 raise AssertionError("Ae is not right eAe-stable")
             for w_idx, w in enumerate(ea_basis):
-                rel = {(ae_pos[piv], w_idx): c for piv, c in coords_us.items()}
+                rel = {ae_pos[piv] * q + w_idx: c
+                       for piv, c in coords_us.items()}
                 sw = algebra.product(s, w)
                 coords_sw, res2 = ea.coordinates(sw)
                 if res2:
                     raise AssertionError("eA is not left eAe-stable")
-                add_scaled(rel, {(u_idx, ea_pos[piv]): c
+                add_scaled(rel, {u_idx * q + ea_pos[piv]: c
                                  for piv, c in coords_sw.items()},
                            minus_one, field)
                 if rel:
@@ -308,8 +311,10 @@ def removal_step(trunc, ideal, z):
     if ideal.contains(trunc.indicator_vector(z)):
         return {"error": "indicator vanishes"}
 
+    pivots = ideal.pivots
+
     def surviving(indices):
-        return [i for i in indices if i not in ideal.rows]
+        return [i for i in indices if i not in pivots]
 
     leaving = surviving(trunc.based_at(z))
     entering = surviving(trunc.ending_at(z))

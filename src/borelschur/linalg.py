@@ -4,19 +4,31 @@ Vectors are dicts {index: nonzero scalar}.  The index type only needs a
 total order; deterministic pivot selection (always the least index, or
 always the greatest under the "last" strategy) makes every reduction and
 coset representative reproducible across runs.  `Echelon` is the one
-elimination loop.  `Echelon.insert_columns` eliminates a matrix's
+elimination interface.  `Echelon.insert_columns` eliminates a matrix's
 columns once and reads its nullspace off the same pass: each row carries
 its combination of the columns, so a dependent column's combination is
 its kernel vector, and that basis depends only on the matrix, not on
 any pivoting.
 
-Elimination is one pass: each monic row is zero at every other pivot,
-so a vector's coefficient on the row at pivot q is its own entry at q.
-Inserting a row at a new pivot p clears p only from the rows that the
-column map (non-pivot index -> pivots of the rows holding it) names.
-Rows, combinations and residuals hold canonical scalars: the loops
-multiply and accumulate with native `+ - *` and reduce each entry once
-with `field.of`.
+`Echelon(field)` picks its kernel from the field.  Over QQ and GF(p),
+p > 2, elimination is one pass in reduced echelon form: each monic row
+is zero at every other pivot, so a vector's coefficient on the row at
+pivot q is its own entry at q.  Inserting a row at a new pivot p clears
+p only from the rows that the column map (non-pivot index -> pivots of
+the rows holding it) names.  Rows, combinations and residuals hold
+canonical scalars: the loops multiply and accumulate with native
+`+ - *` and reduce each entry once with `field.of`.
+
+Over GF(2), `Echelon(field)` builds a `BitEchelon`: each row, residual
+and column combination is one int, bit k for index k, so an index must
+be a non-negative int there (else `TypeError`; callers with other keys
+number them, which changes no rank and no kernel).  It reduces with
+`v & pivot_mask` and XOR and keeps its rows in echelon form, not
+reduced form, so an insert does no back-substitution and keeps no
+column map.  The reduced rows, their combinations and the kernel basis
+depend only on the span and the matrix, so `reduce`, `coordinates` and
+the kernels are the dict kernel's, and `rows` and `combos` are built
+when they are read.
 """
 
 
@@ -45,6 +57,11 @@ class Echelon:
     coordinates.
     """
 
+    def __new__(cls, field, pivoting="first"):
+        if cls is Echelon and field.characteristic == 2:
+            return BitEchelon(field, pivoting)
+        return super().__new__(cls)
+
     def __init__(self, field, pivoting="first"):
         self.field = field
         self.rows = {}  # pivot index -> monic row (dict), zero at other pivots
@@ -63,7 +80,8 @@ class Echelon:
 
     @property
     def pivots(self):
-        return set(self.rows)
+        """The pivot indices, as a live set-like view."""
+        return self.rows.keys()
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
@@ -156,6 +174,123 @@ class Echelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+
+def _ones(v):
+    """The set bits of v as a vector {index: 1}, by increasing index."""
+    out = {}
+    while v:
+        low = v & -v
+        out[low.bit_length() - 1] = 1
+        v ^= low
+    return out
+
+
+class BitEchelon:
+    """`Echelon` over GF(2) on int bitsets, bit k standing for index k.
+
+    The row at pivot p has p as its least bit (its greatest under
+    "last").  Clearing the pivots a vector holds in that order never
+    sets one already cleared, so the residual is zero at every pivot, as
+    in reduced form.  A row is stored shifted down to its least bit,
+    since an int takes memory up to its highest bit; its combination
+    over the columns of `insert_columns` is 0 when it carries none.
+    """
+
+    def __init__(self, field, pivoting="first"):
+        if pivoting not in ("first", "last"):
+            raise ValueError(f"unknown pivoting strategy {pivoting!r}")
+        self.field = field
+        self.pivoting = pivoting
+        self._rows = {}  # pivot -> (row bits >> its least bit, that bit)
+        self._combos = {}  # pivot -> its row's combination bits
+        self._mask = 0  # the pivot bits
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return self._rows.keys()
+
+    @staticmethod
+    def _bits(vec):
+        v = 0
+        for j, c in vec.items():
+            if c & 1:
+                try:
+                    v |= 1 << j
+                except (TypeError, ValueError):
+                    raise TypeError("over GF(2) an Echelon index must be a "
+                                    f"non-negative int, got {j!r}") from None
+        return v
+
+    def _reduce(self, v, combo=0):
+        """v and its combination reduced to zero at every pivot."""
+        rows, combos, mask = self._rows, self._combos, self._mask
+        first = self.pivoting == "first"
+        hit = v & mask
+        while hit:
+            p = (hit & -hit if first else hit).bit_length() - 1
+            row, low = rows[p]
+            v ^= row << low
+            combo ^= combos[p]
+            hit = v & mask
+        return v, combo
+
+    def _reduced(self):
+        """pivot -> (its reduced row, that row's combination), as bits."""
+        out = {}
+        for p, (row, low) in self._rows.items():
+            bit = 1 << p
+            v, combo = self._reduce(row << low ^ bit, self._combos[p])
+            out[p] = v | bit, combo
+        return out
+
+    @property
+    def rows(self):
+        """pivot -> row of the reduced echelon form."""
+        return {p: _ones(v) for p, (v, _) in self._reduced().items()}
+
+    @property
+    def combos(self):
+        """pivot -> combination of the columns giving that reduced row,
+        for the rows that carry one."""
+        return {p: _ones(c) for p, (_, c) in self._reduced().items() if c}
+
+    def reduce(self, vec):
+        return _ones(self._reduce(self._bits(vec))[0])
+
+    def coordinates(self, vec):
+        # the coefficient on a reduced row is the vector's entry at its pivot
+        v = self._bits(vec)
+        return _ones(v & self._mask), _ones(self._reduce(v)[0])
+
+    def contains(self, vec):
+        return not self._reduce(self._bits(vec))[0]
+
+    def insert(self, vec):
+        return self._insert(self._bits(vec), 0)[0]
+
+    def _insert(self, v, combo):
+        v, combo = self._reduce(v, combo)
+        if not v:
+            return None, combo
+        low = (v & -v).bit_length() - 1
+        p = low if self.pivoting == "first" else v.bit_length() - 1
+        self._rows[p] = v >> low, low
+        self._combos[p] = combo
+        self._mask |= 1 << p
+        return p, combo
+
+    def insert_columns(self, columns, kernel=True):
+        out = []
+        for j, col in enumerate(columns):
+            p, combo = self._insert(self._bits(col), 1 << j if kernel else 0)
+            if p is None and kernel:
+                out.append(_ones(combo))
+        return out
 
 
 def matrix_rank(columns, field):

@@ -215,6 +215,15 @@ class TensorAction:
         return dict(sorted(out.items()))
 
 
+def _numbered(vecs):
+    """The vectors with their orbit keys numbered 0, 1, ... as first met:
+    `Echelon` indices must be ints over some fields, and numbering the
+    keys changes no rank and no kernel."""
+    number = {}
+    return [{number.setdefault(key, len(number)): c for key, c in v.items()}
+            for v in vecs]
+
+
 def upper_table_json(n, r, field, basis="image"):
     """Multiplication table of the upper triangular part on tensor space,
     in the arrow-algebra JSON schema so the two exports can be diffed.
@@ -246,7 +255,7 @@ def upper_table_json(n, r, field, basis="image"):
         # with the images independent, each product column depends on the
         # image columns before it: its kernel vector is e_j minus its
         # expression over them
-        kernel = Echelon(field).insert_columns(images + products)
+        kernel = Echelon(field).insert_columns(_numbered(images + products))
         if any(max(v) < dim for v in kernel):
             raise ValueError("image operators are linearly dependent")
         if len(kernel) != len(products):
@@ -292,7 +301,7 @@ def verify_isomorphism(n, r, field, borel=None):
     images = [action.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     image_orbits = [action.operator_to_orbits(op) for op in images]
     # there are borel.dim images: full rank is independence
-    report["rank"] = matrix_rank(image_orbits, field)
+    report["rank"] = matrix_rank(_numbered(image_orbits), field)
     report["independent"] = report["dim_match"] = (
         report["rank"] == borel.dim)
 

@@ -16,7 +16,9 @@ testing every pair of points for a single-column monoid step, Tor at
 one weight from a resolution of that simple over the interval algebra
 pushed down by hand through the diagonal completion test, and the
 graded Betti numbers of the trivial module in closed form (two rows in
-characteristic p, Kostant's theorem in characteristic 0).
+characteristic p, Kostant's theorem in characteristic 0), and its first
+syzygies and Ext^1 between simples in closed form in every
+characteristic.
 """
 
 from itertools import accumulate, combinations, permutations
@@ -444,3 +446,43 @@ def kostant_betti(n, length, height):
         if inversions <= length and sum(degree) <= height:
             out[inversions].append(degree)
     return {i: sorted(degs) for i, degs in out.items()}
+
+
+def first_syzygy_degrees(n, p, height):
+    """Generator degrees of P_1 in the minimal resolution of the trivial
+    module over the Kostant form in characteristic p, to `height`, by
+    closed form and with no resolution.
+
+    Over F_p the algebra is generated by the divided powers
+    e_{i,i+1}^{(p^k)} (Kostant's Z-form and Lucas' theorem), minimally,
+    so P_1 has one generator at each p^k alpha_i with p^k <= height; in
+    characteristic 0 the e_{i,i+1} generate, one at each alpha_i.
+    Degrees are coefficient tuples over the simple roots, sorted.
+    """
+    out = []
+    for i in range(n - 1):
+        q = 1
+        while q <= height:
+            out.append(tuple(q if j == i else 0 for j in range(n - 1)))
+            if p == 0:
+                break
+            q *= p
+    return sorted(out)
+
+
+def ext_one_closed_form(lam, p):
+    """{mu: 1} for every composition mu with Ext^1(K_lam, K_mu) = 1 over
+    S+(n, r) in characteristic p: mu - lam = p^k (eps_i - eps_{i+1})
+    (k = 0 only in characteristic 0), the first syzygies pushed to lam."""
+    out = {}
+    for i in range(len(lam) - 1):
+        q = 1
+        while q <= lam[i + 1]:
+            mu = list(lam)
+            mu[i] += q
+            mu[i + 1] -= q
+            out[tuple(mu)] = 1
+            if p == 0:
+                break
+            q *= p
+    return out

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelschur.fields import PrimeField, Rationals
-from borelschur.linalg import Echelon, add_scaled, matrix_rank
+from borelschur.linalg import BitEchelon, Echelon, add_scaled, matrix_rank
 from oracles import column_kernel, picking_coordinates
 
 
@@ -180,7 +181,8 @@ def test_insert_columns_matches_the_transposed_kernel(data):
     of the reference that eliminates the transposed matrix, and the rows,
     pivots and column map of plain inserts; each row's combination
     applied to the columns gives the row.  Without the kernel no
-    combination is kept."""
+    combination is kept.  Over GF(2) this runs on the bit kernel, which
+    keeps no column map."""
     field, cols = _field_and_columns(data)
     reference = column_kernel(cols, field)
     for pivoting in ("first", "last"):
@@ -193,7 +195,8 @@ def test_insert_columns_matches_the_transposed_kernel(data):
                                                         else [])
             assert ech.rows == plain.rows
             assert ech.pivots == plain.pivots
-            assert ech.users == plain.users
+            if type(ech) is Echelon:  # only the dict kernel has a column map
+                assert ech.users == plain.users
             assert set(ech.combos) == (ech.pivots if kernel else set())
             for p, combo in ech.combos.items():
                 assert apply_columns(cols, combo, field) == ech.rows[p]
@@ -293,9 +296,10 @@ def column_users(rows):
 @given(st.data())
 def test_one_pass_elimination_matches_picking(data):
     """After every insert, under either pivoting: each row is monic at its
-    pivot and zero at every other pivot, the column map is the one the
-    rows give, and `coordinates` of every vector drawn so far equals the
-    pivot-by-pivot reference, coefficients and residual."""
+    pivot and zero at every other pivot, the column map of the dict
+    kernel is the one the rows give, and `coordinates` of every vector
+    drawn so far equals the pivot-by-pivot reference, coefficients and
+    residual."""
     field, vecs = _field_and_vectors(data)
     probes = vecs + data.draw(st.lists(
         st.dictionaries(st.integers(0, 9), st.integers(-4, 4).map(field.of),
@@ -307,6 +311,78 @@ def test_one_pass_elimination_matches_picking(data):
             for q, row in ech.rows.items():
                 assert row[q] == field.one
                 assert not any(p in row for p in ech.rows if p != q)
-            assert ech.users == column_users(ech.rows)
+            if type(ech) is Echelon:
+                assert ech.users == column_users(ech.rows)
             for probe in probes:
                 assert ech.coordinates(probe) == picking_coordinates(ech, probe)
+
+
+F2 = PrimeField(2)
+
+
+class DictEchelon(Echelon):
+    """The dict kernel on any field: `Echelon` hands GF(2) to its bit
+    kernel only when it is called by its own name."""
+
+
+def test_echelon_picks_its_kernel_from_the_field():
+    assert type(Echelon(F2)) is BitEchelon
+    assert type(Echelon(F2, "last")) is BitEchelon
+    for field in (Rationals(), PrimeField(3)):
+        assert type(Echelon(field)) is Echelon
+    assert type(DictEchelon(F2)) is DictEchelon
+    with pytest.raises(ValueError):
+        Echelon(F2, "middle")
+
+
+# any int entry: over GF(2) the even ones vanish and the odd ones are 1;
+# indices up to 200 make rows several machine words long, and three
+# clusters of them make vectors meet often
+wide_index = st.one_of(st.integers(0, 7), st.integers(60, 67),
+                       st.integers(193, 200))
+wide_vectors = st.dictionaries(wide_index, st.integers(-5, 5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["first", "last"]), st.lists(wide_vectors, max_size=10),
+       st.lists(wide_vectors, max_size=4), st.data())
+def test_bit_kernel_matches_the_dict_kernel(pivoting, vecs, probes, data):
+    """Over GF(2) the bit kernel and the dict kernel agree after every
+    insert: rows, pivots, rank, `insert`'s return value, and `reduce`,
+    `coordinates` and `contains` of every vector drawn; and on the kernel
+    of `insert_columns` with a few dependent columns."""
+    bits, ref = Echelon(F2, pivoting), DictEchelon(F2, pivoting)
+    canonical = [{j: c % 2 for j, c in v.items() if c % 2}
+                 for v in vecs + probes]
+    for v, w in zip(vecs, canonical):
+        assert bits.insert(v) == ref.insert(w)
+        assert bits.rows == ref.rows
+        assert bits.pivots == ref.pivots and bits.rank == ref.rank
+        for probe in canonical:
+            assert bits.reduce(probe) == ref.reduce(probe)
+            assert bits.coordinates(probe) == ref.coordinates(probe)
+            assert bits.contains(probe) == ref.contains(probe)
+    cols = list(vecs)
+    for _ in range(data.draw(st.integers(0, 3), label="extra")):
+        if cols:
+            a, b = (data.draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+            cols.append(add_scaled(dict(cols[a]), cols[b], 1, F2))
+    bits, ref = Echelon(F2, pivoting), DictEchelon(F2, pivoting)
+    assert bits.insert_columns(cols) == ref.insert_columns(
+        [{j: c % 2 for j, c in v.items() if c % 2} for v in cols])
+    assert bits.rows == ref.rows and bits.combos == ref.combos
+
+
+@pytest.mark.parametrize("index", [(0, 1), "a", -1, 1.0])
+def test_bit_kernel_takes_non_negative_int_indices(index):
+    """Every entry point of the bit kernel refuses other indices with a
+    `TypeError` that names the requirement; the dict kernel takes them."""
+    vec = {0: 1, index: 1}
+    ech = Echelon(F2)
+    calls = [ech.insert, ech.reduce, ech.coordinates, ech.contains,
+             lambda v: ech.insert_columns([v]),
+             lambda v: matrix_rank([v], F2)]
+    for call in calls:
+        with pytest.raises(TypeError, match="non-negative int"):
+            call(vec)
+    assert DictEchelon(F2).insert({index: 1}) == index

@@ -13,7 +13,8 @@ from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import (GradedComplex, by_column, columns,
                                     free_basis, minimal_resolution)
 from borelschur.transport import max_reachable_height
-from oracles import column_kernel, kostant_betti, multiply, one_variable_betti
+from oracles import (column_kernel, first_syzygy_degrees, kostant_betti,
+                     multiply, one_variable_betti)
 
 QQ = Rationals()
 
@@ -100,6 +101,17 @@ def test_characteristic_zero_matches_kostant(n, length, height, count):
     expected = kostant_betti(n, length, height)
     assert sum(map(len, expected.values())) == count
     assert betti_to(c, length) == expected
+
+
+@pytest.mark.parametrize("n,height", [(2, 12), (3, 10), (4, 7)])
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_first_syzygies_in_closed_form(n, height, char):
+    """P_1 of the trivial module has one generator at each p^k alpha_i
+    with p^k <= height in characteristic p, and at each alpha_i in
+    characteristic 0."""
+    c = minimal_resolution(DividedPowerAlgebra(n),
+                           field_of_characteristic(char), 1, height)
+    assert c.betti()[1] == first_syzygy_degrees(n, char, height)
 
 
 def test_trivial_cutoffs():

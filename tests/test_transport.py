@@ -1,3 +1,6 @@
+from itertools import product as iproduct
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from borelschur.transport import (
     resolve_simple,
     transport_resolution,
 )
-from oracles import degree, euler_ok
+from oracles import degree, euler_ok, ext_one_closed_form
 from oracles import max_reachable_height as reachable_by_search
 
 QQ = Rationals()
@@ -287,6 +290,25 @@ def test_transport_four_rows_degree_three(char):
         assert bc.verify()["passed"] and bc.complete and bc.terminated, lam
         direct = resolve_simple(borel, lam, 10)
         assert direct.ext_dimensions() == bc.ext_dimensions(), lam
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 3), (3, 4), (4, 2), (4, 3)])
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_ext_one_in_closed_form(n, r, char):
+    """Through F_lam, Ext^1(K_lam, K_mu) is 1 exactly when mu - lam is
+    p^k (eps_i - eps_{i+1}) (k = 0 in characteristic 0) and mu is a
+    composition, and 0 otherwise, at every composition lam."""
+    # (n - 1) r is the largest height reachable from any lam
+    gc = minimal_resolution(DividedPowerAlgebra(n),
+                            field_of_characteristic(char), 1, (n - 1) * r)
+    borel = BorelAlgebra(n, r, gc.field)
+    lams = [lam for lam in iproduct(range(r + 1), repeat=n) if sum(lam) == r]
+    assert len(lams) == comb(n + r - 1, r)
+    for lam in lams:
+        bc = transport_resolution(gc, lam, r, borel=borel)
+        assert bc.complete and bc.verify()["minimal"], lam
+        ext_one = {w: c for (i, w), c in bc.ext_dimensions().items() if i == 1}
+        assert ext_one == ext_one_closed_form(lam, char), lam
 
 
 @st.composite
