@@ -16,20 +16,19 @@ from .idempotents import (
     tor_dimensions,
     two_idempotent_report,
 )
-from .resolutions import GradedComplex, minimal_resolution
+from .resolutions import ModuleComplex, minimal_resolution
 from .tensor_space import TensorAction, upper_table_json, verify_isomorphism
 from .transport import (
-    ModuleComplex,
     ext_table_csv,
     resolve_simple,
     transport_resolution,
+    verification,
 )
 
 __all__ = [
     "BorelAlgebra",
     "ConvexTruncation",
     "DividedPowerAlgebra",
-    "GradedComplex",
     "ModuleComplex",
     "PrimeField",
     "Rationals",
@@ -45,5 +44,6 @@ __all__ = [
     "transport_resolution",
     "two_idempotent_report",
     "upper_table_json",
+    "verification",
     "verify_isomorphism",
 ]

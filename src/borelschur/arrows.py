@@ -114,8 +114,8 @@ class BasedAlgebra:
         return self._by_head.get(tuple(w), ())
 
     def between(self, y, w):
-        """Indices of the arrows from y to w."""
-        return self._by_pair.get((tuple(y), tuple(w)), ())
+        """Indices of the arrows from the point y to the point w (tuples)."""
+        return self._by_pair.get((y, w), ())
 
     def product_indices(self, i, j):
         """Product of basis arrows i and j as a vector over basis indices."""

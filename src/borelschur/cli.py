@@ -17,9 +17,9 @@ from .combinatorics import is_composition, tri_count
 from .divided_powers import DividedPowerAlgebra
 from .fields import field_of_characteristic
 from .idempotents import chain_report
-from .resolutions import minimal_resolution
+from .resolutions import is_exact, minimal_resolution
 from .tensor_space import check_tensor_dimension, verify_isomorphism
-from .transport import ext_table_csv, transport_resolution
+from .transport import ext_table_csv, transport_resolution, verification
 
 
 def _prime_or_zero(text):
@@ -136,17 +136,18 @@ def cmd_resolve(args):
     field = field_of_characteristic(args.char)
     alg = DividedPowerAlgebra(args.n)
     complex_ = minimal_resolution(alg, field, args.length, args.height)
-    payload = complex_.to_json()
+    payload = complex_.to_json("modules", {
+        "n": args.n, "length": args.length, "height": args.height,
+        "warnings": []})
     payload["command"] = "resolve"
     payload["betti"] = {str(i): [list(g) for g in degs]
                         for i, degs in complex_.betti().items()}
-    exact = complex_.verify_exactness()
-    minimal = complex_.verify_minimality()
-    payload["exact"] = exact
-    payload["minimal"] = minimal
+    report = complex_.verify()
+    payload["exact"] = exact = is_exact(report)
+    payload["minimal"] = minimal = report["minimal"]
     summary = [f"resolution n={args.n} char {args.char} length {args.length} "
                f"height {args.height}: module ranks "
-               f"{[len(d) for d in complex_.degrees]}"]
+               f"{[len(g) for g in complex_.gens]}"]
     return payload, exact and minimal, summary
 
 
@@ -165,13 +166,19 @@ def cmd_transport(args):
     complex_ = minimal_resolution(alg, field, args.length, args.height)
     borel = BorelAlgebra(args.n, args.r, field, alg=alg)
     transported = transport_resolution(complex_, args.lam, args.r, borel=borel)
-    report = transported.verify()
+    report = verification(transported)
     if args.format == "csv":
         ok = report["passed"]
         summary = [f"transport lambda={args.lam}: "
                    f"{'pass' if ok else 'FAIL'}"]
         return ext_table_csv(transported), ok, summary
-    payload = transported.to_json()
+    info = transported.info
+    payload = transported.to_json("weights", {
+        "n": args.n, "r": args.r, "lambda": list(args.lam),
+        "complete": info["complete"], "terminated": info["terminated"],
+        "deleted": [{"step": i, "degree": list(g), "weight": list(w)}
+                    for i, g, w in info["deleted"]],
+        "source": info["source"]})
     payload["command"] = "transport"
     payload["verification"] = {**report, "exact_spots": {
         str(i): v for i, v in report["exact_spots"].items()}}
@@ -183,8 +190,8 @@ def cmd_transport(args):
     summary = [f"transport n={args.n} r={args.r} char {args.char} "
                f"lambda={','.join(str(x) for x in args.lam)}: "
                f"{'pass' if ok else 'FAIL'} "
-               f"(complete={transported.complete}, "
-               f"terminated={transported.terminated})"]
+               f"(complete={info['complete']}, "
+               f"terminated={info['terminated']})"]
     return payload, ok, summary
 
 

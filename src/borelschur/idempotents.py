@@ -22,7 +22,7 @@ p arrows leaving and q arrows entering z that survive in the quotient.
 The combinatorial hypotheses on the layer sets and Tor-vanishing spot
 checks complete the report.  `tor_dimensions` resolves the trivial
 module once and reads Tor at each sampled simple off the dimensions and
-ranks that `transport.ModuleComplex.verify` reports on its push-down by
+ranks that `resolutions.ModuleComplex.verify` reports on its push-down by
 `transport.push_graded`: the interval is convex, so the shifted graded
 resolution restricted to it resolves the simple over its algebra.
 """
@@ -39,8 +39,8 @@ from .combinatorics import (
 )
 from .divided_powers import DividedPowerAlgebra
 from .linalg import Echelon, add_scaled
-from .resolutions import resolve
-from .transport import ModuleComplex, push_graded
+from .resolutions import ModuleComplex, resolve
+from .transport import push_graded
 
 
 def _insert_products(trunc, ideal, leaving, entering):
@@ -271,8 +271,9 @@ def tor_dimensions(trunc, borel, lams):
     from the divided-power algebra's `between` and `product_terms`, and
     `push_graded` pushes its degrees and maps down to `borel` at each lam.
     Tor is the homology of that push-down, read off the dimensions and
-    ranks that `ModuleComplex.verify` reports once d^2 = 0.  Y must hold
-    every lam and the compositions.
+    ranks that `ModuleComplex.verify` reports on it, checked in one block
+    of every head weight, once d^2 = 0.  Y must hold every lam and the
+    compositions.
     """
     if not set(lams) <= set(trunc.points):
         raise ValueError("every weight must be a point of the truncation")
@@ -281,10 +282,12 @@ def tor_dimensions(trunc, borel, lams):
     alg = trunc.alg
     degrees, graded = resolve(pieces, (0,) * (alg.n - 1), alg.between,
                               alg.product_terms, trunc.field, 3, "first")
+    block = sorted(set(borel.heads))
     out = {}
     for lam in lams:
         weights, diffs, _ = push_graded(borel, degrees, graded, lam)
-        report = ModuleComplex(borel, lam, weights, diffs).verify()
+        report = ModuleComplex(borel, borel.field, weights, diffs,
+                               [block]).verify()
         if not report["d_squared_zero"]:
             raise ArithmeticError("the pushed-down resolution is not a complex")
         dims, ranks = report["dims"], report["ranks"]

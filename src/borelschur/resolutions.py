@@ -47,20 +47,29 @@ Cutoffs: `length` bounds the homological degree, `height` bounds the
 degree slices.  Within the height window every slice of every kernel is
 complete, because radical products only ever raise height.
 
-`chain_ranks` is the one checker of a complex: it tests d_i d_{i+1} = 0
-and counts ranks between given bases.  It is behind `resolve`'s `exact`
-verdict, slice by slice, and, on whole modules, behind
-`transport.ModuleComplex.verify`, which `transport`'s verification and
-the Tor check of `idempotents` both read.
+`ModuleComplex` holds a complex of free modules over either family,
+the engine's output or a push-down of it, and the blocks of pieces it
+splits into.  Its one reader, `verify`, builds each module's basis once
+per block and runs `chain_ranks`, which tests d_i d_{i+1} = 0 and
+counts ranks between given bases, once per block.  `resolve`'s `exact`
+and `minimal`, `transport`'s verification and the Tor check of
+`idempotents` all read its report.  The graded resolution is checked
+one degree slice per block; a complex over a based algebra in one block
+of all its head weights.
 """
+
+from collections import Counter
+from operator import add
 
 from .fields import serialize_scalar as _ser
 from .linalg import Echelon, add_scaled, matrix_rank
 
 
-def free_basis(gens, piece, between):
-    """Pairs (generator, basis element) spanning one piece of a free module."""
-    return [(t, x) for t, g in enumerate(gens) for x in between(g, piece)]
+def free_basis(gens, pieces, between):
+    """Pairs (generator, basis element) spanning the given pieces of a free
+    module, generator by generator."""
+    return [(t, x) for t, g in enumerate(gens) for p in pieces
+            for x in between(g, p)]
 
 
 def by_column(diff):
@@ -151,7 +160,7 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
     pieces = sorted(pieces, key=lambda p: (sum(p), p))
     gens = [[top]]
     diffs = []
-    basis = {p: free_basis([top], p, between) for p in pieces}
+    basis = {p: free_basis([top], [p], between) for p in pieces}
     kernel = {p: [{k: field.one} for k in range(len(basis[p]))]
               for p in pieces if p != top}
     for step in range(1, length + 1):
@@ -159,7 +168,7 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
         new, by_col, next_kernel, next_basis = [], {}, {}, {}
         for p in pieces:
             vecs = kernel.get(p, [])
-            src = next_basis[p] = free_basis(new, p, between)
+            src = next_basis[p] = free_basis(new, [p], between)
             if not vecs and (not src or last):
                 continue
             dst = basis[p]
@@ -182,73 +191,93 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
     return gens, diffs
 
 
-class GradedComplex:
-    """P_0 <- P_1 <- ... with generator degrees and homogeneous differentials.
+class ModuleComplex:
+    """P_0 <- P_1 <- ...: free modules over `alg` and the maps between them.
 
-    `degrees[i]` lists the generator degrees of P_i (coefficient vectors
-    over the simple positive vectors).  `diffs[i]` is the matrix of
-    d_{i+1}: P_{i+1} -> P_i as {(t, s): element}; entry (t, s) is an
-    algebra element of degree degrees[i+1][s] - degrees[i][t] acting by
-    right multiplication on generator coordinates.  The checks ask `alg`
-    what the engine asks: `between`, `product_terms` and `is_unit`.
+    `gens[i]` lists the generator pieces of P_i and `diffs[i]` is the
+    engine's map d_{i+1}: P_{i+1} -> P_i.  The reader asks `alg`, of
+    either family, what the engine asks.  Maps keep pieces, so the
+    complex splits over `blocks`, lists of pieces that `verify` checks
+    one at a time.  `info` keeps what the producer knows: the cutoffs, or
+    the weight the complex was pushed down to or resolved at.
     """
 
-    def __init__(self, alg, field, length, height_cut, degrees, diffs):
+    def __init__(self, alg, field, gens, diffs, blocks, **info):
         self.alg = alg
         self.field = field
-        self.length = length
-        self.height = height_cut
-        self.degrees = degrees
+        self.gens = gens
         self.diffs = diffs
+        self.blocks = blocks
+        self.info = info
 
     def betti(self):
-        """Homological index -> sorted list of generator degrees."""
-        return {i: sorted(degs) for i, degs in enumerate(self.degrees)}
+        """Homological index -> sorted list of generator pieces."""
+        return {i: sorted(gens) for i, gens in enumerate(self.gens)}
 
-    def verify_exactness(self):
-        """d_i d_{i+1} = 0 and rank counting on every slice within the
-        height window.
+    def ext_dimensions(self):
+        """(homological degree, piece) -> number of generators.
 
-        Checks ker(augmentation) = im(d_1) and exactness at the interior
-        homological spots; the last spot has no incoming map to compare.
+        For a minimal resolution of a simple these are the Ext dimensions
+        from it into the simples at those pieces.
         """
-        steps = len(self.diffs)
-        maps = [by_column(diff) for diff in self.diffs]
-        for coords in self.alg.degrees_to_height(self.height):
-            bases = [free_basis(degs, coords, self.alg.between)
-                     for degs in self.degrees]
-            ranks, d2 = chain_ranks(bases, maps, self.alg.product_terms,
-                                    self.field)
-            if not d2:
-                return False
-            aug_ker = len(bases[0]) if any(coords) else 0
-            if steps >= 1 and ranks[0] != aug_ker:
-                return False
-            for i in range(1, steps):
-                if ranks[i - 1] + ranks[i] != len(bases[i]):
-                    return False
-        return True
+        return Counter((i, g) for i, gens in enumerate(self.gens)
+                       for g in gens)
 
-    def verify_minimality(self):
-        """Every differential entry must avoid the unit degree."""
-        return unit_free(self.diffs, self.alg.is_unit)
+    def verify(self):
+        """The one report: whether every d_i d_{i+1} vanishes, the module
+        dimensions and map ranks summed over the blocks, minimality, the
+        corank-one top and rank-counted exactness at each interior spot.
 
-    def to_json(self):
+        Where d^2 = 0, rank d_i + rank d_{i+1} <= dim P_i on each block,
+        so the sums reach dim P_i only if every block's do; and the image
+        of d_1 holds the unit only if it is all of P_0.  So the summed
+        verdicts are the blockwise ones.
+        """
+        alg = self.alg
+        maps = [by_column(d) for d in self.diffs]
+        dims = [0] * len(self.gens)
+        ranks = [0] * len(self.diffs)
+        d2 = True
+        for block in self.blocks:
+            bases = [free_basis(gens, block, alg.between)
+                     for gens in self.gens]
+            block_ranks, block_d2 = chain_ranks(bases, maps, alg.product_terms,
+                                                self.field)
+            d2 = d2 and block_d2
+            dims = list(map(add, dims, map(len, bases)))
+            ranks = list(map(add, ranks, block_ranks))
         return {
-            "n": self.alg.n,
+            "d_squared_zero": d2,
+            "dims": dims,
+            "ranks": ranks,
+            "minimal": unit_free(self.diffs, alg.is_unit),
+            # d_1, if any, has corank one in P_0
+            "top": not ranks or dims[0] - ranks[0] == 1,
+            "exact_spots": {i: ranks[i - 1] + ranks[i] == dims[i]
+                            for i in range(1, len(ranks))},
+        }
+
+    def to_json(self, modules, head):
+        """The payload: `head`, the characteristic, the generator pieces
+        under the key `modules` and the maps, each entry's pairs sorted (a
+        basis element that is a tuple is written as a JSON list)."""
+        return {
+            **head,
             "char": self.field.characteristic,
-            "length": self.length,
-            "height": self.height,
-            "modules": [[list(g) for g in degs] for degs in self.degrees],
+            modules: [[list(g) for g in gens] for gens in self.gens],
             "differentials": [
-                sorted(
-                    [t, s, sorted([list(m), _ser(c)] for m, c in entry.items())]
-                    for (t, s), entry in diff.items()
-                )
+                sorted([t, s, sorted([x, _ser(c)] for x, c in entry.items())]
+                       for (t, s), entry in diff.items())
                 for diff in self.diffs
             ],
-            "warnings": [],
         }
+
+
+def is_exact(report):
+    """`resolve`'s verdict on `verify`'s report: d^2 = 0, the corank-one
+    top and every interior spot exact."""
+    return (report["d_squared_zero"] and report["top"]
+            and all(report["exact_spots"].values()))
 
 
 def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
@@ -259,6 +288,8 @@ def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
     generators chosen minimally (independent modulo radical multiples of
     the kernel).
     """
-    return GradedComplex(alg, field, length, height_cut, *resolve(
-        alg.degrees_to_height(height_cut), (0,) * (alg.n - 1),
-        alg.between, alg.product_terms, field, length, pivoting))
+    slices = alg.degrees_to_height(height_cut)
+    gens, diffs = resolve(slices, (0,) * (alg.n - 1), alg.between,
+                          alg.product_terms, field, length, pivoting)
+    return ModuleComplex(alg, field, gens, diffs, [[p] for p in slices],
+                         length=length, height=height_cut)

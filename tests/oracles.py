@@ -18,11 +18,14 @@ pushed down by hand through the diagonal completion test, and the
 graded Betti numbers of the trivial module in closed form (two rows in
 characteristic p, Kostant's theorem in characteristic 0), and its first
 syzygies and Ext^1 between simples in closed form in every
-characteristic.
+characteristic; the exactness of a graded resolution slice by slice,
+and one changed, deleted or added coefficient of a complex's maps.
 """
 
 from itertools import accumulate, combinations, permutations
 from math import comb
+
+from hypothesis import strategies as st
 
 from borelschur.arrows import arrow_is_kept
 from borelschur.combinatorics import (
@@ -39,7 +42,7 @@ from borelschur.combinatorics import (
 )
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import by_column, chain_ranks
+from borelschur.resolutions import by_column, chain_ranks, free_basis
 from borelschur.transport import resolve_simple
 
 
@@ -183,11 +186,11 @@ class WordOracle:
 def euler_ok(complex_):
     """Per head weight, the alternating sum of slice dimensions must see
     exactly the one-dimensional module at lam."""
-    algebra = complex_.algebra
+    algebra = complex_.alg
     for mu in set(algebra.heads):
         total = sum((-1) ** i * len(algebra.between(w, mu))
-                    for i, ws in enumerate(complex_.weights) for w in ws)
-        if total != (mu == complex_.lam):
+                    for i, ws in enumerate(complex_.gens) for w in ws)
+        if total != (mu == complex_.info["lam"]):
             return False
     return True
 
@@ -225,7 +228,7 @@ def interval_tor(trunc, borel, lam):
     res = resolve_simple(trunc, lam, 3)
     r = borel.r
     keep = []   # per module, {old summand: new summand}
-    for ws in res.weights:
+    for ws in res.gens:
         kept = [s for s, w in enumerate(ws) if is_composition(w, r)]
         keep.append({s: k for k, s in enumerate(kept)})
     diffs = []
@@ -239,7 +242,7 @@ def interval_tor(trunc, borel, lam):
                     out[rows[t], cols[s]] = vec
         diffs.append(out)
     bases = [[(k, a) for s, k in kp.items() for a in borel.based_at(ws[s])]
-             for ws, kp in zip(res.weights, keep)]
+             for ws, kp in zip(res.gens, keep)]
     ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
                             borel.product_terms, borel.field)
     assert d2, "the pushed-down resolution is not a complex"
@@ -264,7 +267,7 @@ def filtered_tor(trunc, r, lam):
         return [(z, c) for z, c in trunc.product_terms(x, y) if kept(z)]
 
     bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
-              if kept(a)] for ws in res.weights]
+              if kept(a)] for ws in res.gens]
     ranks, d2 = chain_ranks(bases, [by_column(d) for d in res.diffs], mul,
                             trunc.field)
     assert d2, "the filtered resolution is not a complex"
@@ -486,3 +489,55 @@ def ext_one_closed_form(lam, p):
                 break
             q *= p
     return out
+
+
+def slice_exact(complex_):
+    """`resolve`'s exactness by the per-slice rule, for a resolution of the
+    trivial module over the divided-power algebra: on every degree slice
+    of the height window d_i d_{i+1} = 0, d_1 has the slice's dimension of
+    P_0 as its rank, except at degree 0 where its rank is 0, and the ranks
+    at each interior spot add up to the slice's dimension there."""
+    alg, field, steps = complex_.alg, complex_.field, len(complex_.diffs)
+    maps = [by_column(d) for d in complex_.diffs]
+    for coords in alg.degrees_to_height(complex_.info["height"]):
+        bases = [free_basis(gens, [coords], alg.between)
+                 for gens in complex_.gens]
+        ranks, d2 = chain_ranks(bases, maps, alg.product_terms, field)
+        if not d2:
+            return False
+        aug_ker = len(bases[0]) if any(coords) else 0
+        if steps >= 1 and ranks[0] != aug_ker:
+            return False
+        if any(ranks[i - 1] + ranks[i] != len(bases[i])
+               for i in range(1, steps)):
+            return False
+    return True
+
+
+def tamper_one_coefficient(complex_, data):
+    """Change, delete or add one coefficient of one map of `complex_`, in
+    place, as `data` (hypothesis) draws it.  An added coefficient sits on
+    a basis element between the entry's two generators, so every map
+    stays homogeneous; a complex with no slot of the drawn kind is left
+    as it is."""
+    alg, field, diffs = complex_.alg, complex_.field, complex_.diffs
+    kind = data.draw(st.sampled_from(["change", "delete", "add"]),
+                     label="kind")
+    if kind == "add":
+        slots = [(i, (t, s), x) for i, diff in enumerate(diffs)
+                 for t, g in enumerate(complex_.gens[i])
+                 for s, h in enumerate(complex_.gens[i + 1])
+                 for x in alg.between(g, h) if x not in diff.get((t, s), {})]
+    else:
+        slots = [(i, key, x) for i, diff in enumerate(diffs)
+                 for key, entry in diff.items() for x in entry]
+    if not slots:
+        return
+    i, key, x = data.draw(st.sampled_from(slots), label="slot")
+    entry = diffs[i].setdefault(key, {})
+    step = data.draw(st.sampled_from([1, -1]), label="step")
+    value = field.of(entry.get(x, 0) + step)
+    if kind == "delete" or value == field.zero:
+        del entry[x]
+    else:
+        entry[x] = value

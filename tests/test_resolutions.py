@@ -10,11 +10,12 @@ from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import (GradedComplex, by_column, columns,
-                                    free_basis, minimal_resolution)
+from borelschur.resolutions import (ModuleComplex, by_column, columns,
+                                    free_basis, is_exact, minimal_resolution)
 from borelschur.transport import max_reachable_height
 from oracles import (column_kernel, first_syzygy_degrees, kostant_betti,
-                     multiply, one_variable_betti)
+                     multiply, one_variable_betti, slice_exact,
+                     tamper_one_coefficient)
 
 QQ = Rationals()
 
@@ -28,8 +29,8 @@ def test_characteristic_zero_two_rows():
     assert b[1] == [(1,)]
     for i in range(2, 6):
         assert not b.get(i)
-    assert c.verify_exactness()
-    assert c.verify_minimality()
+    assert is_exact(c.verify())
+    assert c.verify()["minimal"]
 
 
 def expected_generator_heights(p, bound):
@@ -118,7 +119,7 @@ def test_trivial_cutoffs():
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, QQ, 0, 4)
     assert c.betti() == {0: [(0,)]}
-    assert c.verify_minimality()
+    assert c.verify()["minimal"]
     c2 = minimal_resolution(alg, PrimeField(2), 3, 0)
     assert c2.betti()[0] == [(0,)]
     assert not c2.betti().get(1)
@@ -134,29 +135,44 @@ def test_three_rows_characteristic_zero():
     assert b[2] == [(1, 2), (2, 1)]
     assert b[3] == [(2, 2)]
     assert not b.get(4)
-    assert c.verify_exactness()
-    assert c.verify_minimality()
+    assert is_exact(c.verify())
+    assert c.verify()["minimal"]
 
 
 @pytest.mark.parametrize("n,char,L,H", [(2, 2, 4, 6), (3, 2, 4, 4), (3, 3, 3, 4)])
 def test_exactness_and_minimality(n, char, L, H):
     alg = DividedPowerAlgebra(n)
     c = minimal_resolution(alg, PrimeField(char), L, H)
-    assert c.verify_exactness()
-    assert c.verify_minimality()
+    assert is_exact(c.verify())
+    assert c.verify()["minimal"]
 
 
 def test_exactness_tripwire():
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, PrimeField(2), 3, 4)
-    assert c.verify_exactness()
+    assert is_exact(c.verify())
     # zero out one differential entry: exactness must break
     (key, entry) = next(iter(c.diffs[0].items()))
     saved = dict(entry)
     entry.clear()
-    assert not c.verify_exactness()
+    assert not is_exact(c.verify())
     entry.update(saved)
-    assert c.verify_exactness()
+    assert is_exact(c.verify())
+
+
+def test_top_tripwire():
+    """A new generator of P_1 at degree 0, sent to the unit of P_0, makes
+    d_1 onto: the complex then resolves 0, not the trivial module, though
+    d^2 = 0 and, at length one, there is no interior spot to fail."""
+    alg = DividedPowerAlgebra(3)
+    c = minimal_resolution(alg, PrimeField(3), 1, 4)
+    assert is_exact(c.verify()) and slice_exact(c)
+    c.gens[1].append((0, 0))
+    c.diffs[0][0, len(c.gens[1]) - 1] = {alg.unit: c.field.one}
+    report = c.verify()
+    assert report["d_squared_zero"] and not report["exact_spots"]
+    assert not report["top"] and not is_exact(report)
+    assert not slice_exact(c)
 
 
 def test_exactness_requires_differentials_to_compose_to_zero():
@@ -170,34 +186,59 @@ def test_exactness_requires_differentials_to_compose_to_zero():
     assert c.diffs[1][(0, 5)] == {m: 2}
     diffs = [dict(d) for d in c.diffs]
     diffs[1][(0, 5)] = {m: 1}
-    bad = GradedComplex(alg, field, c.length, c.height, c.degrees, diffs)
-    assert bad.verify_minimality()
-    assert not bad.verify_exactness()
-    assert c.verify_exactness()
+    bad = ModuleComplex(alg, field, c.gens, diffs, c.blocks)
+    assert bad.verify()["minimal"]
+    assert not is_exact(bad.verify())
+    assert is_exact(c.verify())
+
+
+@st.composite
+def graded_cases(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    char = draw(st.sampled_from([0, 2, 3]))
+    length = draw(st.integers(0, {2: 5, 3: 4, 4: 3}[n]))
+    height = draw(st.integers(0, {2: 8, 3: 5, 4: 4}[n]))
+    return n, char, length, height
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_cases(), st.data())
+def test_summed_exactness_matches_the_per_slice_rule(case, data):
+    """The one reader sums dimensions and ranks over the degree slices and
+    asks for a corank-one top; the per-slice rule asks each slice for its
+    own ranks.  One changed, deleted or added coefficient must get the
+    same verdict from both."""
+    n, char, length, height = case
+    c = minimal_resolution(DividedPowerAlgebra(n),
+                           field_of_characteristic(char), length, height)
+    assert is_exact(c.verify()) and slice_exact(c)
+    tamper_one_coefficient(c, data)
+    assert is_exact(c.verify()) == slice_exact(c)
 
 
 def test_minimality_tripwire():
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, PrimeField(2), 2, 4)
-    assert c.verify_minimality()
-    (key, entry) = next(iter(c.diffs[0].items()))
-    entry[alg.unit] = c.field.one
-    assert not c.verify_minimality()
-    del entry[alg.unit]
-    assert c.verify_minimality()
+    assert c.verify()["minimal"]
+    # a unit entry of d_2 between generators of degree 2 in P_1 and P_2
+    assert c.gens[1][1] == c.gens[2][0] == (2,) and (1, 0) not in c.diffs[1]
+    c.diffs[1][(1, 0)] = {alg.unit: c.field.one}
+    assert not c.verify()["minimal"]
+    del c.diffs[1][(1, 0)]
+    assert c.verify()["minimal"]
 
 
 def test_slice_dimensions_match_component_counts():
     alg = DividedPowerAlgebra(3)
     c = minimal_resolution(alg, PrimeField(2), 3, 4)
-    for i, degs in enumerate(c.degrees):
-        for coords in alg.degrees_to_height(c.height):
+    for i, degs in enumerate(c.gens):
+        for coords in alg.degrees_to_height(c.info["height"]):
             expected = 0
             for g in degs:
                 rem = tuple(a - b for a, b in zip(coords, g))
                 if all(x >= 0 for x in rem):
                     expected += len(alg.component_basis(rem))
-            assert len(free_basis(degs, coords, alg.between)) == expected
+            assert len(free_basis(degs, [coords], alg.between)) == expected
 
 
 @pytest.mark.parametrize("n,char,L,H", [
@@ -237,7 +278,7 @@ def test_differentials_compose_to_zero_exactly():
 def test_json_round_shape():
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, QQ, 2, 4)
-    data = c.to_json()
+    data = c.to_json("modules", {"n": alg.n})
     assert data["n"] == 2 and data["char"] == 0
     assert data["modules"][0] == [[0]]
     assert isinstance(data["differentials"], list)
@@ -290,7 +331,7 @@ def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
     diffs = []
     kernel = {}
     for p in pieces:
-        basis = free_basis(gens[0], p, between)
+        basis = free_basis(gens[0], [p], between)
         if p != top and basis:
             kernel[p] = ([{k: field.one} for k in range(len(basis))], basis)
     for step in range(1, length + 1):
@@ -301,10 +342,10 @@ def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
             break
         kernel = {}
         for p in pieces:
-            src = free_basis(new, p, between)
+            src = free_basis(new, [p], between)
             if not src:
                 continue
-            dst = free_basis(gens[-2], p, between)
+            dst = free_basis(gens[-2], [p], between)
             vecs = column_kernel(
                 columns(src, dst, by_column(diff), mul, field), field)
             if vecs:

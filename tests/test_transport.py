@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product as iproduct
 from math import comb
 
@@ -7,18 +8,23 @@ from hypothesis import strategies as st
 
 from borelschur.arrows import BorelAlgebra, ConvexTruncation, arrow_is_kept
 from borelschur.combinatorics import (compositions, coords_to_vector,
-                                      interval_points, point_add)
+                                      interval_points, is_composition,
+                                      point_add)
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import add_scaled
-from borelschur.resolutions import minimal_resolution
+from borelschur.resolutions import (ModuleComplex, by_column, chain_ranks,
+                                    is_exact, minimal_resolution)
 from borelschur.transport import (
     ext_table_csv,
     max_reachable_height,
+    push_graded,
     resolve_simple,
     transport_resolution,
+    verification,
 )
-from oracles import degree, euler_ok, ext_one_closed_form
+from oracles import (degree, euler_ok, ext_one_closed_form, kostant_betti,
+                     one_variable_betti, tamper_one_coefficient)
 from oracles import max_reachable_height as reachable_by_search
 
 QQ = Rationals()
@@ -30,13 +36,13 @@ def test_transport_middle_weight_char_zero():
     alg = DividedPowerAlgebra(2)
     gc = minimal_resolution(alg, QQ, 6, 4)
     bc = transport_resolution(gc, (1, 1), 2)
-    assert bc.weights[0] == [(1, 1)]
-    assert bc.weights[1] == [(2, 0)]
-    assert bc.weights[2] == []
-    report = bc.verify()
+    assert bc.gens[0] == [(1, 1)]
+    assert bc.gens[1] == [(2, 0)]
+    assert bc.gens[2] == []
+    report = verification(bc)
     assert report["dims"][:2] == [2, 1]
     assert report["passed"]
-    assert bc.complete and bc.terminated
+    assert bc.info["complete"] and bc.info["terminated"]
     assert euler_ok(bc)
 
 
@@ -44,9 +50,9 @@ def test_transport_maximal_weight_is_projective():
     alg = DividedPowerAlgebra(2)
     gc = minimal_resolution(alg, F2, 6, 4)
     bc = transport_resolution(gc, (2, 0), 2)
-    assert bc.weights[0] == [(2, 0)]
-    assert all(not ws for ws in bc.weights[1:])
-    assert bc.verify()["passed"]
+    assert bc.gens[0] == [(2, 0)]
+    assert all(not ws for ws in bc.gens[1:])
+    assert verification(bc)["passed"]
     assert bc.ext_dimensions() == {(0, (2, 0)): 1}
 
 
@@ -56,10 +62,10 @@ def test_transport_degree_filtering_char_two():
     alg = DividedPowerAlgebra(2)
     gc = minimal_resolution(alg, F2, 6, 4)
     bc = transport_resolution(gc, (0, 2), 2)
-    assert sorted(bc.weights[1]) == [(1, 1), (2, 0)]
-    deleted_weights = {w for _, _, w in bc.deleted}
+    assert sorted(bc.gens[1]) == [(1, 1), (2, 0)]
+    deleted_weights = {w for _, _, w in bc.info["deleted"]}
     assert (4, -2) in deleted_weights
-    assert bc.verify()["passed"]
+    assert verification(bc)["passed"]
 
 
 def test_transport_rejects_non_composition():
@@ -90,14 +96,14 @@ def test_minimality_tripwire():
     alg = DividedPowerAlgebra(2)
     gc = minimal_resolution(alg, F2, 4, 4)
     bc = transport_resolution(gc, (0, 2), 2)
-    assert bc.verify()["minimal"]
+    assert verification(bc)["minimal"]
     (key, entry) = next(iter(bc.diffs[0].items()))
     t = key[0]
-    unit_idx = bc.algebra.index[(bc.algebra.alg.unit, bc.weights[0][t])]
+    unit_idx = bc.alg.index[(bc.alg.alg.unit, bc.gens[0][t])]
     entry[unit_idx] = bc.field.one
-    assert not bc.verify()["minimal"]
+    assert not verification(bc)["minimal"]
     del entry[unit_idx]
-    assert bc.verify()["minimal"]
+    assert verification(bc)["minimal"]
 
 
 def test_d_squared_tripwire():
@@ -108,12 +114,12 @@ def test_d_squared_tripwire():
     entry = bc.diffs[1][(0, 0)]
     assert entry[14] == 1
     entry[14] = 2
-    report = bc.verify()
+    report = verification(bc)
     assert not report["d_squared_zero"] and not report["passed"]
     assert report["minimal"]
     assert report["ranks"] == [5, 1, 0, 0]
     entry[14] = 1
-    assert bc.verify()["passed"]
+    assert verification(bc)["passed"]
 
 
 def test_starved_cutoff_is_flagged_incomplete():
@@ -122,9 +128,9 @@ def test_starved_cutoff_is_flagged_incomplete():
     gc = minimal_resolution(alg, F2, 4, 1)
     bc = transport_resolution(gc, (0, 2), 2)
     assert max_reachable_height((0, 2), 2, 2) == 2
-    assert not bc.complete
+    assert not bc.info["complete"]
     # the verdicts that are still computable are reported
-    report = bc.verify()
+    report = verification(bc)
     assert report["d_squared_zero"] and report["minimal"]
 
 
@@ -150,9 +156,9 @@ def test_transport_soundness_two_rows(char):
         borel = BorelAlgebra(2, r, field)
         for lam in compositions(2, r):
             bc = transport_resolution(gc, lam, r, borel=borel)
-            report = bc.verify()
+            report = verification(bc)
             assert report["passed"], (char, r, lam, report)
-            assert bc.complete and bc.terminated
+            assert bc.info["complete"] and bc.info["terminated"]
             assert euler_ok(bc)
 
 
@@ -166,9 +172,9 @@ def test_transport_matches_direct_resolution(char):
     borel = BorelAlgebra(3, 2, field)
     for lam in compositions(3, 2):
         bc = transport_resolution(gc, lam, 2, borel=borel)
-        assert bc.verify()["passed"]
+        assert verification(bc)["passed"]
         direct = resolve_simple(borel, lam, 8)
-        assert direct.verify()["passed"]
+        assert verification(direct)["passed"]
         assert direct.ext_dimensions() == bc.ext_dimensions(), lam
         assert euler_ok(direct)
 
@@ -187,7 +193,7 @@ def test_two_stage_truncation_matches_direct():
         direct = transport_resolution(gc, lam, r, borel=borel)
         # stage one: keep generators whose weight stays in the interval
         keep = []
-        for i, degs in enumerate(gc.degrees):
+        for i, degs in enumerate(gc.gens):
             kp = {}
             for s, g in enumerate(degs):
                 w = point_add(lam, coords_to_vector(g))
@@ -200,7 +206,7 @@ def test_two_stage_truncation_matches_direct():
             weights.append([w for w in kp.values()
                             if arrow_is_kept(alg, (alg.unit, w), r)])
         for i, ws in enumerate(weights):
-            assert ws == direct.weights[i]
+            assert ws == direct.gens[i]
         for i, diff in enumerate(gc.diffs):
             rebuilt = {}
             new_t = {}
@@ -247,15 +253,15 @@ def test_ext_csv_format():
 def test_resolve_simple_at_length_zero_passes(n, r):
     for lam in compositions(n, r):
         direct = resolve_simple(BorelAlgebra(n, r, QQ), lam, 0)
-        report = direct.verify()
-        assert direct.weights == [[lam]] and not direct.diffs
+        report = verification(direct)
+        assert direct.gens == [[lam]] and not direct.diffs
         assert report["top_is_simple"] and report["passed"], lam
 
 
 def test_resolve_simple_r_zero():
     borel = BorelAlgebra(2, 0, QQ)
     direct = resolve_simple(borel, (0, 0), 3)
-    assert direct.verify()["passed"]
+    assert verification(direct)["passed"]
     assert direct.ext_dimensions() == {(0, (0, 0)): 1}
 
 
@@ -267,14 +273,15 @@ def test_transport_three_rows_degree_three():
     borel = BorelAlgebra(3, 3, F2)
     for lam in compositions(3, 3):
         bc = transport_resolution(gc, lam, 3, borel=borel)
-        rep = bc.verify()
-        assert rep["passed"] and bc.complete and bc.terminated, (lam, rep)
+        rep = verification(bc)
+        assert rep["passed"] and bc.info["complete"], (lam, rep)
+        assert bc.info["terminated"], lam
         assert euler_ok(bc)
         direct = resolve_simple(borel, lam, 8)
         assert direct.ext_dimensions() == bc.ext_dimensions(), lam
     # frozen spot value: the socle-heaviest simple needs a length-3 resolution
     bc = transport_resolution(gc, (0, 0, 3), 3, borel=borel)
-    assert bc.verify()["dims"][:4] == [10, 21, 19, 7]
+    assert verification(bc)["dims"][:4] == [10, 21, 19, 7]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
@@ -287,7 +294,8 @@ def test_transport_four_rows_degree_three(char):
     borel = BorelAlgebra(4, 3, field)
     for lam in compositions(4, 3):
         bc = transport_resolution(gc, lam, 3, borel=borel)
-        assert bc.verify()["passed"] and bc.complete and bc.terminated, lam
+        assert verification(bc)["passed"], lam
+        assert bc.info["complete"] and bc.info["terminated"], lam
         direct = resolve_simple(borel, lam, 10)
         assert direct.ext_dimensions() == bc.ext_dimensions(), lam
 
@@ -306,7 +314,7 @@ def test_ext_one_in_closed_form(n, r, char):
     assert len(lams) == comb(n + r - 1, r)
     for lam in lams:
         bc = transport_resolution(gc, lam, r, borel=borel)
-        assert bc.complete and bc.verify()["minimal"], lam
+        assert bc.info["complete"] and verification(bc)["minimal"], lam
         ext_one = {w: c for (i, w), c in bc.ext_dimensions().items() if i == 1}
         assert ext_one == ext_one_closed_form(lam, char), lam
 
@@ -337,7 +345,7 @@ def test_transport_and_direct_covers_agree(case):
     bc = transport_resolution(gc, lam, r)
     direct = resolve_simple(BorelAlgebra(n, r, field), lam, length,
                             pivoting=pivoting)
-    assert bc.verify()["passed"] and direct.verify()["passed"]
+    assert verification(bc)["passed"] and verification(direct)["passed"]
     assert bc.ext_dimensions() == direct.ext_dimensions()
     assert euler_ok(bc) and euler_ok(direct)
 
@@ -364,7 +372,7 @@ def test_interval_truncation_keeps_the_generators_inside(case):
     points = interval_points(n, r)
     gc = minimal_resolution(alg, field, 4, (n - 1) * r)
     inside = {}
-    for i, degs in enumerate(gc.degrees):
+    for i, degs in enumerate(gc.gens):
         for g in degs:
             w = point_add(lam, coords_to_vector(g))
             if w in points:
@@ -376,7 +384,7 @@ def test_interval_truncation_keeps_the_generators_inside(case):
 def d_squared_oracle(bc):
     """d_i d_{i+1} = 0 entry by entry: the composite's entry at (t, u) is
     the sum over s of the algebra products d_{i+1}[s, u] * d_i[t, s]."""
-    algebra, field = bc.algebra, bc.field
+    algebra, field = bc.alg, bc.field
     for lower, upper in zip(bc.diffs, bc.diffs[1:]):
         composite = {}
         for (s, u), a in upper.items():
@@ -411,7 +419,125 @@ def test_verify_d_squared_matches_entry_oracle(case, data):
             del entry[a]
         else:
             entry[a] = c
-    report = bc.verify()
+    report = verification(bc)
     assert report["d_squared_zero"] == d_squared_oracle(bc)
     assert report["dims"] == [
-        sum(len(bc.algebra.based_at(w)) for w in ws) for ws in bc.weights]
+        sum(len(bc.alg.based_at(w)) for w in ws) for ws in bc.gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(simples(), st.data())
+def test_one_block_sums_the_head_blocks(case, data):
+    """A pushed-down complex is checked in one block of every head weight;
+    its dimensions, ranks and d^2 verdict must be those of the blocks of
+    the single head weights, summed, tampered or not, complete or not."""
+    n, r, lam, char, _ = case
+    field = field_of_characteristic(char)
+    height = data.draw(st.integers(0, max_reachable_height(lam, n, r)))
+    length = data.draw(st.integers(0, height + 1))
+    gc = minimal_resolution(DividedPowerAlgebra(n), field, length, height)
+    bc = transport_resolution(gc, lam, r)
+    tamper_one_coefficient(bc, data)
+    algebra, maps = bc.alg, [by_column(d) for d in bc.diffs]
+    dims, ranks, d2 = [0] * len(bc.gens), [0] * len(bc.diffs), True
+    for w in set(algebra.heads):
+        bases = [[(t, a) for t, g in enumerate(gens)
+                  for a in algebra.between(g, w)] for gens in bc.gens]
+        head_ranks, head_d2 = chain_ranks(bases, maps, algebra.product_terms,
+                                          field)
+        dims = [d + len(b) for d, b in zip(dims, bases)]
+        ranks = [a + b for a, b in zip(ranks, head_ranks)]
+        d2 = d2 and head_d2
+    report = bc.verify()
+    assert (report["dims"], report["ranks"]) == (dims, ranks)
+    assert report["d_squared_zero"] == d2
+
+
+@settings(max_examples=40, deadline=None)
+@given(simples(), st.data())
+def test_contractible_pair_is_exact_but_not_minimal(case, data):
+    """P(gamma) <- P(gamma) through the unit, added at spots i and i + 1 of
+    a minimal resolution, changes no homology: the complex stays exact
+    with d^2 = 0 and is no longer minimal.  Pushed down at lam the pair
+    survives, and breaks minimality, exactly when lam + gamma is a
+    composition; otherwise it is deleted and the report is unchanged."""
+    n, r, lam, char, _ = case
+    field = field_of_characteristic(char)
+    alg = DividedPowerAlgebra(n)
+    height = data.draw(st.integers(0, 5), label="height")
+    c = minimal_resolution(alg, field, data.draw(st.integers(1, 4)), height)
+    i = data.draw(st.integers(0, len(c.diffs) - 1), label="spot")
+    gamma = data.draw(st.sampled_from(alg.degrees_to_height(height)))
+    gens = [list(g) for g in c.gens]
+    diffs = [dict(d) for d in c.diffs]
+    gens[i].append(gamma)
+    gens[i + 1].append(gamma)
+    diffs[i][len(gens[i]) - 1, len(gens[i + 1]) - 1] = {alg.unit: field.one}
+    report = ModuleComplex(alg, field, gens, diffs, c.blocks).verify()
+    assert report["d_squared_zero"] and is_exact(report)
+    assert not report["minimal"]
+
+    borel = BorelAlgebra(n, r, field, alg=alg)
+
+    def pushed(gens, diffs):
+        weights, maps, _ = push_graded(borel, gens, diffs, lam)
+        return ModuleComplex(borel, field, weights, maps,
+                             [sorted(set(borel.heads))]).verify()
+
+    before, after = pushed(c.gens, c.diffs), pushed(gens, diffs)
+    kept = is_composition(point_add(lam, coords_to_vector(gamma)), r)
+    assert before["minimal"] and after["minimal"] == (not kept)
+    if kept:
+        for key in ("d_squared_zero", "top", "exact_spots"):
+            assert after[key] == before[key], key
+    else:
+        assert after == before
+
+
+def closed_form_ext(char, lam, length, height):
+    """The Ext table F_lam gives by closed form: the graded Betti degrees of
+    the trivial module (`kostant_betti` in characteristic 0,
+    `one_variable_betti` at n = 2), shifted by lam, at the compositions."""
+    n, r = len(lam), sum(lam)
+    betti = (kostant_betti(n, length, height) if char == 0
+             else one_variable_betti(char, length, height))
+    return Counter((i, w) for i, degs in betti.items() for g in degs
+                   if is_composition(w := point_add(lam, coords_to_vector(g)),
+                                     r))
+
+
+def check_closed_form_ext(char, lam, length, height):
+    n, r = len(lam), sum(lam)
+    gc = minimal_resolution(DividedPowerAlgebra(n),
+                            field_of_characteristic(char), length, height)
+    bc = transport_resolution(gc, lam, r)
+    assert bc.info["complete"]
+    assert verification(bc)["passed"]
+    assert bc.ext_dimensions() == closed_form_ext(char, lam, length, height)
+
+
+@st.composite
+def closed_form_cases(draw):
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    n = draw(st.sampled_from([2, 3, 4])) if char == 0 else 2
+    r = draw(st.integers(0, {2: 7, 3: 3, 4: 2}[n]))
+    lam = draw(st.sampled_from(compositions(n, r)))
+    height = max_reachable_height(lam, n, r) + draw(st.integers(0, 2))
+    return char, lam, draw(st.integers(0, 5)), height
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_form_cases())
+def test_transported_ext_tables_in_closed_form(case):
+    """Every complete transported Ext table is the closed-form Betti
+    series of the trivial module pushed to lam, and it verifies."""
+    check_closed_form_ext(*case)
+
+
+@pytest.mark.parametrize("char,lam,length,height", [
+    (3, (2, 10), 9, 10),       # one_variable_betti
+    (0, (0, 1, 0, 2), 6, 8),   # kostant_betti
+])
+def test_transported_ext_tables_in_closed_form_pinned(char, lam, length,
+                                                      height):
+    check_closed_form_ext(char, lam, length, height)
