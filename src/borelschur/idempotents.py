@@ -59,9 +59,9 @@ def close_two_sided_ideal(trunc, ideal, points):
     `ideal` must already span a two-sided ideal (it starts empty).  The
     sum of two-sided ideals is two-sided, so adding the products x * y
     with base(x) = z and head(y) = z for every z gives the ideal generated
-    by the old span and the new indicators.  The echelon form is reduced
-    with deterministic pivots, so its rows depend only on that span, not
-    on the order in which vectors are inserted.
+    by the old span and the new indicators.  With deterministic pivots,
+    the pivots, the residuals and the reduced rows of the echelon depend
+    only on that span, not on the order in which vectors are inserted.
     """
     for z in points:
         z = tuple(z)

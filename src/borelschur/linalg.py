@@ -3,32 +3,32 @@
 Vectors are dicts {index: nonzero scalar}.  The index type only needs a
 total order; deterministic pivot selection (always the least index, or
 always the greatest under the "last" strategy) makes every reduction and
-coset representative reproducible across runs.  `Echelon` is the one
-elimination interface.  `Echelon.insert_columns` eliminates a matrix's
-columns once and reads its nullspace off the same pass: each row carries
-its combination of the columns, so a dependent column's combination is
-its kernel vector, and that basis depends only on the matrix, not on
-any pivoting.
+coset representative reproducible across runs.
 
-`Echelon(field)` picks its kernel from the field.  Over QQ and GF(p),
-p > 2, elimination is one pass in reduced echelon form: each monic row
-is zero at every other pivot, so a vector's coefficient on the row at
-pivot q is its own entry at q.  Inserting a row at a new pivot p clears
-p only from the rows that the column map (non-pivot index -> pivots of
-the rows holding it) names.  Rows, combinations and residuals hold
-canonical scalars: the loops multiply and accumulate with native
-`+ - *` and reduce each entry once with `field.of`.
+`Echelon` is the one elimination interface, and it runs one algorithm.
+Each row is stored monic at its pivot and zero before it (after it
+under "last"): echelon form, not reduced form.  A vector is reduced by
+clearing the pivots it holds in pivot order; clearing pivot q only adds
+indices beyond q, so a cleared pivot is never set again and the
+residual is zero at every pivot.  An insert stores the residual, scaled
+monic at its first index, with no back-substitution.  The residual and
+the reduced echelon form depend only on the span, so `reduce` is the
+canonical projection, a vector's coefficient on the reduced row at
+pivot q is its own entry at q, and the reduced `rows` and `combos` are
+built when they are read.  `Echelon.insert_columns` eliminates a
+matrix's columns once and reads its nullspace off the same pass: each
+row carries its combination of the columns, so a dependent column's
+combination is its kernel vector, and that basis depends only on the
+matrix, not on any pivoting.
 
-Over GF(2), `Echelon(field)` builds a `BitEchelon`: each row, residual
-and column combination is one int, bit k for index k, so an index must
-be a non-negative int there (else `TypeError`; callers with other keys
-number them, which changes no rank and no kernel).  It reduces with
-`v & pivot_mask` and XOR and keeps its rows in echelon form, not
-reduced form, so an insert does no back-substitution and keeps no
-column map.  The reduced rows, their combinations and the kernel basis
-depend only on the span and the matrix, so `reduce`, `coordinates` and
-the kernels are the dict kernel's, and `rows` and `combos` are built
-when they are read.
+The two kernels differ only in how they hold a vector.  Over QQ and
+GF(p), p > 2, it is a dict: the loops multiply and accumulate with
+native `+ - *` and reduce each entry once with `field.of`, so rows,
+combinations and residuals hold canonical scalars.  Over GF(2),
+`Echelon(field)` builds a `BitEchelon`, where it is one int, bit k for
+index k, so an index must be a non-negative int there (else
+`TypeError`; callers with other keys number them, which changes no rank
+and no kernel), and clearing a pivot is one XOR.
 """
 
 
@@ -49,110 +49,65 @@ def add_scaled(dst, src, c, field):
 
 
 class Echelon:
-    """A row space kept in reduced echelon form, built incrementally.
+    """A row space in echelon form, built incrementally; the dict kernel.
 
     `reduce` is the canonical projection modulo the row space: its output
     is supported away from the pivot set, so when the rows span an ideal
     the reduced vector is the coset representative in the complementary
-    coordinates.
+    coordinates.  A kernel supplies only its vector form: `_vec` and
+    `_dict` convert from and to dicts, `_at_pivots` reads a vector's
+    pivot entries, and `_reduce`, `_insert` and `_reduced` eliminate.
     """
 
     def __new__(cls, field, pivoting="first"):
         if cls is Echelon and field.characteristic == 2:
-            return BitEchelon(field, pivoting)
+            cls = BitEchelon
         return super().__new__(cls)
 
     def __init__(self, field, pivoting="first"):
-        self.field = field
-        self.rows = {}  # pivot index -> monic row (dict), zero at other pivots
-        self.users = {}  # non-pivot index -> pivots of the rows with an entry there
-        self.combos = {}  # pivot -> its row over the columns of `insert_columns`
         if pivoting not in ("first", "last"):
             raise ValueError(f"unknown pivoting strategy {pivoting!r}")
+        self.field = field
         self.pivoting = pivoting
-
-    def _pick(self, support):
-        return min(support) if self.pivoting == "first" else max(support)
+        self._rows = {}  # pivot -> its stored row, without the pivot
+        self._combos = {}  # pivot -> that row's combination of the columns
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def pivots(self):
         """The pivot indices, as a live set-like view."""
-        return self.rows.keys()
+        return self._rows.keys()
+
+    @property
+    def rows(self):
+        """pivot -> row of the reduced echelon form."""
+        return {p: self._dict(v) for p, (v, _) in self._reduced().items()}
+
+    @property
+    def combos(self):
+        """pivot -> combination of the columns giving that reduced row,
+        for the rows that carry one."""
+        return {p: self._dict(c) for p, (_, c) in self._reduced().items() if c}
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
-        return self._eliminate(vec)[1]
+        return self._dict(self._reduce(self._vec(vec))[0])
+
+    def contains(self, vec):
+        return not self._reduce(self._vec(vec))[0]
 
     def coordinates(self, vec):
-        """(coefficients over pivot rows, residual) with vec = sum + residual."""
-        return self._eliminate(vec)
+        """(coefficients over the reduced rows, residual) with
+        vec = sum + residual."""
+        v = self._vec(vec)
+        return self._at_pivots(v), self._dict(self._reduce(v)[0])
 
-    def _eliminate(self, vec, combo=None):
-        rows, of = self.rows, self.field.of
-        out = {j: v for j, v in vec.items() if v}
-        coords = {q: c for q, c in out.items() if q in rows}
-        if not coords:
-            return coords, out
-        for q, c in coords.items():
-            for j, v in rows[q].items():
-                out[j] = out.get(j, 0) - c * v
-            if combo is not None:
-                for k, v in self.combos[q].items():
-                    combo[k] = combo.get(k, 0) - c * v
-        if combo is not None:
-            for k, v in list(combo.items()):
-                if w := of(v):
-                    combo[k] = w
-                else:
-                    del combo[k]
-        return coords, {j: w for j, v in out.items() if (w := of(v))}
-
-    def insert(self, vec, combo=None):
-        """Add vec to the span; returns the new pivot or None if dependent.
-
-        `combo`, vec written over the columns of `insert_columns`, is
-        reduced in place alongside vec: it ends as the new row's
-        combination, or as a kernel vector when vec is dependent.
-        """
-        field, rows, users, combos = self.field, self.rows, self.users, self.combos
-        of = field.of
-        row = self._eliminate(vec, combo)[1]
-        if not row:
-            return None
-        p = self._pick(row)
-        lead = row.pop(p)
-        if lead != field.one:
-            inv = field.inv(lead)
-            for j, v in row.items():
-                row[j] = of(inv * v)
-            if combo is not None:
-                for k, v in combo.items():
-                    combo[k] = of(inv * v)
-        if combo is not None:
-            combos[p] = combo
-        # keep reduced form: clear the new pivot from the rows that hold it
-        touched = users.pop(p, ())
-        for j in row:
-            users.setdefault(j, set()).add(p)
-        for q in touched:
-            old = rows[q]
-            c = old.pop(p)
-            for j, v in row.items():
-                if w := of(old.get(j, 0) - c * v):
-                    old[j] = w
-                    users[j].add(q)
-                else:
-                    del old[j]
-                    users[j].discard(q)
-            if combo is not None:
-                add_scaled(combos[q], combo, -c, field)
-        row[p] = field.one
-        rows[p] = row
-        return p
+    def insert(self, vec):
+        """Add vec to the span; returns the new pivot or None if dependent."""
+        return self._insert(self._vec(vec), None)[0]
 
     def insert_columns(self, columns, kernel=True):
         """Insert columns[0], columns[1], ... in turn; return the nullspace
@@ -161,19 +116,83 @@ class Echelon:
         One vector per column j that depends on the columns before it: e_j
         minus its unique expression over the earlier independent columns,
         listed by increasing j.  Each row's combination of the columns is
-        kept in `combos` while every insert carries one; with kernel=False
-        none is kept and the list is empty.
+        kept while every insert carries one; with kernel=False none is
+        kept and the list is empty.
         """
-        one = self.field.one
+        insert, vec = self._insert, self._vec
         out = []
         for j, col in enumerate(columns):
-            combo = {j: one} if kernel else None
-            if self.insert(col, combo) is None and kernel:
-                out.append(combo)
+            p, combo = insert(vec(col), j if kernel else None)
+            if p is None and kernel:
+                out.append(self._dict(combo))
         return out
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+    @staticmethod
+    def _vec(vec):
+        return {j: c for j, c in vec.items() if c}
+
+    @staticmethod
+    def _dict(v):
+        return v
+
+    def _at_pivots(self, v):
+        rows = self._rows
+        return {q: c for q, c in v.items() if q in rows}
+
+    def _reduce(self, v, combo=None):
+        """v and, unless it is None, its combination, both changed in place,
+        with every pivot cleared."""
+        rows, combos, of = self._rows, self._combos, self.field.of
+        todo = {q for q in v if q in rows}
+        if not todo:
+            return v, combo
+        pick = min if self.pivoting == "first" else max
+        while todo:
+            q = pick(todo)
+            todo.remove(q)
+            c = of(v.pop(q))
+            if not c:
+                continue
+            for j, x in rows[q].items():
+                if j in v:
+                    v[j] -= c * x
+                else:
+                    v[j] = -c * x
+                    if j in rows:
+                        todo.add(j)
+            if combo is not None:
+                for k, x in combos[q].items():
+                    combo[k] = combo.get(k, 0) - c * x
+        if combo is not None:
+            combo = {k: w for k, x in combo.items() if (w := of(x))}
+        return {j: w for j, x in v.items() if (w := of(x))}, combo
+
+    def _insert(self, v, j):
+        """Reduce v, whose combination is the unit at column j (empty when
+        j is None), and store it as a row unless it vanishes: (new pivot
+        or None, the reduced combination)."""
+        field = self.field
+        v, combo = self._reduce(v, {} if j is None else {j: field.one})
+        if not v:
+            return None, combo
+        p = min(v) if self.pivoting == "first" else max(v)
+        lead = v.pop(p)
+        if lead != field.one:
+            inv, of = field.inv(lead), field.of
+            v = {k: of(inv * x) for k, x in v.items()}
+            combo = {k: of(inv * x) for k, x in combo.items()}
+        self._rows[p] = v
+        self._combos[p] = combo
+        return p, combo
+
+    def _reduced(self):
+        """pivot -> (its reduced row, that row's combination)."""
+        one, combos, out = self.field.one, self._combos, {}
+        for p, row in self._rows.items():
+            v, c = self._reduce(dict(row), dict(combos[p]))
+            v[p] = one
+            out[p] = v, c
+        return out
 
 
 def _ones(v):
@@ -186,36 +205,17 @@ def _ones(v):
     return out
 
 
-class BitEchelon:
+class BitEchelon(Echelon):
     """`Echelon` over GF(2) on int bitsets, bit k standing for index k.
 
-    The row at pivot p has p as its least bit (its greatest under
-    "last").  Clearing the pivots a vector holds in that order never
-    sets one already cleared, so the residual is zero at every pivot, as
-    in reduced form.  A row is stored shifted down to its least bit,
-    since an int takes memory up to its highest bit; its combination
-    over the columns of `insert_columns` is 0 when it carries none.
+    A row is stored shifted down to its least bit, since an int takes
+    memory up to its highest bit.
     """
 
-    def __init__(self, field, pivoting="first"):
-        if pivoting not in ("first", "last"):
-            raise ValueError(f"unknown pivoting strategy {pivoting!r}")
-        self.field = field
-        self.pivoting = pivoting
-        self._rows = {}  # pivot -> (row bits >> its least bit, that bit)
-        self._combos = {}  # pivot -> its row's combination bits
-        self._mask = 0  # the pivot bits
-
-    @property
-    def rank(self):
-        return len(self._rows)
-
-    @property
-    def pivots(self):
-        return self._rows.keys()
+    _mask = 0  # the pivot bits
 
     @staticmethod
-    def _bits(vec):
+    def _vec(vec):
         v = 0
         for j, c in vec.items():
             if c & 1:
@@ -226,8 +226,12 @@ class BitEchelon:
                                     f"non-negative int, got {j!r}") from None
         return v
 
+    _dict = staticmethod(_ones)
+
+    def _at_pivots(self, v):
+        return _ones(v & self._mask)
+
     def _reduce(self, v, combo=0):
-        """v and its combination reduced to zero at every pivot."""
         rows, combos, mask = self._rows, self._combos, self._mask
         first = self.pivoting == "first"
         hit = v & mask
@@ -239,42 +243,8 @@ class BitEchelon:
             hit = v & mask
         return v, combo
 
-    def _reduced(self):
-        """pivot -> (its reduced row, that row's combination), as bits."""
-        out = {}
-        for p, (row, low) in self._rows.items():
-            bit = 1 << p
-            v, combo = self._reduce(row << low ^ bit, self._combos[p])
-            out[p] = v | bit, combo
-        return out
-
-    @property
-    def rows(self):
-        """pivot -> row of the reduced echelon form."""
-        return {p: _ones(v) for p, (v, _) in self._reduced().items()}
-
-    @property
-    def combos(self):
-        """pivot -> combination of the columns giving that reduced row,
-        for the rows that carry one."""
-        return {p: _ones(c) for p, (_, c) in self._reduced().items() if c}
-
-    def reduce(self, vec):
-        return _ones(self._reduce(self._bits(vec))[0])
-
-    def coordinates(self, vec):
-        # the coefficient on a reduced row is the vector's entry at its pivot
-        v = self._bits(vec)
-        return _ones(v & self._mask), _ones(self._reduce(v)[0])
-
-    def contains(self, vec):
-        return not self._reduce(self._bits(vec))[0]
-
-    def insert(self, vec):
-        return self._insert(self._bits(vec), 0)[0]
-
-    def _insert(self, v, combo):
-        v, combo = self._reduce(v, combo)
+    def _insert(self, v, j):
+        v, combo = self._reduce(v, 0 if j is None else 1 << j)
         if not v:
             return None, combo
         low = (v & -v).bit_length() - 1
@@ -284,12 +254,12 @@ class BitEchelon:
         self._mask |= 1 << p
         return p, combo
 
-    def insert_columns(self, columns, kernel=True):
-        out = []
-        for j, col in enumerate(columns):
-            p, combo = self._insert(self._bits(col), 1 << j if kernel else 0)
-            if p is None and kernel:
-                out.append(_ones(combo))
+    def _reduced(self):
+        out = {}
+        for p, (row, low) in self._rows.items():
+            bit = 1 << p
+            v, combo = self._reduce(row << low ^ bit, self._combos[p])
+            out[p] = v | bit, combo
         return out
 
 

@@ -27,8 +27,8 @@ runs produce identical generators.
 
 Each step of `resolve` is one walk over the pieces, with one
 elimination per piece.  At piece p the columns of the new map on the
-generators found before p are computed once and put into one reduced
-echelon form: they span the radical of the kernel at p, which the cover
+generators found before p are computed once and put into one echelon
+form: they span the radical of the kernel at p, which the cover
 reduces modulo, and the same pass reads off the next step's kernel at
 p.  A new generator's own column is its residual, independent of the
 others, so it adds no kernel vector and is never computed.
@@ -231,9 +231,16 @@ class ModuleComplex:
         Where d^2 = 0, rank d_i + rank d_{i+1} <= dim P_i on each block,
         so the sums reach dim P_i only if every block's do; and the image
         of d_1 holds the unit only if it is all of P_0.  So the summed
-        verdicts are the blockwise ones.
+        verdicts are the blockwise ones.  An entry holding a basis element
+        that does not run between its two generators raises `ValueError`.
         """
         alg = self.alg
+        for i, diff in enumerate(self.diffs):
+            for (t, s), entry in diff.items():
+                if entry.keys() - alg.between(self.gens[i][t],
+                                              self.gens[i + 1][s]):
+                    raise ValueError(
+                        f"entry ({t}, {s}) of d_{i + 1} is not homogeneous")
         maps = [by_column(d) for d in self.diffs]
         dims = [0] * len(self.gens)
         ranks = [0] * len(self.diffs)

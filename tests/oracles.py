@@ -19,7 +19,8 @@ graded Betti numbers of the trivial module in closed form (two rows in
 characteristic p, Kostant's theorem in characteristic 0), and its first
 syzygies and Ext^1 between simples in closed form in every
 characteristic; the exactness of a graded resolution slice by slice,
-and one changed, deleted or added coefficient of a complex's maps.
+one changed, deleted or added coefficient of a complex's maps, and a
+random change of generators of a complex.
 """
 
 from itertools import accumulate, combinations, permutations
@@ -42,7 +43,8 @@ from borelschur.combinatorics import (
 )
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import by_column, chain_ranks, free_basis
+from borelschur.resolutions import (ModuleComplex, by_column, chain_ranks,
+                                    free_basis)
 from borelschur.transport import resolve_simple
 
 
@@ -285,7 +287,7 @@ def picking_coordinates(ech, vec):
     "last" pivoting, the greatest) index left, and subtract its row when it
     is a pivot.  A row's other entries come after its pivot in picking
     order, so no index is picked twice."""
-    field = ech.field
+    field, rows = ech.field, ech.rows
     zero = field.zero
     pick = min if ech.pivoting == "first" else max
     work = {j: v for j, v in vec.items() if v != zero}
@@ -294,7 +296,7 @@ def picking_coordinates(ech, vec):
     while work:
         idx = pick(work)
         c = work.pop(idx)
-        row = ech.rows.get(idx)
+        row = rows.get(idx)
         if row is None:
             out[idx] = c
             continue
@@ -541,3 +543,68 @@ def tamper_one_coefficient(complex_, data):
         del entry[x]
     else:
         entry[x] = value
+
+
+def _compose(alg, field, a, b):
+    """The map b, then a: maps {(t, s): entry} sending the pair (s, x) to
+    the sum over t of (t, x * entry), so (a b)[t, s] is the sum over u of
+    b[u, s] * a[t, u]."""
+    by_source = {}
+    for (t, u), entry in a.items():
+        by_source.setdefault(u, []).append((t, entry))
+    out = {}
+    for (u, s), first in b.items():
+        for t, then in by_source.get(u, ()):
+            acc = out.setdefault((t, s), {})
+            for x, c in first.items():
+                for y, e in then.items():
+                    for z, k in alg.product_terms(x, y):
+                        acc[z] = acc.get(z, 0) + c * e * k
+    out = {key: {z: w for z, c in acc.items() if (w := field.of(c))}
+           for key, acc in out.items()}
+    return {key: entry for key, entry in out.items() if entry}
+
+
+def _add_maps(field, a, b, c=1):
+    """a + c * b for maps {(t, s): entry}."""
+    out = {key: dict(entry) for key, entry in a.items()}
+    for key, entry in b.items():
+        add_scaled(out.setdefault(key, {}), entry, c, field)
+    return {key: entry for key, entry in out.items() if entry}
+
+
+def change_generators(complex_, data):
+    """`complex_` with its generators changed, as `data` (hypothesis) draws
+    the change: a new `ModuleComplex` with the maps
+    phi_i^-1 d_(i+1) phi_(i+1).
+
+    Each phi_i = (1 - M)^-1 = 1 + M + M^2 + ... is an automorphism of P_i
+    that is unit-triangular and degree-preserving: M sends a few
+    generators to multiples of basis elements running to them from
+    generators at other pieces, which are radical, so M is nilpotent and
+    the sum ends.  The new complex is isomorphic to the old one, with
+    the same generators, so it stays exact, minimal and d^2 = 0."""
+    alg, field = complex_.alg, complex_.field
+    scalar = st.integers(1, 3).map(field.of).filter(bool)
+    phis, inverses = [], []
+    for gens in complex_.gens:
+        one = {(s, s): {x: field.one for x in alg.between(g, g)}
+               for s, g in enumerate(gens)}
+        slots = [(t, s) for t, g in enumerate(gens) for s, h in enumerate(gens)
+                 if g != h and alg.between(g, h)]
+        chosen = data.draw(st.lists(st.sampled_from(slots), min_size=1,
+                                    max_size=4, unique=True),
+                           label="slots") if slots else []
+        m = {(t, s): {data.draw(st.sampled_from(
+                 alg.between(gens[t], gens[s])), label="element"):
+                 data.draw(scalar, label="scalar")} for t, s in chosen}
+        phi = term = one
+        while term := _compose(alg, field, m, term):
+            phi = _add_maps(field, phi, term)
+        phis.append(phi)
+        inverses.append(_add_maps(field, one, m, -1))
+    diffs = [_compose(alg, field, inverses[i],
+                      _compose(alg, field, d, phis[i + 1]))
+             for i, d in enumerate(complex_.diffs)]
+    return ModuleComplex(alg, field, complex_.gens, diffs, complex_.blocks,
+                         **complex_.info)

@@ -9,6 +9,12 @@ when it is in `borelschur.__all__` and the README names it in
 backticks, saying why a library user wants it.  Dunders are exempt.
 Code that only tests call belongs in a test helper module such as
 `oracles.py`.
+
+Likewise every underscore attribute that src/ assigns on `self` must be
+read somewhere in src/, as an attribute or by `getattr` or `hasattr`;
+an augmented assignment such as `self._n += 1` does not count as a
+read.  A bookkeeping table left behind after its reader is deleted
+fails this.
 """
 
 import ast
@@ -52,6 +58,36 @@ def unreferenced(src):
     return out
 
 
+def unread_attributes(src):
+    """`self._name` assignments in src/ whose name nothing in src/ reads.
+
+    Storing into an item, `self._name[k] = v`, is no read of `_name`."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    nodes = [(mod, node) for mod, tree in trees.items()
+             for node in ast.walk(tree)]
+    stored = {id(node.value) for _, node in nodes
+              if isinstance(node, ast.Subscript)
+              and not isinstance(node.ctx, ast.Load)}
+    read = {node.attr for _, node in nodes if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in stored}
+    read |= {name for _, node in nodes if isinstance(node, ast.Call)
+             and (name := identifier(node)) and node.func.id != "setattr"}
+    out = []
+    for mod, node in nodes:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for t in (t for target in targets for t in ast.walk(target)):
+            if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self" and t.attr.startswith("_")
+                    and not t.attr.endswith("__") and t.attr not in read):
+                out.append(f"{mod}:{t.lineno} {t.attr}")
+    return out
+
+
 def unexplained(src, exported, readme):
     """Unreferenced functions that are not exported with a README mention."""
     documented = set(re.findall(r"`(\w+)[`(]", readme))
@@ -88,3 +124,22 @@ def test_guard_counts_only_attribute_lookups_by_name(tmp_path):
         "def report(obj):\n"
         "    return {\"keyed\": getattr(obj, \"looked_up\")}\n")
     assert unreferenced(tmp_path) == ["a.py:1 keyed", "a.py:9 report"]
+
+
+def test_every_private_attribute_is_read_in_src():
+    assert unread_attributes(SRC) == []
+
+
+def test_guard_sees_an_unread_attribute(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "        self._table, self._count = {}, 0\n"
+        "        self._looked_up = self.public = 1\n\n"
+        "    def get(self, k):\n"
+        "        self._count += 1\n"
+        "        self._table[k] = k\n"
+        "        return self._memo.get(k, getattr(self, \"_looked_up\"))\n")
+    assert unread_attributes(tmp_path) == ["a.py:4 _table", "a.py:4 _count",
+                                           "a.py:8 _count", "a.py:9 _table"]

@@ -117,9 +117,9 @@ def test_reduce_depends_only_on_the_span():
             assert outs == reference
 
 
-def _field_and_vectors(data):
+def _field_and_vectors(data, chars=(0, 2, 3, 7)):
     """A field (QQ or GF(p)) and a short list of sparse vectors over it."""
-    p = data.draw(st.sampled_from([0, 2, 3, 7]), label="char")
+    p = data.draw(st.sampled_from(chars), label="char")
     field = Rationals() if p == 0 else PrimeField(p)
     coeff = st.integers(-4, 4).map(field.of).filter(lambda c: c != field.zero)
     vec = st.dictionaries(st.integers(0, 7), coeff, max_size=5)
@@ -144,10 +144,10 @@ def test_echelon_rows_do_not_depend_on_insert_order(data):
         assert a.pivots == b.pivots
 
 
-def _field_and_columns(data):
+def _field_and_columns(data, chars=(0, 2, 3, 7)):
     """`_field_and_vectors` plus a few combinations of earlier vectors,
     so that dependent columns are common."""
-    field, cols = _field_and_vectors(data)
+    field, cols = _field_and_vectors(data, chars)
     for _ in range(data.draw(st.integers(0, 3), label="extra")):
         if not cols:
             break
@@ -178,11 +178,10 @@ def test_column_kernel_basis_is_pinned_by_the_matrix(data):
 @given(st.data())
 def test_insert_columns_matches_the_transposed_kernel(data):
     """Under either pivoting, one pass over the columns gives the kernel
-    of the reference that eliminates the transposed matrix, and the rows,
-    pivots and column map of plain inserts; each row's combination
-    applied to the columns gives the row.  Without the kernel no
-    combination is kept.  Over GF(2) this runs on the bit kernel, which
-    keeps no column map."""
+    of the reference that eliminates the transposed matrix, and the rows
+    and pivots of plain inserts; each row's combination applied to the
+    columns gives the row.  Without the kernel no combination is kept.
+    Over GF(2) this runs on the bit kernel."""
     field, cols = _field_and_columns(data)
     reference = column_kernel(cols, field)
     for pivoting in ("first", "last"):
@@ -195,8 +194,6 @@ def test_insert_columns_matches_the_transposed_kernel(data):
                                                         else [])
             assert ech.rows == plain.rows
             assert ech.pivots == plain.pivots
-            if type(ech) is Echelon:  # only the dict kernel has a column map
-                assert ech.users == plain.users
             assert set(ech.combos) == (ech.pivots if kernel else set())
             for p, combo in ech.combos.items():
                 assert apply_columns(cols, combo, field) == ech.rows[p]
@@ -281,25 +278,13 @@ def test_rational_results_collapse_to_ints():
     assert QQ.inv(3) == third and type(QQ.inv(3)) is Fraction
 
 
-def column_users(rows):
-    """The column map rebuilt from the rows: every non-pivot index with
-    the pivots of the rows that have an entry there."""
-    users = {}
-    for q, row in rows.items():
-        for j in row:
-            if j not in rows:
-                users.setdefault(j, set()).add(q)
-    return users
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_one_pass_elimination_matches_picking(data):
     """After every insert, under either pivoting: each row is monic at its
-    pivot and zero at every other pivot, the column map of the dict
-    kernel is the one the rows give, and `coordinates` of every vector
-    drawn so far equals the pivot-by-pivot reference, coefficients and
-    residual."""
+    pivot and zero at every other pivot, and `coordinates` of every
+    vector drawn so far equals the pivot-by-pivot reference,
+    coefficients and residual."""
     field, vecs = _field_and_vectors(data)
     probes = vecs + data.draw(st.lists(
         st.dictionaries(st.integers(0, 9), st.integers(-4, 4).map(field.of),
@@ -311,8 +296,6 @@ def test_one_pass_elimination_matches_picking(data):
             for q, row in ech.rows.items():
                 assert row[q] == field.one
                 assert not any(p in row for p in ech.rows if p != q)
-            if type(ech) is Echelon:
-                assert ech.users == column_users(ech.rows)
             for probe in probes:
                 assert ech.coordinates(probe) == picking_coordinates(ech, probe)
 
@@ -326,6 +309,12 @@ class DictEchelon(Echelon):
 
 
 def test_echelon_picks_its_kernel_from_the_field():
+    """The bit kernel is an `Echelon` that supplies only its vector form:
+    every public method and property is the shared one."""
+    assert issubclass(BitEchelon, Echelon)
+    assert not vars(BitEchelon).keys() & {
+        "rank", "pivots", "rows", "combos", "reduce", "contains",
+        "coordinates", "insert", "insert_columns"}
     assert type(Echelon(F2)) is BitEchelon
     assert type(Echelon(F2, "last")) is BitEchelon
     for field in (Rationals(), PrimeField(3)):
@@ -333,6 +322,43 @@ def test_echelon_picks_its_kernel_from_the_field():
     assert type(DictEchelon(F2)) is DictEchelon
     with pytest.raises(ValueError):
         Echelon(F2, "middle")
+
+
+def read_between(ech, vecs, probes):
+    """Yield vecs one by one, reading `ech`'s reduced rows, combinations
+    and coordinates of every probe before each."""
+    for v in vecs:
+        ech.rows, ech.combos, [ech.coordinates(p) for p in probes]
+        yield v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Echelon, DictEchelon]),
+       st.sampled_from(["first", "last"]), st.data())
+def test_reading_the_echelon_changes_nothing(kind, pivoting, data):
+    """The reduced rows, combinations and coordinates are built when read.
+    Read between every insert, through `insert_columns` and then plain
+    inserts, an echelon answers as its twin that is never read does.
+    Both answer as the references: the kernel of the transposed matrix,
+    reduced rows monic at their pivot and zero at every other, and
+    pivot-by-pivot coordinates.  Over GF(2), `Echelon` is the bit kernel
+    and `DictEchelon` the dict kernel."""
+    field, cols = _field_and_columns(data, chars=(0, 3, 2))
+    _, extra = _field_and_vectors(data, chars=(field.characteristic,))
+    probes = cols + extra
+    read, twin = kind(field, pivoting), kind(field, pivoting)
+    kernel = read.insert_columns(read_between(read, cols, probes))
+    assert kernel == twin.insert_columns(cols) == column_kernel(cols, field)
+    for v in read_between(read, extra, probes):
+        assert read.insert(v) == twin.insert(v)
+    assert read.rows == twin.rows and read.combos == twin.combos
+    assert read.pivots == twin.pivots and read.rank == twin.rank
+    for q, row in read.rows.items():
+        assert row[q] == field.one
+        assert not any(p in row for p in read.pivots if p != q)
+    for probe in probes:
+        assert (read.coordinates(probe) == twin.coordinates(probe)
+                == picking_coordinates(twin, probe))
 
 
 # any int entry: over GF(2) the even ones vanish and the odd ones are 1;

@@ -228,6 +228,18 @@ def test_minimality_tripwire():
     assert c.verify()["minimal"]
 
 
+def test_an_inhomogeneous_entry_is_refused():
+    """The unit monomial put into an entry of d_1 whose two generators
+    differ in degree: the reader refuses the complex by name instead of
+    failing when the product leaves the degree slice."""
+    alg = DividedPowerAlgebra(2)
+    c = minimal_resolution(alg, PrimeField(2), 2, 4)
+    assert c.gens[0] == [(0,)] and c.gens[1][0] == (1,)
+    c.diffs[0][(0, 0)][alg.unit] = c.field.one
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of d_1"):
+        c.verify()
+
+
 def test_slice_dimensions_match_component_counts():
     alg = DividedPowerAlgebra(3)
     c = minimal_resolution(alg, PrimeField(2), 3, 4)

@@ -23,8 +23,9 @@ from borelschur.transport import (
     transport_resolution,
     verification,
 )
-from oracles import (degree, euler_ok, ext_one_closed_form, kostant_betti,
-                     one_variable_betti, tamper_one_coefficient)
+from oracles import (change_generators, degree, euler_ok,
+                     ext_one_closed_form, kostant_betti, one_variable_betti,
+                     tamper_one_coefficient)
 from oracles import max_reachable_height as reachable_by_search
 
 QQ = Rationals()
@@ -97,13 +98,25 @@ def test_minimality_tripwire():
     gc = minimal_resolution(alg, F2, 4, 4)
     bc = transport_resolution(gc, (0, 2), 2)
     assert verification(bc)["minimal"]
-    (key, entry) = next(iter(bc.diffs[0].items()))
-    t = key[0]
-    unit_idx = bc.alg.index[(bc.alg.alg.unit, bc.gens[0][t])]
-    entry[unit_idx] = bc.field.one
+    # a unit entry of d_2 between the generators at (2, 0) of P_1 and P_2
+    assert bc.gens[1][1] == bc.gens[2][0] == (2, 0)
+    assert (1, 0) not in bc.diffs[1]
+    bc.diffs[1][(1, 0)] = {bc.alg.index[alg.unit, (2, 0)]: bc.field.one}
     assert not verification(bc)["minimal"]
-    del entry[unit_idx]
+    del bc.diffs[1][(1, 0)]
     assert verification(bc)["minimal"]
+
+
+def test_an_inhomogeneous_entry_is_refused():
+    """The unit arrow at (0, 2) put into the d_1 entry from the generator
+    at (1, 1): it does not run from (0, 2) to (1, 1), and the reader
+    refuses the complex instead of multiplying the arrow as zero."""
+    alg = DividedPowerAlgebra(2)
+    bc = transport_resolution(minimal_resolution(alg, F2, 4, 4), (0, 2), 2)
+    assert bc.gens[0] == [(0, 2)] and bc.gens[1][0] == (1, 1)
+    bc.diffs[0][(0, 0)][bc.alg.index[alg.unit, (0, 2)]] = bc.field.one
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of d_1"):
+        verification(bc)
 
 
 def test_d_squared_tripwire():
@@ -492,6 +505,33 @@ def test_contractible_pair_is_exact_but_not_minimal(case, data):
             assert after[key] == before[key], key
     else:
         assert after == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([0, 2, 3]), st.data())
+def test_change_of_generators_is_invisible_after_push_down(n, char, data):
+    """A random unit-triangular, degree-preserving change of generators of
+    a minimal resolution, with radical off-diagonal entries, gives other
+    maps that still verify: exact, minimal, d^2 = 0.  Pushed down at every
+    lam, the changed complex reports as the unchanged one does, with the
+    same Ext table."""
+    field = field_of_characteristic(char)
+    alg = DividedPowerAlgebra(n)
+    height = data.draw(st.integers(3, 8 if n == 2 else 5), label="height")
+    c = minimal_resolution(alg, field, data.draw(st.integers(2, 4)), height)
+    changed = change_generators(c, data)
+    report = changed.verify()
+    assert report["d_squared_zero"] and report["minimal"] and is_exact(report)
+    r = data.draw(st.integers(2, 6 if n == 2 else 4), label="r")
+    borel = BorelAlgebra(n, r, field, alg=alg)
+    for lam in compositions(n, r):
+        before, after = (
+            ModuleComplex(borel, field, *push_graded(borel, x.gens, x.diffs,
+                                                     lam)[:2],
+                          [sorted(set(borel.heads))])
+            for x in (c, changed))
+        assert after.verify() == before.verify()
+        assert after.ext_dimensions() == before.ext_dimensions()
 
 
 def closed_form_ext(char, lam, length, height):
