@@ -13,8 +13,8 @@ integers by three rewriting rules on syllables e_ij^(k):
     e_ij^(p) e_jl^(q) = sum_{t=0}^{min(p,q)} e_jl^(q-t) e_il^(t) e_ij^(p-t).
 
 A product m1 m2 is built one syllable at a time: the syllables of m2
-are multiplied onto m1 in written order, and each step m e_ij^(k) moves
-the new syllable left into place by these rules and is memoized.  No
+are multiplied onto m1 in written order, and each step m e_jl^(k) is a
+memoized closed form that these rules give (see `_times`).  No
 factorials and no rationals are involved, and every structure constant
 is a non-negative integer by construction.  Structure constants are
 cached once over the integers, so all characteristics share a single
@@ -53,18 +53,16 @@ class DividedPowerAlgebra:
         self.pairs = _pairs(n)
         self.pair_index = {p: a for a, p in enumerate(self.pairs)}
         self.pair_heights = [j - i for i, j in self.pairs]
-        # canonical written position: leftmost factor has the largest (j, i)
-        by_written = sorted(range(len(self.pairs)),
-                            key=lambda a: (self.pairs[a][1], self.pairs[a][0]),
-                            reverse=True)
-        self.written_rank = [0] * len(self.pairs)
-        for pos, a in enumerate(by_written):
-            self.written_rank[a] = pos
-        self.written_order = by_written
-        # (a, b) with pairs[a] = (i, j) and pairs[b] = (j, l): the only
-        # letters that do not commute when e_ij stands left of e_jl
-        self._meets = [(a, b) for a, (i, j) in enumerate(self.pairs)
-                       for b, (k, l) in enumerate(self.pairs) if j == k]
+        # canonical written order: leftmost factor has the largest (j, i)
+        self.written_order = sorted(range(len(self.pairs)), reverse=True,
+                                    key=lambda a: self.pairs[a][::-1])
+        # for e_a = e_jl, the (e_ij, e_il), i < j, by increasing i: e_ij is
+        # the one letter that e_jl, moving left into place, does not pass
+        index = self.pair_index
+        self._heisenberg = [[(index[i, j], index[i, l]) for i in range(1, j)]
+                            for j, l in self.pairs]
+        self._meets = [(b, a) for a, rows in enumerate(self._heisenberg)
+                       for b, _ in rows]
         self._products = {}
         self._straighten_memo = {}
         self._components = {}
@@ -91,63 +89,49 @@ class DividedPowerAlgebra:
     def monomial_height(self, m):
         return _exps_height(m, self.pair_heights)
 
-    # -- canonical word and straightening ------------------------------
-
-    def _syllables(self, exps):
-        """The canonical word of e_A^(k) syllables, as (pair index, k)."""
-        return tuple((a, exps[a]) for a in self.written_order if exps[a])
+    # -- straightening ------------------------------------------------
 
     def _times(self, m, a, k):
         """m e_a^(k) for a canonical monomial m, as {canonical exponent
-        vector: integer coefficient}; memoized by (m, a, k).
+        vector: integer coefficient}, in closed form; memoized by (m, a, k).
 
-        Write m = m' e_b^(q) with e_b^(q) its last syllable.  If m is the
-        unit or e_b stands before e_a, e_a^(k) is appended; if b = a they
-        merge with coefficient C(q+k, k).  Otherwise e_a^(k) moves left
-        past e_b^(q): the two commute unless e_b = e_ij and e_a = e_jl,
-        which expands by the Heisenberg rule, and each new word is folded
-        from m' one syllable at a time.  This is one strategy of the
-        rewriting system of the module docstring, so it terminates: each
-        rewrite shortens the word's expansion into letters, removes
-        inversions from it, or merges two syllables.  Memo values are
-        shared; callers must not mutate them.
+        For e_a = e_jl, with m_xy the exponent of e_xy in m,
+
+            m e_jl^(k) = sum_t prod_{i<j} C(m_il + t_i, t_i)
+                         * C(m_jl + k - |t|, k - |t|) * m_t
+
+        over t = (t_1, ..., t_{j-1}) with 0 <= t_i <= m_ij and |t| <= k,
+        where m_t is m with m_ij - t_i, m_il + t_i and m_jl + k - |t|.
+        This follows from the rules of the module docstring: e_jl^(k)
+        commutes left past every syllable outside column j.  Column j
+        stands right of e_jl's place, rows j-1, ..., 1 left to right;
+        e_jl meets each e_ij^(p) there by the Heisenberg rule, with
+        coefficient 1 for each t_i.  Each new e_il^(t_i) commutes with all
+        it passes into column l, where it, and e_jl^(k-|t|), merge with
+        m's syllable at a binomial.  Memo values are shared; callers must
+        not mutate them.
         """
         memo = self._straighten_memo
         hit = memo.get((m, a, k))
         if hit is not None:
             return hit
-        b = next((b for b in reversed(self.written_order) if m[b]), a)
-        exps = list(m)
-        if self.written_rank[b] <= self.written_rank[a]:  # append or merge
-            exps[a] += k
-            result = {tuple(exps): comb(exps[a], k)}
-        else:
-            q, exps[b] = m[b], 0
-            (i, j), (j2, l) = self.pairs[b], self.pairs[a]
-            if j != j2:   # commuting pairs
-                words = [((a, k), (b, q))]
-            else:         # sum over t of e_jl^(k-t) e_il^(t) e_ij^(q-t)
-                c = self.pair_index[(i, l)]
-                words = [((a, k - t), (c, t), (b, q - t))
-                         for t in range(min(q, k) + 1)]
-            result = {}
-            for word in words:
-                for e, x in self._fold({tuple(exps): 1}, word).items():
-                    result[e] = result.get(e, 0) + x
+        terms = [(list(m), 1, k)]  # (exponents, coefficient, k - |t|)
+        for b, c in self._heisenberg[a]:
+            p = m[b]
+            if p:
+                nxt = []
+                for exps, x, r in terms:
+                    for t in range(min(p, r) + 1):
+                        e = exps.copy()
+                        e[b], e[c] = p - t, e[c] + t
+                        nxt.append((e, x * comb(e[c], t), r - t))
+                terms = nxt
+        result = {}
+        for exps, x, r in terms:
+            exps[a] += r
+            result[tuple(exps)] = x * comb(exps[a], r)
         memo[m, a, k] = result
         return result
-
-    def _fold(self, terms, word):
-        """terms ({monomial: coefficient}) times each syllable (a, k) of
-        word in turn; a zero exponent is skipped."""
-        for a, k in word:
-            if k:
-                out = {}
-                for m, c in terms.items():
-                    for e, x in self._times(m, a, k).items():
-                        out[e] = out.get(e, 0) + c * x
-                terms = out
-        return terms
 
     # -- multiplication ------------------------------------------------
 
@@ -187,7 +171,16 @@ class DividedPowerAlgebra:
         if not self._interacts(e1, e2):
             exps = tuple(map(add, e1, e2))
             return ((exps, prod(map(comb, exps, e1))),)
-        terms = self._fold({e1: 1}, self._syllables(e2))
+        terms = {e1: 1}
+        for a in self.written_order:
+            k = e2[a]
+            if not k:
+                continue
+            out = {}
+            for m, c in terms.items():
+                for e, x in self._times(m, a, k).items():
+                    out[e] = out.get(e, 0) + c * x
+            terms = out
         order = self.written_order
         return tuple(sorted(terms.items(),
                             key=lambda t: [t[0][a] for a in order]))

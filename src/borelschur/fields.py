@@ -6,7 +6,8 @@ never an integral `Fraction`, so the integer structure constants of the
 Z-form run at int speed; in characteristic p it is a plain int in
 [0, p).  Arithmetic is Python's own `+ - *` on those scalars: a loop
 multiplies and accumulates natively, integer structure constants
-included, and reduces each accumulated entry once with `field.of`,
+included, and the consumer of an accumulated entry (`add_scaled`, or
+an `Echelon` as it reads a vector) reduces it once with `field.of`,
 which maps any int or `Fraction` to its canonical scalar.  A field
 object holds only what that rule cannot: `of`, `inv`, `zero`, `one`
 and `characteristic`.

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over a coefficient field.
 
-Vectors are dicts {index: nonzero scalar}.  The index type only needs a
-total order; deterministic pivot selection (always the least index, or
-always the greatest under the "last" strategy) makes every reduction and
-coset representative reproducible across runs.
+Vectors are dicts {index: scalar}, nonzero canonical scalars in every
+result.  The index type only needs a total order; deterministic pivot
+selection (always the least index, or always the greatest under the
+"last" strategy) makes every reduction and coset representative
+reproducible across runs.
 
 `Echelon` is the one elimination interface, and it runs one algorithm.
 Each row is stored monic at its pivot and zero before it (after it
@@ -21,14 +22,17 @@ row carries its combination of the columns, so a dependent column's
 combination is its kernel vector, and that basis depends only on the
 matrix, not on any pivoting.
 
-The two kernels differ only in how they hold a vector.  Over QQ and
-GF(p), p > 2, it is a dict: the loops multiply and accumulate with
-native `+ - *` and reduce each entry once with `field.of`, so rows,
-combinations and residuals hold canonical scalars.  Over GF(2),
-`Echelon(field)` builds a `BitEchelon`, where it is one int, bit k for
-index k, so an index must be a non-negative int there (else
-`TypeError`; callers with other keys number them, which changes no rank
-and no kernel), and clearing a pivot is one XOR.
+The two kernels differ only in how they hold a vector.  Both take
+entries as any ints (over QQ, rationals too), unreduced and possibly
+zero, such as the resolution engine's column sums, and reduce each
+entry once as they read it.  Over QQ and GF(p), p > 2, a vector is a
+dict, read with `field.of`; the loops multiply and accumulate with
+native `+ - *`, and reduce an entry once more where it is cleared at a
+pivot or stored.  Over GF(2), `Echelon(field)` builds a `BitEchelon`,
+where it is one int, bit k for index k, read with `c & 1`, so an index
+must be a non-negative int there (else `TypeError`; callers with other
+keys number them, which changes no rank and no kernel), and clearing a
+pivot is one XOR.
 """
 
 
@@ -127,9 +131,9 @@ class Echelon:
                 out.append(self._dict(combo))
         return out
 
-    @staticmethod
-    def _vec(vec):
-        return {j: c for j, c in vec.items() if c}
+    def _vec(self, vec):
+        of = self.field.of
+        return {j: w for j, c in vec.items() if (w := of(c))}
 
     @staticmethod
     def _dict(v):

@@ -9,10 +9,10 @@ only through two functions its caller supplies:
 - `mul(x, y)`: the product of two basis elements as (basis element,
   scalar) pairs.  A scalar may be any int, such as an integer structure
   constant read straight from a product table, or a canonical field
-  scalar: the engine multiplies and accumulates natively and reduces
-  each entry once with `field.of`.  It must be associative: the images
-  of the generators found at earlier pieces alone span the radical at a
-  piece.
+  scalar: the engine multiplies and accumulates natively, and the
+  echelon that eliminates an entry reduces it once.  It must be
+  associative: the images of the generators found at earlier pieces
+  alone span the radical at a piece.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
@@ -80,14 +80,15 @@ def by_column(diff):
     return out
 
 
-def columns(src, dst, by_col, mul, field):
+def columns(src, dst, by_col, mul):
     """Columns of a map, given `by_column`, on the pairs `src`, over
     positions in `dst`.
 
-    Every product must land in `dst`.
+    Each entry is its plain sum of products of scalars and structure
+    constants, not reduced and possibly zero: the echelon it goes into
+    reduces it.  Every product must land in `dst`.
     """
     index = {b: k for k, b in enumerate(dst)}
-    of = field.of
     cols = []
     for s, x in src:
         col = {}
@@ -96,7 +97,7 @@ def columns(src, dst, by_col, mul, field):
                 for z, cz in mul(x, y):
                     k = index[t, z]
                     col[k] = col.get(k, 0) + c * cz
-        cols.append({k: w for k, v in col.items() if (w := of(v))})
+        cols.append(col)
     return cols
 
 
@@ -104,7 +105,7 @@ def chain_ranks(bases, maps, mul, field):
     """Ranks of d_1, d_2, ... (`maps`, each `by_column`) between the bases
     of P_0, P_1, ..., and whether every composite d_i d_{i+1} vanishes on
     them."""
-    cols = [columns(bases[i + 1], bases[i], by_col, mul, field)
+    cols = [columns(bases[i + 1], bases[i], by_col, mul)
             for i, by_col in enumerate(maps)]
 
     def vanishes(lower, col):
@@ -174,7 +175,7 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
             dst = basis[p]
             rad = Echelon(field, pivoting)
             next_kernel[p] = rad.insert_columns(
-                columns(src, dst, by_col, mul, field), kernel=not last)
+                columns(src, dst, by_col, mul), kernel=not last)
             for residual in _cover(vecs, rad):
                 column = by_col[len(new)] = {}
                 for k, c in residual.items():

@@ -19,6 +19,14 @@ class IntegralityError(ArithmeticError):
     """A structure constant failed to be an integer."""
 
 
+def written_rank(alg):
+    """Position of each pair index in the canonical written order."""
+    rank = [0] * len(alg.pairs)
+    for pos, a in enumerate(alg.written_order):
+        rank[a] = pos
+    return rank
+
+
 def word(alg, m):
     """The canonical letter word of a monomial: each pair index repeated
     by its exponent, pairs in written order."""
@@ -33,6 +41,7 @@ class LetterOracle:
 
     def __init__(self, alg):
         self.alg = alg
+        self.rank = written_rank(alg)
         self.memo = {}
 
     def _commutator(self, a, b):
@@ -52,7 +61,7 @@ class LetterOracle:
         hit = self.memo.get(word)
         if hit is not None:
             return hit
-        rank = self.alg.written_rank
+        rank = self.rank
         spot = -1
         for l in range(len(word) - 1):
             if rank[word[l]] > rank[word[l + 1]]:

@@ -46,6 +46,7 @@ from borelschur.linalg import Echelon, add_scaled
 from borelschur.resolutions import (ModuleComplex, by_column, chain_ranks,
                                     free_basis)
 from borelschur.transport import resolve_simple
+from letter_oracle import written_rank
 
 
 def pair_to_matrix(i, j, n):
@@ -136,6 +137,7 @@ class WordOracle:
 
     def __init__(self, alg):
         self.alg = alg
+        self.rank = written_rank(alg)
         self.memo = {}
 
     def straighten(self, word):
@@ -145,7 +147,7 @@ class WordOracle:
         if hit is not None:
             return hit
         alg = self.alg
-        rank = alg.written_rank
+        rank = self.rank
         for pos in range(len(word) - 1):
             (a, p), (b, q) = word[pos], word[pos + 1]
             if rank[a] >= rank[b]:
@@ -573,10 +575,12 @@ def _add_maps(field, a, b, c=1):
     return {key: entry for key, entry in out.items() if entry}
 
 
-def change_generators(complex_, data):
+def change_generators(complex_, data=None):
     """`complex_` with its generators changed, as `data` (hypothesis) draws
     the change: a new `ModuleComplex` with the maps
-    phi_i^-1 d_(i+1) phi_(i+1).
+    phi_i^-1 d_(i+1) phi_(i+1).  Without `data` the change is the
+    simplest one: in every module with a slot, its first slot, that
+    slot's first basis element and the scalar 1.
 
     Each phi_i = (1 - M)^-1 = 1 + M + M^2 + ... is an automorphism of P_i
     that is unit-triangular and degree-preserving: M sends a few
@@ -592,12 +596,16 @@ def change_generators(complex_, data):
                for s, g in enumerate(gens)}
         slots = [(t, s) for t, g in enumerate(gens) for s, h in enumerate(gens)
                  if g != h and alg.between(g, h)]
-        chosen = data.draw(st.lists(st.sampled_from(slots), min_size=1,
-                                    max_size=4, unique=True),
-                           label="slots") if slots else []
-        m = {(t, s): {data.draw(st.sampled_from(
-                 alg.between(gens[t], gens[s])), label="element"):
-                 data.draw(scalar, label="scalar")} for t, s in chosen}
+        if data is None:
+            m = {(t, s): {alg.between(gens[t], gens[s])[0]: field.one}
+                 for t, s in slots[:1]}
+        else:
+            chosen = data.draw(st.lists(st.sampled_from(slots), min_size=1,
+                                        max_size=4, unique=True),
+                               label="slots") if slots else []
+            m = {(t, s): {data.draw(st.sampled_from(
+                     alg.between(gens[t], gens[s])), label="element"):
+                     data.draw(scalar, label="scalar")} for t, s in chosen}
         phi = term = one
         while term := _compose(alg, field, m, term):
             phi = _add_maps(field, phi, term)

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+from itertools import product as iproduct
 from math import comb
 
 import pytest
@@ -338,6 +339,39 @@ def test_deep_heisenberg_product():
     terms = A3.product_terms(A3.monomial({(1, 2): 40}),
                              A3.monomial({(2, 3): 40}))
     assert terms == tuple(((40 - t, t, 40 - t), 1) for t in range(40, -1, -1))
+
+
+@pytest.mark.parametrize("n,K", [(5, 10), (5, 20), (6, 8)])
+def test_deep_column_product(n, K):
+    """A full column j = n - 1, every e_ij^(K), times e_jl^(K) with
+    l = n: one term e_ij^(K-t_i) e_il^(t_i) e_jl^(K-|t|) for each t with
+    |t| <= K, C(K + j - 1, j - 1) of them, each with coefficient 1."""
+    alg = DividedPowerAlgebra(n)
+    j, l = n - 1, n
+    column = alg.monomial({(i, j): K for i in range(1, j)})
+    terms = alg.product_terms(column, alg.monomial({(j, l): K}))
+    want = set()
+    for t in iproduct(range(K + 1), repeat=j - 1):
+        if sum(t) <= K:
+            exps = {(i, j): K - t[i - 1] for i in range(1, j)}
+            exps.update({(i, l): t[i - 1] for i in range(1, j)})
+            want.add(alg.monomial({**exps, (j, l): K - sum(t)}))
+    assert len(terms) == len(want) == comb(K + j - 1, j - 1)
+    assert {m for m, _ in terms} == want
+    assert all(c == 1 for _, c in terms)
+
+
+def test_column_product_cut_by_the_syllable_equals_the_letter_oracle():
+    """e_14^(2) e_24 e_34^(2) times e_45^(3), with e_25 and e_45 already
+    present: t runs over the box 3 x 2 x 3 cut to |t| <= 3, 14 terms, and
+    their coefficients are binomials C(m_il + t_i, t_i)."""
+    alg = DividedPowerAlgebra(5)
+    m = alg.monomial({(1, 4): 2, (2, 4): 1, (3, 4): 2, (2, 5): 1, (4, 5): 1})
+    syllable = alg.monomial({(4, 5): 3})
+    terms = alg.product_terms(m, syllable)
+    assert terms == LetterOracle(alg).product_terms(m, syllable)
+    assert len(terms) == 14
+    assert max(c for _, c in terms) > 1
 
 
 @pytest.mark.parametrize("n,h,digest", [

@@ -412,3 +412,46 @@ def test_bit_kernel_takes_non_negative_int_indices(index):
         with pytest.raises(TypeError, match="non-negative int"):
             call(vec)
     assert DictEchelon(F2).insert({index: 1}) == index
+
+
+# raw int entries, nonzero multiples of 2, 3 and 7 among them
+raw_vectors = st.dictionaries(st.integers(0, 9), st.integers(-21, 21),
+                              max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Echelon, DictEchelon]), st.sampled_from([0, 2, 3, 7]),
+       st.sampled_from(["first", "last"]), st.lists(raw_vectors, max_size=8),
+       st.lists(raw_vectors, max_size=4))
+def test_echelon_reduces_raw_int_entries(kind, char, pivoting, vecs, probes):
+    """An echelon fed unreduced ints answers as one fed the same vectors
+    reduced by `field.of`: `insert`, rows, combinations, `reduce`,
+    `contains`, `coordinates`, the kernel of `insert_columns` and
+    `matrix_rank`.  The resolution engine hands its column sums over so."""
+    field = Rationals() if char == 0 else PrimeField(char)
+
+    def of(v):
+        return {j: w for j, c in v.items() if (w := field.of(c))}
+
+    raw, ref = kind(field, pivoting), kind(field, pivoting)
+    for v in vecs:
+        assert raw.insert(v) == ref.insert(of(v))
+        for probe in vecs + probes:
+            assert raw.reduce(probe) == ref.reduce(of(probe))
+            assert raw.contains(probe) == ref.contains(of(probe))
+            assert raw.coordinates(probe) == ref.coordinates(of(probe))
+    assert raw.rows == ref.rows and raw.pivots == ref.pivots
+    raw, ref = kind(field, pivoting), kind(field, pivoting)
+    assert (raw.insert_columns(vecs + probes)
+            == ref.insert_columns([of(v) for v in vecs + probes]))
+    assert raw.rows == ref.rows and raw.combos == ref.combos
+    assert (matrix_rank(vecs, field)
+            == matrix_rank([of(v) for v in vecs], field))
+
+
+def test_a_multiple_of_p_is_no_pivot():
+    """3 is zero in GF(3): the pivot is the next entry, 4 = 1."""
+    ech = Echelon(PrimeField(3))
+    assert ech.insert({0: 3, 1: 4}) == 1
+    assert ech.rows == {1: {1: 1}}
+    assert ech.reduce({0: 6, 1: 2, 2: -3}) == {}

@@ -359,7 +359,7 @@ def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
                 continue
             dst = free_basis(gens[-2], [p], between)
             vecs = column_kernel(
-                columns(src, dst, by_column(diff), mul, field), field)
+                columns(src, dst, by_column(diff), mul), field)
             if vecs:
                 kernel[p] = (vecs, src)
     return gens, diffs

@@ -507,24 +507,15 @@ def test_contractible_pair_is_exact_but_not_minimal(case, data):
         assert after == before
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([0, 2, 3]), st.data())
-def test_change_of_generators_is_invisible_after_push_down(n, char, data):
-    """A random unit-triangular, degree-preserving change of generators of
-    a minimal resolution, with radical off-diagonal entries, gives other
-    maps that still verify: exact, minimal, d^2 = 0.  Pushed down at every
-    lam, the changed complex reports as the unchanged one does, with the
-    same Ext table."""
-    field = field_of_characteristic(char)
-    alg = DividedPowerAlgebra(n)
-    height = data.draw(st.integers(3, 8 if n == 2 else 5), label="height")
-    c = minimal_resolution(alg, field, data.draw(st.integers(2, 4)), height)
-    changed = change_generators(c, data)
+def check_change_of_generators(c, changed, r):
+    """`changed` still verifies: exact, minimal, d^2 = 0; pushed down at
+    every lam of S+(n, r), it reports as `c` does, with the same Ext
+    table."""
     report = changed.verify()
     assert report["d_squared_zero"] and report["minimal"] and is_exact(report)
-    r = data.draw(st.integers(2, 6 if n == 2 else 4), label="r")
-    borel = BorelAlgebra(n, r, field, alg=alg)
-    for lam in compositions(n, r):
+    field = c.field
+    borel = BorelAlgebra(c.alg.n, r, field, alg=c.alg)
+    for lam in compositions(c.alg.n, r):
         before, after = (
             ModuleComplex(borel, field, *push_graded(borel, x.gens, x.diffs,
                                                      lam)[:2],
@@ -532,6 +523,42 @@ def test_change_of_generators_is_invisible_after_push_down(n, char, data):
             for x in (c, changed))
         assert after.verify() == before.verify()
         assert after.ext_dimensions() == before.ext_dimensions()
+
+
+# (n, char, greatest height drawn): at n = 4 in characteristic 0 two
+# generators of one module first sit at comparable pieces at height 6
+# (P_3 at (0,2,2) and (1,2,3)); at n = 2 in characteristic 3 the changes
+# that height 8 allows bring in only multiples of 3
+CHANGE_SIZES = [(2, 0, 8), (2, 2, 8), (2, 3, 14), (3, 0, 5), (3, 2, 5),
+                (3, 3, 5), (4, 0, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHANGE_SIZES), st.data())
+def test_change_of_generators_is_invisible_after_push_down(size, data):
+    """A random unit-triangular, degree-preserving change of generators of
+    a minimal resolution, with radical off-diagonal entries, gives other
+    maps that still verify, and that pushed down at every lam report as
+    the unchanged ones do."""
+    n, char, top = size
+    alg = DividedPowerAlgebra(n)
+    height = data.draw(st.integers(3, top), label="height")
+    c = minimal_resolution(alg, field_of_characteristic(char),
+                           data.draw(st.integers(2, 4)), height)
+    r = data.draw(st.integers(2, {2: 6, 3: 4, 4: 3}[n]), label="r")
+    check_change_of_generators(c, change_generators(c, data), r)
+
+
+@pytest.mark.parametrize("n,char,length,height,r", [
+    (4, 0, 3, 6, 3), (2, 3, 4, 14, 6)])
+def test_change_of_generators_changes_the_maps(n, char, length, height, r):
+    """The two sizes where small heights change nothing: the simplest
+    change of generators gives other maps, and they still pass."""
+    c = minimal_resolution(DividedPowerAlgebra(n),
+                           field_of_characteristic(char), length, height)
+    changed = change_generators(c)
+    assert changed.diffs != c.diffs
+    check_change_of_generators(c, changed, r)
 
 
 def closed_form_ext(char, lam, length, height):
