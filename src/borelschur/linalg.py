@@ -267,8 +267,13 @@ class BitEchelon(Echelon):
         return out
 
 
-def matrix_rank(columns, field):
+def matrix_rank(columns, field, cap=None):
+    """The rank of the columns, inserted in turn.  With `cap`, a bound the
+    caller knows the rank cannot exceed, it stops once the rank reaches
+    it."""
     ech = Echelon(field)
     for col in columns:
+        if ech.rank == cap:
+            break
         ech.insert(col)
     return ech.rank

@@ -50,19 +50,24 @@ complete, because radical products only ever raise height.
 `ModuleComplex` holds a complex of free modules over either family,
 the engine's output or a push-down of it, and the blocks of pieces it
 splits into.  Its one reader, `verify`, builds each module's basis once
-per block and runs `chain_ranks`, which tests d_i d_{i+1} = 0 and
-counts ranks between given bases, once per block.  `resolve`'s `exact`
-and `minimal`, `transport`'s verification and the Tor check of
-`idempotents` all read its report.  The graded resolution is checked
-one degree slice per block; a complex over a based algebra in one block
-of all its head weights.
+per block and computes each map's columns there.  It tests d_i d_{i+1}
+= 0 on the generators' own columns only, read off the maps' entries,
+since the composite is a module map.  Once d^2 has held on every
+generator, rank d_{i+1} <= dim P_i - rank d_i on each block, so it
+eliminates each map's columns newest first and stops at that bound;
+where d^2 fails it eliminates every map in full, so the ranks it
+reports are always the true ones.  `resolve`'s `exact` and `minimal`,
+`transport`'s verification and the Tor check of `idempotents` all read
+its report.  The graded resolution is checked one degree slice per
+block; a complex over a based algebra in one block of all its head
+weights.
 """
 
 from collections import Counter
 from operator import add
 
 from .fields import serialize_scalar as _ser
-from .linalg import Echelon, add_scaled, matrix_rank
+from .linalg import Echelon, matrix_rank
 
 
 def free_basis(gens, pieces, between):
@@ -101,22 +106,18 @@ def columns(src, dst, by_col, mul):
     return cols
 
 
-def chain_ranks(bases, maps, mul, field):
-    """Ranks of d_1, d_2, ... (`maps`, each `by_column`) between the bases
-    of P_0, P_1, ..., and whether every composite d_i d_{i+1} vanishes on
-    them."""
-    cols = [columns(bases[i + 1], bases[i], by_col, mul)
-            for i, by_col in enumerate(maps)]
-
-    def vanishes(lower, col):
-        composite = {}
-        for k, c in col.items():
-            add_scaled(composite, lower[k], c, field)
-        return not composite
-
-    d2 = all(vanishes(lower, col)
-             for lower, upper in zip(cols, cols[1:]) for col in upper)
-    return [matrix_rank(c, field) for c in cols], d2
+def composite(col, lower, mul, field):
+    """d_i applied to one column of d_{i+1}, given as {t: entry} (a
+    generator's own column is its entries), with d_i `by_column`: the
+    composite's nonzero scalars {(u, basis element): scalar}."""
+    out = {}
+    for t, entry in col.items():
+        for u, then in lower.get(t, {}).items():
+            for y, c in entry.items():
+                for z, e in then.items():
+                    for w, k in mul(y, z):
+                        out[u, w] = out.get((u, w), 0) + c * e * k
+    return {key: w for key, c in out.items() if (w := field.of(c))}
 
 
 def unit_free(diffs, is_unit):
@@ -229,11 +230,18 @@ class ModuleComplex:
         dimensions and map ranks summed over the blocks, minimality, the
         corank-one top and rank-counted exactness at each interior spot.
 
+        d_i d_{i+1} is a module map, so it vanishes once it vanishes on
+        the generators of P_{i+1}, and only their own columns are composed.
         Where d^2 = 0, rank d_i + rank d_{i+1} <= dim P_i on each block,
         so the sums reach dim P_i only if every block's do; and the image
         of d_1 holds the unit only if it is all of P_0.  So the summed
-        verdicts are the blockwise ones.  An entry holding a basis element
-        that does not run between its two generators raises `ValueError`.
+        verdicts are the blockwise ones.  The same bound lets each map's
+        elimination stop at dim P_i - rank d_i once d^2 has held on every
+        generator, and still find the true rank.  Its columns go in newest
+        first: on a degree slice the own columns of the generators there
+        come last and are independent, so the rank climbs fastest that
+        way.  Where d^2 fails, every map is eliminated in full.  An entry holding a basis element that does
+        not run between its two generators raises `ValueError`.
         """
         alg = self.alg
         for i, diff in enumerate(self.diffs):
@@ -243,17 +251,22 @@ class ModuleComplex:
                     raise ValueError(
                         f"entry ({t}, {s}) of d_{i + 1} is not homogeneous")
         maps = [by_column(d) for d in self.diffs]
+        mul, field = alg.product_terms, self.field
+        d2 = not any(composite(col, lower, mul, field)
+                     for lower, upper in zip(maps, maps[1:])
+                     for col in upper.values())
         dims = [0] * len(self.gens)
         ranks = [0] * len(self.diffs)
-        d2 = True
         for block in self.blocks:
             bases = [free_basis(gens, block, alg.between)
                      for gens in self.gens]
-            block_ranks, block_d2 = chain_ranks(bases, maps, alg.product_terms,
-                                                self.field)
-            d2 = d2 and block_d2
+            rank = 0
+            for i, by_col in enumerate(maps):
+                cols = columns(bases[i + 1], bases[i], by_col, mul)
+                rank = matrix_rank(reversed(cols), field,
+                                   len(bases[i]) - rank if d2 else None)
+                ranks[i] += rank
             dims = list(map(add, dims, map(len, bases)))
-            ranks = list(map(add, ranks, block_ranks))
         return {
             "d_squared_zero": d2,
             "dims": dims,

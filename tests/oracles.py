@@ -19,8 +19,9 @@ graded Betti numbers of the trivial module in closed form (two rows in
 characteristic p, Kostant's theorem in characteristic 0), and its first
 syzygies and Ext^1 between simples in closed form in every
 characteristic; the exactness of a graded resolution slice by slice,
-one changed, deleted or added coefficient of a complex's maps, and a
-random change of generators of a complex.
+the ranks and d^2 verdict of a complex with every column composed and
+eliminated, one changed, deleted or added coefficient of a complex's
+maps, and a random change of generators of a complex.
 """
 
 from itertools import accumulate, combinations, permutations
@@ -42,8 +43,8 @@ from borelschur.combinatorics import (
     positive_root_coords,
 )
 from borelschur.fields import serialize_scalar
-from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import (ModuleComplex, by_column, chain_ranks,
+from borelschur.linalg import Echelon, add_scaled, matrix_rank
+from borelschur.resolutions import (ModuleComplex, by_column, columns,
                                     free_basis)
 from borelschur.transport import resolve_simple
 from letter_oracle import written_rank
@@ -221,6 +222,44 @@ def max_reachable_height(lam, n, r):
         if d is not None:
             best = max(best, sum(d))
     return best
+
+
+def chain_ranks(bases, maps, mul, field):
+    """Ranks of d_1, d_2, ... (`maps`, each `by_column`) between the bases
+    of P_0, P_1, ..., and whether every composite d_i d_{i+1} vanishes on
+    them: every column of every map composed and eliminated in full."""
+    cols = [columns(bases[i + 1], bases[i], by_col, mul)
+            for i, by_col in enumerate(maps)]
+
+    def vanishes(lower, col):
+        composite = {}
+        for k, c in col.items():
+            add_scaled(composite, lower[k], c, field)
+        return not composite
+
+    d2 = all(vanishes(lower, col)
+             for lower, upper in zip(cols, cols[1:]) for col in upper)
+    return [matrix_rank(c, field) for c in cols], d2
+
+
+def composed_report(complex_):
+    """The dimensions, ranks, d^2 verdict and exact spots of
+    `ModuleComplex.verify`, by `chain_ranks` on each block: every column
+    composed, every map eliminated in full."""
+    alg, maps = complex_.alg, [by_column(d) for d in complex_.diffs]
+    dims, ranks = [0] * len(complex_.gens), [0] * len(complex_.diffs)
+    d2 = True
+    for block in complex_.blocks:
+        bases = [free_basis(gens, block, alg.between)
+                 for gens in complex_.gens]
+        block_ranks, block_d2 = chain_ranks(bases, maps, alg.product_terms,
+                                            complex_.field)
+        d2 = d2 and block_d2
+        dims = [a + len(b) for a, b in zip(dims, bases)]
+        ranks = [a + b for a, b in zip(ranks, block_ranks)]
+    return {"d_squared_zero": d2, "dims": dims, "ranks": ranks,
+            "exact_spots": {i: ranks[i - 1] + ranks[i] == dims[i]
+                            for i in range(1, len(ranks))}}
 
 
 def interval_tor(trunc, borel, lam):

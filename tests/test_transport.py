@@ -13,8 +13,8 @@ from borelschur.combinatorics import (compositions, coords_to_vector,
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import add_scaled
-from borelschur.resolutions import (ModuleComplex, by_column, chain_ranks,
-                                    is_exact, minimal_resolution)
+from borelschur.resolutions import (ModuleComplex, by_column, is_exact,
+                                    minimal_resolution)
 from borelschur.transport import (
     ext_table_csv,
     max_reachable_height,
@@ -23,7 +23,7 @@ from borelschur.transport import (
     transport_resolution,
     verification,
 )
-from oracles import (change_generators, degree, euler_ok,
+from oracles import (chain_ranks, change_generators, degree, euler_ok,
                      ext_one_closed_form, kostant_betti, one_variable_betti,
                      tamper_one_coefficient)
 from oracles import max_reachable_height as reachable_by_search
@@ -525,12 +525,24 @@ def check_change_of_generators(c, changed, r):
         assert after.ext_dimensions() == before.ext_dimensions()
 
 
-# (n, char, greatest height drawn): at n = 4 in characteristic 0 two
-# generators of one module first sit at comparable pieces at height 6
-# (P_3 at (0,2,2) and (1,2,3)); at n = 2 in characteristic 3 the changes
-# that height 8 allows bring in only multiples of 3
-CHANGE_SIZES = [(2, 0, 8), (2, 2, 8), (2, 3, 14), (3, 0, 5), (3, 2, 5),
-                (3, 3, 5), (4, 0, 6)]
+# (n, char, greatest height drawn), each a size whose resolution has two
+# generators of one module at comparable pieces, so that a change of
+# generators can change the maps.  At n = 4 in characteristic 0 they first
+# sit so at height 6 (P_3 at (0,2,2) and (1,2,3)); at n = 2 in
+# characteristic 3 the changes that height 8 allows bring in only
+# multiples of 3.  In characteristic 0 at n <= 3 no two generators of one
+# module are comparable, so those complexes are checked by other tests.
+CHANGE_SIZES = [(2, 2, 8), (2, 3, 14), (3, 2, 5), (3, 3, 5), (3, 5, 6),
+                (4, 0, 6), (4, 2, 4)]
+
+
+@pytest.mark.parametrize("n,char,top", CHANGE_SIZES)
+def test_every_change_size_can_change_the_maps(n, char, top):
+    """At its greatest height and length, each size's simplest change of
+    generators gives other maps."""
+    c = minimal_resolution(DividedPowerAlgebra(n),
+                           field_of_characteristic(char), 4, top)
+    assert change_generators(c).diffs != c.diffs
 
 
 @settings(max_examples=60, deadline=None)
