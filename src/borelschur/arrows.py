@@ -58,12 +58,11 @@ def arrow_is_kept(alg, arrow, r):
 
 
 def matrix_to_arrow(alg, K):
-    mu = tuple(sum(K[i][t] for i in range(t + 1)) for t in range(alg.n))
-    exps = {}
-    for i in range(1, alg.n + 1):
-        for j in range(i + 1, alg.n + 1):
-            exps[(i, j)] = K[i - 1][j - 1]
-    return (alg.monomial(exps), mu)
+    """The arrow of an upper-triangular marginal matrix K: the exponent of
+    e_ij is the cell (i, j), i < j, in `alg.pairs` order, and the base is
+    the column sums."""
+    return (tuple(K[i - 1][j - 1] for i, j in alg.pairs),
+            tuple(map(sum, zip(*K))))
 
 
 class BasedAlgebra:
@@ -116,6 +115,15 @@ class BasedAlgebra:
     def between(self, y, w):
         """Indices of the arrows from the point y to the point w (tuples)."""
         return self._by_pair.get((y, w), ())
+
+    def module_basis(self, gens, block):
+        """The basis on the set of points `block` of the free module on
+        generators at the points `gens`: the pairs (t, i), i an arrow from
+        gens[t] into `block`, by one pass over the arrows at each
+        generator."""
+        heads = self.heads
+        return [(t, i) for t, y in enumerate(gens) for i in self.based_at(y)
+                if heads[i] in block]
 
     def product_indices(self, i, j):
         """Product of basis arrows i and j as a vector over basis indices."""

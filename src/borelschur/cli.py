@@ -167,12 +167,15 @@ def cmd_transport(args):
     borel = BorelAlgebra(args.n, args.r, field, alg=alg)
     transported = transport_resolution(complex_, args.lam, args.r, borel=borel)
     report = verification(transported)
-    if args.format == "csv":
-        ok = report["passed"]
-        summary = [f"transport lambda={args.lam}: "
-                   f"{'pass' if ok else 'FAIL'}"]
-        return ext_table_csv(transported), ok, summary
     info = transported.info
+    ok = report["passed"]
+    summary = [f"transport n={args.n} r={args.r} char {args.char} "
+               f"lambda={','.join(str(x) for x in args.lam)}: "
+               f"{'pass' if ok else 'FAIL'} "
+               f"(complete={info['complete']}, "
+               f"terminated={info['terminated']})"]
+    if args.format == "csv":
+        return ext_table_csv(transported), ok, summary
     payload = transported.to_json("weights", {
         "n": args.n, "r": args.r, "lambda": list(args.lam),
         "complete": info["complete"], "terminated": info["terminated"],
@@ -186,12 +189,6 @@ def cmd_transport(args):
         {"degree": i, "weight": list(w), "count": c}
         for (i, w), c in sorted(transported.ext_dimensions().items())
     ]
-    ok = report["passed"]
-    summary = [f"transport n={args.n} r={args.r} char {args.char} "
-               f"lambda={','.join(str(x) for x in args.lam)}: "
-               f"{'pass' if ok else 'FAIL'} "
-               f"(complete={info['complete']}, "
-               f"terminated={info['terminated']})"]
     return payload, ok, summary
 
 

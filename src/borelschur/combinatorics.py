@@ -95,13 +95,16 @@ def compositions(n, r):
     return out
 
 
-def layer_points(n, r, k):
-    """Interval points whose first negative coordinate is the k-th."""
-    return [
-        z
-        for z in interval_points(n, r)
-        if z[k - 1] < 0 and all(z[i] >= 0 for i in range(k - 1))
-    ]
+def layer_points(n, r, k, interval=None):
+    """Interval points whose first negative coordinate is the k-th.
+
+    `interval`, if given, is `interval_points(n, r)`, which is then not
+    built again.
+    """
+    if interval is None:
+        interval = interval_points(n, r)
+    return [z for z in interval
+            if z[k - 1] < 0 and all(z[i] >= 0 for i in range(k - 1))]
 
 
 def is_composition(z, r):

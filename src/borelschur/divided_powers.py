@@ -38,7 +38,7 @@ class DividedPowerAlgebra:
     """Multiplication, grading and column structure for one rank n.
 
     Like a based algebra, it answers what the resolution engine and its
-    checkers ask: `between`, `product_terms` and `is_unit`.
+    checkers ask: `between`, `module_basis`, `product_terms` and `is_unit`.
 
     The only mutable state is three compute-once/read-many tables: the
     product table, the straightening memo and the graded components.
@@ -68,14 +68,6 @@ class DividedPowerAlgebra:
         self._components = {}
 
     # -- construction -------------------------------------------------
-
-    def monomial(self, exps_by_pair):
-        exps = [0] * len(self.pairs)
-        for (i, j), k in exps_by_pair.items():
-            if k < 0:
-                raise ValueError("negative exponent")
-            exps[self.pair_index[(i, j)]] = k
-        return tuple(exps)
 
     @property
     def unit(self):
@@ -234,6 +226,13 @@ class DividedPowerAlgebra:
         if any(map(gt, g, p)):
             return []
         return self.component_basis(tuple(map(sub, p, g)))
+
+    def module_basis(self, gens, block):
+        """The basis on the set of pieces `block` of the free module on
+        generators at the pieces `gens`: the pairs (t, m), m a monomial
+        from gens[t] to a piece of `block`, piece by piece."""
+        return [(t, m) for t, g in enumerate(gens) for p in block
+                for m in self.between(g, p)]
 
     def degrees_to_height(self, h):
         """All degree coordinate vectors of height <= h, sorted by (height, lex)."""

@@ -27,6 +27,8 @@ ranks that `resolutions.ModuleComplex.verify` reports on its push-down by
 resolution restricted to it resolves the simple over its algebra.
 """
 
+from operator import ge
+
 from .arrows import BasedAlgebra, BorelAlgebra, ConvexTruncation
 from .combinatorics import (
     compositions,
@@ -204,21 +206,46 @@ def two_idempotent_report(algebra, e):
     }
 
 
-def removal_order(n, r):
+def removal_order(n, r, interval=None):
     """Points of the interval outside the compositions, in removal order.
 
     Layers with the earliest negative coordinate go first; inside a layer
-    the largest point in the layer order is removed first.
+    the largest point in the layer order is removed first.  `interval`,
+    if given, is `interval_points(n, r)`, which is then not built again.
     """
     order = []
     for k in range(2, n + 1):
-        layer = layer_points(n, r, k)
+        layer = layer_points(n, r, k, interval)
         layer.sort(key=lambda z: layer_key(z, k), reverse=True)
         order.extend((k, z) for z in layer)
     return order
 
 
-def check_layer_hypotheses(n, r):
+def column_reach(points, interval, c):
+    """The points of `interval` that a point of `points` reaches by the
+    monoid of v_i - v_c, i < c, as a set.
+
+    y - z lies in that monoid iff y and z agree after column c, have one
+    total, and every coordinate of y before column c is at least z's.  So
+    the points are grouped by their coordinates after column c, each
+    group keeping the set of its heads (the coordinates before c), and
+    each interval point is tested once against the heads of its group.
+    The points and the interval must share one total.
+    """
+    heads = {}
+    for z in points:
+        heads.setdefault(z[c:], set()).add(z[:c - 1])
+    reached = set()
+    for y in interval:
+        group = heads.get(y[c:])
+        if group:
+            h = y[:c - 1]
+            if h in group or any(all(map(ge, h, g)) for g in group):
+                reached.add(y)
+    return reached
+
+
+def check_layer_hypotheses(n, r, interval=None):
     """Set-theoretic hypotheses behind the layered removal.
 
     With Z_1 the compositions and Z_i the layer with first negative
@@ -226,27 +253,19 @@ def check_layer_hypotheses(n, r):
     same way, checks
         (monoid_j . Z_i) := {z + d} cap interval  inside  Z_i ... Z_j
     for i <= j, and invariance of the unions Y_j under the earlier monoids.
-    Points of one sum differ by an element of the monoid of v_i - v_c
-    (i < c) iff they agree after column c and the later one is at least
-    the earlier before column c, so reaches are looked up by that tail.
+    Reaches are `column_reach`.  `interval`, if given, is
+    `interval_points(n, r)`, which is then not built again.
     """
-    Y = interval_points(n, r)
+    Y = interval if interval is not None else interval_points(n, r)
     m = n - 1
     if m < 1:
         return {"zj_condition": True, "yj_condition": True, "cases": []}
     Z = {1: [z for z in Y if all(x >= 0 for x in z)]}
     for i in range(2, m + 1):
-        Z[i] = layer_points(n, r, n + 1 - i)
-    col = {i: n + 1 - i for i in range(1, m + 1)}
-    by_tail = {i: {} for i in col}
-    for i, c in col.items():
-        for y in Y:
-            by_tail[i].setdefault(y[c:], []).append(y)
+        Z[i] = layer_points(n, r, n + 1 - i, Y)
 
     def reach(points, i):
-        c = col[i]
-        return {y for z in points for y in by_tail[i][z[c:]]
-                if all(a >= b for a, b in zip(y[:c - 1], z[:c - 1]))}
+        return column_reach(points, Y, n + 1 - i)
 
     def union(lo, hi):
         return set().union(*(Z[k] for k in range(lo, hi + 1)))
@@ -343,12 +362,13 @@ def chain_report(n, r, field, tor_sample=None):
     Tor-vanishing spot checks for simples at the sampled compositions.
     """
     alg = DividedPowerAlgebra(n)
-    trunc = ConvexTruncation(alg, interval_points(n, r), field)
-    hypotheses = check_layer_hypotheses(n, r)
+    interval = interval_points(n, r)
+    trunc = ConvexTruncation(alg, interval, field)
+    hypotheses = check_layer_hypotheses(n, r, interval)
 
     ideal = Echelon(field)
     steps = [{"layer": k, "point": z, **removal_step(trunc, ideal, z)}
-             for k, z in removal_order(n, r)]
+             for k, z in removal_order(n, r, interval)]
     comps = compositions(n, r)
     final_dim = trunc.dim - ideal.rank
     expected = tri_count(n, r)

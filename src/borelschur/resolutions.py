@@ -50,11 +50,13 @@ complete, because radical products only ever raise height.
 `ModuleComplex` holds a complex of free modules over either family,
 the engine's output or a push-down of it, and the blocks of pieces it
 splits into.  Its one reader, `verify`, builds each module's basis once
-per block and computes each map's columns there.  It tests d_i d_{i+1}
-= 0 on the generators' own columns only, read off the maps' entries,
-since the composite is a module map.  Once d^2 has held on every
-generator, rank d_{i+1} <= dim P_i - rank d_i on each block, so it
-eliminates each map's columns newest first and stops at that bound;
+per block, asking the algebra for it at once (`module_basis`; over a
+based algebra one pass over the arrows at each generator), and
+computes each map's columns there.  It tests d_i d_{i+1} = 0 on the
+generators' own columns only, read off the maps' entries, since the
+composite is a module map.  Once d^2 has held on every generator,
+rank d_{i+1} <= dim P_i - rank d_i on each block, so it eliminates
+each map's columns newest first and stops at that bound;
 where d^2 fails it eliminates every map in full, so the ranks it
 reports are always the true ones.  `resolve`'s `exact` and `minimal`,
 `transport`'s verification and the Tor check of `idempotents` all read
@@ -198,8 +200,9 @@ class ModuleComplex:
 
     `gens[i]` lists the generator pieces of P_i and `diffs[i]` is the
     engine's map d_{i+1}: P_{i+1} -> P_i.  The reader asks `alg`, of
-    either family, what the engine asks.  Maps keep pieces, so the
-    complex splits over `blocks`, lists of pieces that `verify` checks
+    either family, what the engine asks, and `module_basis` for the
+    basis of a module on a block.  Maps keep pieces, so the complex
+    splits over `blocks`, lists of pieces that `verify` checks
     one at a time.  `info` keeps what the producer knows: the cutoffs, or
     the weight the complex was pushed down to or resolved at.
     """
@@ -240,8 +243,11 @@ class ModuleComplex:
         generator, and still find the true rank.  Its columns go in newest
         first: on a degree slice the own columns of the generators there
         come last and are independent, so the rank climbs fastest that
-        way.  Where d^2 fails, every map is eliminated in full.  An entry holding a basis element that does
-        not run between its two generators raises `ValueError`.
+        way.  Where d^2 fails, every map is eliminated in full.  Each
+        module's basis on a block is `alg.module_basis`; dimensions and
+        ranks do not depend on its order.  An entry holding a basis
+        element that does not run between its two generators raises
+        `ValueError`.
         """
         alg = self.alg
         for i, diff in enumerate(self.diffs):
@@ -257,9 +263,8 @@ class ModuleComplex:
                      for col in upper.values())
         dims = [0] * len(self.gens)
         ranks = [0] * len(self.diffs)
-        for block in self.blocks:
-            bases = [free_basis(gens, block, alg.between)
-                     for gens in self.gens]
+        for block in map(set, self.blocks):
+            bases = [alg.module_basis(gens, block) for gens in self.gens]
             rank = 0
             for i, by_col in enumerate(maps):
                 cols = columns(bases[i + 1], bases[i], by_col, mul)

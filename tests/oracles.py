@@ -64,6 +64,17 @@ def pair_to_matrix(i, j, n):
     return tuple(tuple(row) for row in k)
 
 
+def monomial(alg, exps_by_pair):
+    """The exponent tuple of the monomial with the exponents
+    {(i, j): k}, every other exponent zero."""
+    exps = [0] * len(alg.pairs)
+    for (i, j), k in exps_by_pair.items():
+        if k < 0:
+            raise ValueError("negative exponent")
+        exps[alg.pair_index[(i, j)]] = k
+    return tuple(exps)
+
+
 def degree(alg, m):
     """Coefficients of a monomial's degree over the simple positive
     vectors v_l - v_{l+1}."""

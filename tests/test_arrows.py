@@ -29,6 +29,7 @@ from oracles import (
     arrow_to_matrix,
     column_factors,
     degree,
+    monomial,
     unit,
 )
 
@@ -37,7 +38,7 @@ QQ = Rationals()
 
 def test_arrow_product_examples():
     A2 = DividedPowerAlgebra(2)
-    e12 = A2.monomial({(1, 2): 1})
+    e12 = monomial(A2, {(1, 2): 1})
     # indicator at the head passes the arrow through
     out = arrow_product(A2, {indicator(A2, (2, 0)): QQ.one},
                         {(e12, (1, 1)): QQ.one}, QQ)
@@ -48,7 +49,7 @@ def test_arrow_product_examples():
     assert out == {}
     # composing two single steps gives twice the divided square
     out = arrow_product(A2, {(e12, (1, 1)): QQ.one}, {(e12, (0, 2)): QQ.one}, QQ)
-    assert out == {(A2.monomial({(1, 2): 2}), (0, 2)): QQ.of(2)}
+    assert out == {(monomial(A2, {(1, 2): 2}), (0, 2)): QQ.of(2)}
 
 
 def count_arrows(alg, points):
@@ -145,10 +146,10 @@ def test_arrow_product_is_graded():
 
 def test_kept_arrow_examples():
     A3 = DividedPowerAlgebra(3)
-    m = A3.monomial({(2, 3): 1, (1, 2): 1})
+    m = monomial(A3, {(2, 3): 1, (1, 2): 1})
     # completing the diagonal at the middle column goes negative
     assert not arrow_is_kept(A3, (m, (1, 0, 1)), 2)
-    assert arrow_is_kept(A3, (A3.monomial({(1, 3): 1}), (1, 0, 1)), 2)
+    assert arrow_is_kept(A3, (monomial(A3, {(1, 3): 1}), (1, 0, 1)), 2)
     # arrows at non-compositions never survive
     assert not arrow_is_kept(A3, (A3.unit, (1, -1, 2)), 2)
     assert arrow_is_kept(A3, (A3.unit, (1, 1, 0)), 2)
@@ -170,6 +171,21 @@ def test_kept_arrows_biject_with_marginal_matrices():
         assert mats == tri_matrices_all(n, r)
         for a in kept:
             assert matrix_to_arrow(alg, arrow_to_matrix(alg, a)) == a
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_borel_arrows_read_off_their_matrices(n):
+    """Each basis arrow of `BorelAlgebra` is its matrix read cell by cell:
+    the exponents from the cells (i, j), i < j, row by row, the base the
+    column sums and the head the row sums."""
+    for r in range(6):
+        B = BorelAlgebra(n, r, QQ)
+        mats = tri_matrices_all(n, r)
+        assert B.arrows == [
+            (tuple(K[i][j] for i in range(n) for j in range(i + 1, n)),
+             tuple(sum(row[j] for row in K) for j in range(n)))
+            for K in mats]
+        assert B.heads == [tuple(sum(row) for row in K) for K in mats]
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (4, 2)])
@@ -213,8 +229,8 @@ def test_reduce_examples():
             B.index[a]: c for a, c in elem.items()
             if arrow_is_kept(B.alg, a, r)}, (n, r)
     A3 = DividedPowerAlgebra(3)
-    kept = (A3.monomial({(1, 3): 1}), (1, 0, 1))
-    dropped = (A3.monomial({(2, 3): 1, (1, 2): 1}), (1, 0, 1))
+    kept = (monomial(A3, {(1, 3): 1}), (1, 0, 1))
+    dropped = (monomial(A3, {(2, 3): 1, (1, 2): 1}), (1, 0, 1))
     B = BorelAlgebra(3, 2, QQ, alg=A3)
     assert B.reduce_element({kept: QQ.of(5), dropped: QQ.of(7)}) == {
         B.index[kept]: QQ.of(5)}

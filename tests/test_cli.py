@@ -103,6 +103,22 @@ def test_transport_csv(capsys):
     assert out.splitlines()[0] == "degree,weight,count"
 
 
+@pytest.mark.parametrize("lam", ["1,0", "0,1"])
+def test_transport_summary_is_one_line_in_both_formats(lam, capsys):
+    """The summary names the size, the characteristic and the weight as
+    the --lambda flag writes it, in json and in csv alike."""
+    argv = ["transport", "--n", "2", "--r", "1", "--char", "3", "--lambda",
+            lam, "--length", "3", "--height", "2"]
+    summaries = []
+    for fmt in ("json", "csv"):
+        code, _, err = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0
+        summaries.append(err)
+    assert summaries[0] == summaries[1]
+    assert summaries[0] == (f"transport n=2 r=1 char 3 lambda={lam}: pass "
+                            "(complete=True, terminated=True)\n")
+
+
 def test_check_ideals(capsys):
     code, out, _ = run_cli(["check-ideals", "--n", "2", "--r", "2"], capsys)
     assert code == 0

@@ -1,8 +1,10 @@
+from operator import gt
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borelschur import idempotents, resolutions
+from borelschur import combinatorics, idempotents, resolutions
 from borelschur.arrows import BorelAlgebra, ConvexTruncation
 from borelschur.combinatorics import compositions, interval_points, tri_count
 from borelschur.divided_powers import DividedPowerAlgebra
@@ -12,6 +14,7 @@ from borelschur.idempotents import (
     chain_report,
     check_layer_hypotheses,
     close_two_sided_ideal,
+    column_reach,
     quotient_algebra,
     removal_order,
     removal_step,
@@ -20,7 +23,8 @@ from borelschur.idempotents import (
 )
 from borelschur.linalg import Echelon
 from oracles import check_layer_hypotheses as pairwise_hypotheses
-from oracles import filtered_tor, interval_tor, unit
+from oracles import (composed_report, filtered_tor, in_column_monoid,
+                     interval_tor, unit)
 
 QQ = Rationals()
 
@@ -260,6 +264,59 @@ def test_layer_hypotheses_match_the_pairwise_oracle(n, r):
     assert check_layer_hypotheses(n, r) == pairwise_hypotheses(n, r)
 
 
+def pairwise_reach(points, interval, c):
+    """Every pair (z, y) tested for a step of the monoid of v_i - v_c."""
+    n = len(interval[0])
+    return {y for z in points for y in interval
+            if in_column_monoid(tuple(a - b for a, b in zip(y, z)), n, c)}
+
+
+@st.composite
+def reach_cases(draw):
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(0, {2: 6, 3: 4, 4: 3, 5: 2}[n]))
+    interval = interval_points(n, r)
+    points = draw(st.lists(st.sampled_from(interval), max_size=len(interval)))
+    return interval, points, draw(st.integers(2, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reach_cases())
+def test_column_reach_matches_the_pairwise_definition(case):
+    """The reach sets themselves, not only the verdicts built on them."""
+    interval, points, c = case
+    assert column_reach(points, interval, c) == pairwise_reach(
+        points, interval, c)
+
+
+def test_reach_comparison_catches_a_strict_comparison(monkeypatch):
+    """From (0, 0, 2) the step v_1 - v_3 reaches (1, 0, 1), whose head
+    (1, 0) exceeds (0, 0) in one coordinate only: a reach that compares
+    heads strictly misses it."""
+    interval, points = interval_points(3, 2), [(0, 0, 2)]
+    want = pairwise_reach(points, interval, 3)
+    assert (1, 0, 1) in want
+    assert column_reach(points, interval, 3) == want
+    monkeypatch.setattr(idempotents, "ge", gt)
+    assert (1, 0, 1) not in column_reach(points, interval, 3)
+
+
+def test_chain_builds_the_interval_once(monkeypatch):
+    """The truncation, the layer hypotheses and the removal order share
+    one `interval_points` walk."""
+    calls = []
+
+    def counted(n, r):
+        calls.append((n, r))
+        return interval_points(n, r)
+
+    monkeypatch.setattr(idempotents, "interval_points", counted)
+    monkeypatch.setattr(combinatorics, "interval_points", counted)
+    rep = chain_report(4, 2, PrimeField(2))
+    assert rep["passed"] and len(rep["steps"]) == 17
+    assert calls == [(4, 2)]
+
+
 def test_tor_vanishing_direct():
     T = interval_truncation(3, 2, PrimeField(2))
     B = BorelAlgebra(3, 2, T.field, alg=T.alg)
@@ -349,6 +406,38 @@ def test_chain_resolves_once(monkeypatch):
     assert rep["passed"] and len(rep["tor"]) == 10
     # here the degree set D has one degree per point of the interval
     assert len(calls) == 1 and len(calls[0]) == len(interval_points(3, 3))
+
+
+def test_tor_reader_walks_the_arrows_at_each_generator(monkeypatch):
+    """On the 35 pushed-down complexes of the Tor checks at (3,4) char 3,
+    (4,2) char 2 and (3,3) char 0, `verify` asks `between` once per map
+    entry, for the homogeneity check, and builds each module's basis from
+    the arrows at its generators; its report is the full composition's."""
+    seen = []
+
+    class Counted(resolutions.ModuleComplex):
+        def verify(self):
+            calls = []
+            between = self.alg.between
+            self.alg.between = lambda y, w: calls.append(1) or between(y, w)
+            try:
+                report = super().verify()
+            finally:
+                del self.alg.between
+            seen.append((self, len(calls), report))
+            return report
+
+    monkeypatch.setattr(idempotents, "ModuleComplex", Counted)
+    for n, r, char in [(3, 4, 3), (4, 2, 2), (3, 3, 0)]:
+        T = interval_truncation(n, r, field_of(char))
+        B = BorelAlgebra(n, r, T.field, alg=T.alg)
+        tor_dimensions(T, B, compositions(n, r))
+    assert len(seen) == 35
+    for c, calls, report in seen:
+        assert calls == sum(map(len, c.diffs))
+        assert {key: report[key] for key in ("d_squared_zero", "dims",
+                                             "ranks", "exact_spots")} \
+            == composed_report(c)
 
 
 def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
