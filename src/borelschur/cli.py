@@ -248,16 +248,17 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         payload, ok, summary = COMMANDS[args.command](args)
+        if isinstance(payload, str):
+            text = payload
+        else:
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         for line in summary:
             print(line)
     else:

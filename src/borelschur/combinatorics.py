@@ -6,6 +6,7 @@ v_i - v_{i+1}, which is how truncation sets and gradings are cut out
 everywhere else in the package.
 """
 
+from collections import Counter
 from itertools import combinations, product as iproduct
 from math import comb
 from operator import ge
@@ -234,3 +235,15 @@ def orbit_of_pair(i, j):
             m -= 1
         seq[k], seq[m] = seq[m], seq[k]
         seq[k + 1:] = reversed(seq[k + 1:])
+
+
+def orbit_size(pairs):
+    """Number of distinct rearrangements of the letter pairs (i_t, j_t),
+    the size of the orbit `orbit_of_pair` walks: r!/prod_st K_st!, taken
+    as a product of binomials C(running total, K_st) so no factorial of r
+    is formed."""
+    size, total = 1, 0
+    for m in Counter(pairs).values():
+        total += m
+        size *= comb(total, m)
+    return size

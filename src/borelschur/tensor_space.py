@@ -4,7 +4,8 @@ Operators act on the r-fold tensor power of the natural n-dimensional
 module, with basis indexed by multi-indices.  The orbit sums xi_{i,j}
 (one elementary matrix per distinct simultaneous rearrangement of the
 pair) give the classical basis, and an operator lies in their span iff
-it is constant on each orbit; divided powers act by choosing the
+it is constant on each orbit, read by counting each orbit's entries
+against its size without listing it; divided powers act by choosing the
 positions to raise.  This is the ground truth the arrow construction is
 checked against: the isomorphism sends a kept arrow (m, mu) to the
 operator of m cut down to the weight space of mu.  The span is closed
@@ -13,11 +14,12 @@ column weight, so a product of operators in the span is read off one
 column per weight without being composed (Green, LNM 830, section 2.3).
 """
 
+from collections import Counter
 from itertools import combinations, product as iproduct
 
 from .arrows import BorelAlgebra
 from .fields import serialize_scalar as _ser
-from .combinatorics import matrix_to_pair, orbit_of_pair, weight
+from .combinatorics import matrix_to_pair, orbit_of_pair, orbit_size, weight
 from .linalg import Echelon, add_scaled, matrix_rank
 
 TENSOR_DIMENSION_CAP = 300_000
@@ -54,24 +56,24 @@ class TensorAction:
         self._by_weight = {}
         for k, idx in enumerate(self.indices):
             self._by_weight.setdefault(weight(idx, n), []).append(k)
-        self._orbit_sums = {}
         self._divided_powers = {}
 
     # operators are {column: {row: scalar}} with integer positions
 
     def compose(self, a, b):
         """Operator product a . b (b applied first)."""
+        return {q: col for q, colb in b.items()
+                if (col := self._apply(a, colb))}
+
+    def _apply(self, a, col):
+        """The column a(col) of a . b, for a column col of b."""
         field = self.field
-        out = {}
-        for q, colb in b.items():
-            acc = {}
-            for p, c in colb.items():
-                cola = a.get(p)
-                if cola:
-                    add_scaled(acc, cola, c, field)
-            if acc:
-                out[q] = acc
-        return out
+        acc = {}
+        for p, c in col.items():
+            cola = a.get(p)
+            if cola:
+                add_scaled(acc, cola, c, field)
+        return acc
 
     # -- basis operators -------------------------------------------------
 
@@ -131,45 +133,30 @@ class TensorAction:
     def orbit_key(self, i, j):
         return tuple(sorted(zip(i, j)))
 
-    def canonical_pair(self, key):
-        i = tuple(p for p, _ in key)
-        j = tuple(q for _, q in key)
-        return i, j
-
     def operator_to_orbits(self, op):
         """Coefficients over the xi basis; raises if op is outside the span.
 
-        Meeting an orbit at an entry reads c there and, marking the
-        orbit's positions so each orbit is keyed once, requires op to hold
-        c at each, the one it met at included.  The orbits partition the
-        positions and xi_O is 1 on O, so op = sum c_O xi_O iff this holds;
-        a stored zero entry is refused.
+        Each stored entry is keyed by its orbit, and must be nonzero and
+        equal to the first entry of its orbit.  The entries sit at
+        distinct positions, so an orbit whose entry count is its size,
+        `orbit_size` = r!/prod K_st!, is held at every position.  The
+        orbits partition the positions and xi_O is 1 on O, so op = sum
+        c_O xi_O iff this holds; no orbit is walked.
         """
+        indices = self.indices
         coeffs = {}
-        marked = set()
+        count = Counter()
         for q, col in op.items():
-            j = self.indices[q]
+            j = indices[q]
             for p, c in col.items():
-                if (p, q) in marked:
-                    continue
-                key = self.orbit_key(self.indices[p], j)
-                for qq, orbit_col in self.orbit_sum(key).items():
-                    held = op.get(qq, {})
-                    for pp in orbit_col:
-                        if not c or held.get(pp) != c:
-                            raise ValueError(
-                                "operator is not in the span of the xi basis")
-                        marked.add((pp, qq))
-                coeffs[key] = c
+                key = self.orbit_key(indices[p], j)
+                if not c or coeffs.setdefault(key, c) != c:
+                    raise ValueError(
+                        "operator is not in the span of the xi basis")
+                count[key] += 1
+        if any(n != orbit_size(key) for key, n in count.items()):
+            raise ValueError("operator is not in the span of the xi basis")
         return coeffs
-
-    def orbit_sum(self, key):
-        """xi of the orbit with this key, built once per action; the
-        operator is shared, so callers must not mutate it."""
-        op = self._orbit_sums.get(key)
-        if op is None:
-            op = self._orbit_sums[key] = self.xi(*self.canonical_pair(key))
-        return op
 
     def product_orbits(self, ops):
         """Xi coordinates of x . y, keyed (a, b) in row-major order, for
@@ -186,7 +173,6 @@ class TensorAction:
         a column of x, and the x's are looked up by those rows.  No
         operator is composed and no orbit of a product is walked.
         """
-        field = self.field
         indices = self.indices
         orbit_key = self.orbit_key
         least = {ks[0] for ks in self._by_weight.values()}
@@ -202,13 +188,8 @@ class TensorAction:
                 x = ops[a]
                 coeffs = out[a, b] = {}
                 for q, col in read:
-                    acc = {}
-                    for p, c in col.items():
-                        colx = x.get(p)
-                        if colx:
-                            add_scaled(acc, colx, c, field)
                     j = indices[q]
-                    for p, c in acc.items():
+                    for p, c in self._apply(x, col).items():
                         if coeffs.setdefault(orbit_key(indices[p], j), c) != c:
                             raise ValueError(
                                 "product is not constant on an orbit")
@@ -284,9 +265,9 @@ def verify_isomorphism(n, r, field, borel=None):
     full span test, so each product of a pair whose supports meet is
     read at one column per weight (`TensorAction.product_orbits`); any
     other pair is zero and is compared only when its drop-rule product
-    is not.  The cost is one walk of each image's orbits, one xi per
-    distinct orbit, built from its r!/prod K_st! arrangements, not r!,
-    and one column of each product.
+    is not.  The cost is one orbit key per stored image entry, each
+    orbit's entries counted against its size r!/prod K_st! as a product
+    of binomials with no orbit walked, and one column of each product.
     """
     if borel is None:
         borel = BorelAlgebra(n, r, field)

@@ -8,6 +8,7 @@ matrix, products in xi coordinates, the xi coordinates of every
 product of a list of operators composed one pair at a time without any
 skipping, and xi coordinates read by keying every entry of an operator
 and rebuilding the operator from them to check it lies in the span.
+An orbit key names its orbit by its sorted pair, `canonical_pair`.
 """
 
 from itertools import product as iproduct
@@ -41,11 +42,16 @@ def equal(a, b):
     return all(a.get(k, {}) == b.get(k, {}) for k in keys)
 
 
+def canonical_pair(key):
+    """The pair (i, j) of multi-indices read off an orbit key in order."""
+    return tuple(p for p, _ in key), tuple(q for _, q in key)
+
+
 def orbits_to_operator(act, coeffs):
     """The operator sum of c * xi over the orbit keys and scalars in coeffs."""
     op = {}
     for key, c in coeffs.items():
-        for q, col in act.orbit_sum(key).items():
+        for q, col in act.xi(*canonical_pair(key)).items():
             add_scaled(op.setdefault(q, {}), col, c, act.field)
     return {q: col for q, col in op.items() if col}
 
@@ -111,7 +117,7 @@ def keyed_operator_to_orbits(act, op):
         for p in col:
             key = act.orbit_key(act.indices[p], act.indices[q])
             if key not in coeffs:
-                ci, cj = act.canonical_pair(key)
+                ci, cj = canonical_pair(key)
                 coeffs[key] = op.get(act.position[cj], {}).get(
                     act.position[ci], act.field.zero)
     coeffs = {key: c for key, c in coeffs.items() if c != act.field.zero}

@@ -6,9 +6,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from borelschur import tensor_space
-from borelschur.cli import build_parser, main
+from borelschur.cli import COMMANDS, build_parser, main
 from borelschur.combinatorics import compositions
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import CHARACTERISTIC_CAP, PrimeField
@@ -207,6 +209,58 @@ def test_out_file_and_summary(tmp_path, capsys):
     assert "basis of size 6" in out          # summary on stdout
     data = json.loads(out_path.read_text())
     assert data["dimension"] == 6
+
+
+@pytest.mark.parametrize("target", ["missing/basis.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    """A missing directory or a directory as --out is reported, exit 2."""
+    code, out, err = run_cli(["basis", "--n", "2", "--r", "1",
+                              "--out", str(tmp_path / target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+SMALL = st.integers(-1, 3)
+
+
+@st.composite
+def argvs(draw):
+    """Command lines of the accepted grammar: each command with its own
+    flags, small and sometimes invalid values, and sometimes --out."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command, "--n", str(draw(SMALL))]
+    if command != "resolve":
+        argv += ["--r", str(draw(SMALL))]
+    if draw(st.booleans()):
+        argv += ["--char", str(draw(st.integers(0, 5)))]
+    if command == "transport":
+        lam = draw(st.lists(SMALL, max_size=4))
+        argv += ["--lambda", ",".join(map(str, lam))]
+    if command in ("resolve", "transport"):
+        for flag in ("--length", "--height"):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(SMALL))]
+    out = draw(st.sampled_from([None, "payload.json", "missing/payload.json"]))
+    return argv, out
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_fuzzed_argv_ends_in_an_exit_code(tmp_path, capsys, drawn):
+    """Every drawn command line ends with 0, 1 or 2, or argparse's exit 2,
+    and raises nothing else."""
+    argv, out = drawn
+    if out is not None:
+        argv = argv + ["--out", str(tmp_path / out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_byte_stability(tmp_path):

@@ -18,6 +18,7 @@ from borelschur.combinatorics import (
     layer_points,
     matrix_to_pair,
     orbit_of_pair,
+    orbit_size,
     point_add,
     point_sub,
     positive_root_coords,
@@ -213,6 +214,7 @@ def test_orbit_of_pair_size_is_multinomial(pair):
     K = Counter(zip(i, j))
     expected = factorial(len(i)) // prod(factorial(k) for k in K.values())
     assert len(orbit_of_pair(i, j)) == expected
+    assert orbit_size(zip(i, j)) == len(orbit_of_pair(i, j))
 
 
 def test_orbit_of_pair_twelve_letters():

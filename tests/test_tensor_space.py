@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borelschur import combinatorics, tensor_space
 from borelschur.arrows import BorelAlgebra
 from borelschur.combinatorics import compositions, weight
 from borelschur.divided_powers import DividedPowerAlgebra
@@ -21,6 +22,7 @@ from borelschur.tensor_space import (
 from oracles import products_json
 from tensor_oracle import (
     apply,
+    canonical_pair,
     combination,
     composed_product_orbits,
     elementary,
@@ -155,7 +157,7 @@ def test_full_multiplication_table_small():
         for i in iproduct(*(range(1, x + 1) for x in j)):
             key = act.orbit_key(i, j)
             if key not in [b[0] for b in basis]:
-                basis.append((key, act.xi(*act.canonical_pair(key))))
+                basis.append((key, act.xi(*canonical_pair(key))))
     assert len(basis) == 6
     for _, a in basis:
         for _, b in basis:
@@ -230,7 +232,7 @@ def test_operator_outside_span_is_rejected():
     # an orbit sum without the entry at its canonical pair, whose other
     # position is still stored
     bad = act.xi((1, 1), (1, 2))
-    i, j = act.canonical_pair(act.orbit_key((1, 1), (1, 2)))
+    i, j = canonical_pair(act.orbit_key((1, 1), (1, 2)))
     assert bad.pop(act.position[j]) == {act.position[i]: QQ.one}
     assert bad
     with pytest.raises(ValueError):
@@ -257,6 +259,13 @@ def test_verify_isomorphism(n, r, char):
     rep = verify_isomorphism(n, r, field)
     assert rep["passed"], rep
     assert rep["dim"] == rep["rank"]
+
+
+def test_verify_isomorphism_at_the_n_one_cap():
+    """At n = 1 the one index is an r-tuple, held to the cap; its orbit
+    is one position, sized by binomials, not by a factorial of r."""
+    rep = verify_isomorphism(1, TENSOR_DIMENSION_CAP, PrimeField(2))
+    assert rep["passed"] and rep["dim"] == 1
 
 
 def test_verify_isomorphism_r_zero():
@@ -359,8 +368,8 @@ def test_product_orbits_equal_composing_every_pair(monkeypatch, n, r, char):
 @pytest.mark.parametrize("n,r", [(2, 4), (3, 3), (4, 2)])
 def test_verify_isomorphism_probes_every_pair(monkeypatch, n, r):
     """Every pair probes the drop-rule product once, in row-major order,
-    and only the images are read back in xi coordinates by the orbit
-    walk; no product is."""
+    and only the images are read back in xi coordinates by the span
+    test; no product is."""
     field = PrimeField(3)
     borel = BorelAlgebra(n, r, field)
     probed, read = [], []
@@ -434,7 +443,8 @@ def test_span_check_refuses_what_rebuilding_refuses(data):
         op.setdefault(q, {})[p] = (data.draw(nonzero) if kind == "added"
                                    else field.zero)
     elif kind == "zero-orbit":
-        for q, col in act.orbit_sum(data.draw(st.sampled_from(keys))).items():
+        key = data.draw(st.sampled_from(keys))
+        for q, col in act.xi(*canonical_pair(key)).items():
             for p in col:
                 op.setdefault(q, {})[p] = field.zero
     assert (outcome(TensorAction.operator_to_orbits, act, op)
@@ -486,27 +496,35 @@ def test_product_orbits_refuses_a_product_not_constant_on_an_orbit():
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_operator_to_orbits_keys_each_orbit_once(monkeypatch, n, r, char):
     """On the images and their products, `operator_to_orbits` gives the
-    coordinates of keying every entry, in the same order, and calls
-    `orbit_key` once per distinct orbit of the operator's support."""
+    coordinates of keying every entry, in the same order, one per orbit.
+    `verify_isomorphism` keys each stored image entry once, besides the
+    entries `product_orbits` reads, and walks no orbit: it calls neither
+    `xi` nor `orbit_of_pair`."""
     field = QQ if char == 0 else PrimeField(char)
     borel = BorelAlgebra(n, r, field)
     act = TensorAction(n, r, field)
     images = [act.based_operator(m, mu, borel.alg) for m, mu in borel.arrows]
     ops = images + [act.compose(x, y) for x in images for y in images]
     ops = [op for op in ops if op]
-    expected = [list(keyed_operator_to_orbits(act, op).items()) for op in ops]
-    orbits = [{act.orbit_key(act.indices[p], act.indices[q])
-               for q, col in op.items() for p in col} for op in ops]
-    keyed = []
-    orbit_key = act.orbit_key
-    monkeypatch.setattr(act, "orbit_key",
-                        lambda i, j: keyed.append(1) or orbit_key(i, j))
-    for op, want, support in zip(ops, expected, orbits):
-        keyed.clear()
-        assert list(act.operator_to_orbits(op).items()) == want
-        assert len(keyed) == len(support)
-    assert any(len(support) < sum(map(len, op.values()))
-               for op, support in zip(ops, orbits))
+    for op in ops:
+        assert (list(act.operator_to_orbits(op).items())
+                == list(keyed_operator_to_orbits(act, op).items()))
+    keyed, walked = [], []
+    orbit_key = TensorAction.orbit_key
+    monkeypatch.setattr(TensorAction, "orbit_key", lambda self, i, j:
+                        keyed.append(1) or orbit_key(self, i, j))
+    monkeypatch.setattr(TensorAction, "xi",
+                        lambda self, i, j: walked.append("xi"))
+    for module in (combinatorics, tensor_space):
+        monkeypatch.setattr(module, "orbit_of_pair",
+                            lambda i, j: walked.append("orbit_of_pair"))
+    act.product_orbits(images)
+    read = len(keyed)
+    keyed.clear()
+    assert verify_isomorphism(n, r, field, borel=borel)["passed"]
+    entries = sum(len(col) for op in images for col in op.values())
+    assert len(keyed) == entries + read
+    assert walked == []
 
 
 def test_verify_isomorphism_is_repeatable():
@@ -518,15 +536,14 @@ def test_verify_isomorphism_is_repeatable():
 
 
 def test_warm_orbit_sums_still_reject_outside_span():
-    """Reading a valid operator fills the orbit-sum memo; an operator
-    outside the span must still be refused, and no cached sum changes."""
+    """Reading a valid operator first leaves nothing behind that lets an
+    operator outside the span through."""
     act = TensorAction(2, 2, QQ)
     i, j = (1, 1), (1, 2)
     key = act.orbit_key(i, j)
     assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
     with pytest.raises(ValueError):
         act.operator_to_orbits(elementary(act, i, j))
-    assert act.orbit_sum(key) == act.xi(i, j)
     assert act.operator_to_orbits(act.xi(i, j)) == {key: QQ.one}
 
 
