@@ -230,9 +230,13 @@ class DividedPowerAlgebra:
     def module_basis(self, gens, block):
         """The basis on the set of pieces `block` of the free module on
         generators at the pieces `gens`: the pairs (t, m), m a monomial
-        from gens[t] to a piece of `block`, piece by piece."""
+        from gens[t] to a piece of `block`, piece by piece.  As `between`,
+        with the test that g <= p made inline, since most generators lie
+        above most pieces."""
+        component = self.component_basis
         return [(t, m) for t, g in enumerate(gens) for p in block
-                for m in self.between(g, p)]
+                if not any(map(gt, g, p))
+                for m in component(tuple(map(sub, p, g)))]
 
     def degrees_to_height(self, h):
         """All degree coordinate vectors of height <= h, sorted by (height, lex)."""

@@ -16,23 +16,33 @@ monic at its first index, with no back-substitution.  The residual and
 the reduced echelon form depend only on the span, so `reduce` is the
 canonical projection, a vector's coefficient on the reduced row at
 pivot q is its own entry at q, and the reduced `rows` and `combos` are
-built when they are read.  `Echelon.insert_columns` eliminates a
-matrix's columns once and reads its nullspace off the same pass: each
-row carries its combination of the columns, so a dependent column's
-combination is its kernel vector, and that basis depends only on the
-matrix, not on any pivoting.
+built when they are read.  `Echelon.eliminate` (and `insert_columns`
+on dicts) eliminates a matrix's columns once and reads its nullspace
+off the same pass: each row carries its combination of the columns, so
+a dependent column's combination is its kernel vector, and that basis
+depends only on the matrix, not on any pivoting.
 
 The two kernels differ only in how they hold a vector.  Both take
 entries as any ints (over QQ, rationals too), unreduced and possibly
-zero, such as the resolution engine's column sums, and reduce each
-entry once as they read it.  Over QQ and GF(p), p > 2, a vector is a
-dict, read with `field.of`; the loops multiply and accumulate with
-native `+ - *`, and reduce an entry once more where it is cleared at a
-pivot or stored.  Over GF(2), `Echelon(field)` builds a `BitEchelon`,
-where it is one int, bit k for index k, read with `c & 1`, so an index
-must be a non-negative int there (else `TypeError`; callers with other
-keys number them, which changes no rank and no kernel), and clearing a
-pivot is one XOR.
+zero, and reduce each entry once as they read it.  Over QQ and GF(p),
+p > 2, a vector is a dict, read with `field.of`; the loops multiply and
+accumulate with native `+ - *`, and reduce an entry once more where it
+is cleared at a pivot or stored.  Over GF(2), `Echelon(field)` builds a
+`BitEchelon`, where it is one int, bit k for index k, read with `c & 1`,
+so an index must be a non-negative int there (else `TypeError`; callers
+with other keys number them, which changes no rank and no kernel), and
+clearing a pivot is one XOR.
+
+`insert`, `reduce`, `contains`, `coordinates`, `rows`, `combos`,
+`insert_columns` and `matrix_rank` take and give dicts.  The resolution
+engine and its reader instead keep their vectors in the echelon's own form,
+which only this module reads: `columns` builds a map's columns straight
+into it from the algebra's products (the dict kernel with one
+`field.of` per entry; the bit kernel XORs in each odd product term and
+skips even ones before it looks up the index), `eliminate` inserts such
+columns and returns the kernel in the same form, `units` gives unit
+vectors in it, and `cover` reduces kernel vectors in it and hands back
+only the new generators' residuals as dicts.
 """
 
 
@@ -59,8 +69,9 @@ class Echelon:
     is supported away from the pivot set, so when the rows span an ideal
     the reduced vector is the coset representative in the complementary
     coordinates.  A kernel supplies only its vector form: `_vec` and
-    `_dict` convert from and to dicts, `_at_pivots` reads a vector's
-    pivot entries, and `_reduce`, `_insert` and `_reduced` eliminate.
+    `_dict` convert from and to dicts, `columns` and `units` build
+    vectors, `_at_pivots` reads a vector's pivot entries, and `_reduce`,
+    `_insert` and `_reduced` eliminate.
     """
 
     def __new__(cls, field, pivoting="first"):
@@ -115,21 +126,81 @@ class Echelon:
 
     def insert_columns(self, columns, kernel=True):
         """Insert columns[0], columns[1], ... in turn; return the nullspace
-        of the map sending unit column j to columns[j].
+        of the map sending unit column j to columns[j], as `eliminate`
+        does, on dicts."""
+        vecs = self.eliminate(map(self._vec, columns), kernel)
+        return [self._dict(v) for v in vecs]
+
+    def eliminate(self, vecs, kernel=True, cap=None):
+        """Insert vecs[0], vecs[1], ..., in this echelon's own form, in
+        turn; return, in the same form, the nullspace of the map sending
+        unit column j to vecs[j].
 
         One vector per column j that depends on the columns before it: e_j
         minus its unique expression over the earlier independent columns,
         listed by increasing j.  Each row's combination of the columns is
         kept while every insert carries one; with kernel=False none is
-        kept and the list is empty.
+        kept and the list is empty.  With `cap`, a bound the caller knows
+        the rank cannot exceed, it stops once the rank reaches it.  The
+        vectors are used up: the dict kernel reduces them in place.
         """
-        insert, vec = self._insert, self._vec
-        out = []
-        for j, col in enumerate(columns):
-            p, combo = insert(vec(col), j if kernel else None)
+        insert, rows, out = self._insert, self._rows, []
+        for j, v in enumerate(vecs):
+            if len(rows) == cap:
+                break
+            p, combo = insert(v, j if kernel else None)
             if p is None and kernel:
-                out.append(self._dict(combo))
+                out.append(combo)
         return out
+
+    def cover(self, vecs):
+        """New generators at one kernel piece with basis `vecs`, in this
+        echelon's form, whose radical the echelon spans: each vector
+        independent of the span and of the ones before it, reduced modulo
+        them and inserted.  Returns their residuals as dicts.
+
+        The radical lies in the kernel, so exactly len(vecs) - rank new
+        generators exist, and the walk stops once it has them.  A rank
+        above len(vecs) never stops it early.  As in `eliminate`, the
+        vectors are used up.
+        """
+        need = len(vecs) - self.rank
+        fresh = []
+        for v in vecs:
+            if len(fresh) == need:
+                break
+            residual = self._dict(self._reduce(v)[0])
+            if residual:
+                self._insert(self._vec(residual), None)
+                fresh.append(residual)
+        return fresh
+
+    def columns(self, src, dst, by_col, mul):
+        """Columns of a map, in this echelon's form: the image of each
+        pair (s, x) of `src`, over positions in the pairs `dst`.
+
+        `by_col` is {s: {t: entry}}, an entry {basis element: scalar}, and
+        (s, x) goes to the sum over t of (t, x * entry), with `mul` the
+        product as (basis element, scalar) pairs.  Each entry is summed
+        natively and reduced once.  Every product must land in `dst`.
+        """
+        index = {b: k for k, b in enumerate(dst)}
+        of = self.field.of
+        cols = []
+        for s, x in src:
+            col = {}
+            for t, entry in by_col.get(s, {}).items():
+                for y, c in entry.items():
+                    for z, cz in mul(x, y):
+                        k = index[t, z]
+                        col[k] = col.get(k, 0) + c * cz
+            cols.append({k: w for k, c in col.items() if (w := of(c))})
+        return cols
+
+    def units(self, count):
+        """The unit vectors e_0, ..., e_{count - 1} in this echelon's form."""
+        one = self.field.one
+        return [{k: one} for k in range(count)]
 
     def _vec(self, vec):
         of = self.field.of
@@ -258,6 +329,24 @@ class BitEchelon(Echelon):
         self._mask |= 1 << p
         return p, combo
 
+    def columns(self, src, dst, by_col, mul):
+        index = {b: k for k, b in enumerate(dst)}
+        cols = []
+        for s, x in src:
+            v = 0
+            for t, entry in by_col.get(s, {}).items():
+                for y, c in entry.items():
+                    if c & 1:
+                        for z, cz in mul(x, y):
+                            if cz & 1:
+                                v ^= 1 << index[t, z]
+            cols.append(v)
+        return cols
+
+    @staticmethod
+    def units(count):
+        return [1 << k for k in range(count)]
+
     def _reduced(self):
         out = {}
         for p, (row, low) in self._rows.items():
@@ -267,13 +356,8 @@ class BitEchelon(Echelon):
         return out
 
 
-def matrix_rank(columns, field, cap=None):
-    """The rank of the columns, inserted in turn.  With `cap`, a bound the
-    caller knows the rank cannot exceed, it stops once the rank reaches
-    it."""
+def matrix_rank(columns, field):
+    """The rank of the columns."""
     ech = Echelon(field)
-    for col in columns:
-        if ech.rank == cap:
-            break
-        ech.insert(col)
+    ech.eliminate(map(ech._vec, columns), kernel=False)
     return ech.rank

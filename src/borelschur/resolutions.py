@@ -9,10 +9,10 @@ only through two functions its caller supplies:
 - `mul(x, y)`: the product of two basis elements as (basis element,
   scalar) pairs.  A scalar may be any int, such as an integer structure
   constant read straight from a product table, or a canonical field
-  scalar: the engine multiplies and accumulates natively, and the
-  echelon that eliminates an entry reduces it once.  It must be
-  associative: the images of the generators found at earlier pieces
-  alone span the radical at a piece.
+  scalar: the echelon that eliminates a map builds its columns from
+  these products, accumulating natively, and reduces each entry once.
+  It must be associative: the images of the generators found at earlier
+  pieces alone span the radical at a piece.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
@@ -27,11 +27,16 @@ runs produce identical generators.
 
 Each step of `resolve` is one walk over the pieces, with one
 elimination per piece.  At piece p the columns of the new map on the
-generators found before p are computed once and put into one echelon
-form: they span the radical of the kernel at p, which the cover
-reduces modulo, and the same pass reads off the next step's kernel at
-p.  A new generator's own column is its residual, independent of the
-others, so it adds no kernel vector and is never computed.
+generators found before p are built once, by the echelon that
+eliminates them and in its own vector form (`Echelon.columns`), and
+put into one echelon form: they span the radical of the kernel at p,
+which the cover (`Echelon.cover`) reduces modulo, and the same pass
+reads off the next step's kernel at p.  The kernel vectors stay in the
+echelon's form from one step to the next, so this module never reads
+them; only a new generator's residual comes back as a dict, and its
+entries become the generator's map entries.  A new generator's own
+column is its residual, independent of the others, so it adds no
+kernel vector and is never computed.
 
 Both algebra families supply the two functions themselves, as their
 `between` and `product_terms`, and `is_unit` for the minimality check.
@@ -51,25 +56,25 @@ complete, because radical products only ever raise height.
 the engine's output or a push-down of it, and the blocks of pieces it
 splits into.  Its one reader, `verify`, builds each module's basis once
 per block, asking the algebra for it at once (`module_basis`; over a
-based algebra one pass over the arrows at each generator), and
-computes each map's columns there.  It tests d_i d_{i+1} = 0 on the
-generators' own columns only, read off the maps' entries, since the
-composite is a module map.  Once d^2 has held on every generator,
-rank d_{i+1} <= dim P_i - rank d_i on each block, so it eliminates
-each map's columns newest first and stops at that bound;
-where d^2 fails it eliminates every map in full, so the ranks it
-reports are always the true ones.  `resolve`'s `exact` and `minimal`,
-`transport`'s verification and the Tor check of `idempotents` all read
-its report.  The graded resolution is checked one degree slice per
-block; a complex over a based algebra in one block of all its head
-weights.
+based algebra one pass over the arrows at each generator), and builds
+each map's columns there in the echelon's own form, as the engine
+does.  It tests d_i d_{i+1} = 0 on the generators' own columns only,
+read off the maps' entries, since the composite is a module map.  Once
+d^2 has held on every generator, rank d_{i+1} <= dim P_i - rank d_i on
+each block, so it eliminates each map's columns newest first and stops
+at that bound; where d^2 fails it eliminates every map in full, so the
+ranks it reports are always the true ones.  `resolve`'s `exact` and
+`minimal`, `transport`'s verification and the Tor check of
+`idempotents` all read its report.  The graded resolution is checked
+one degree slice per block; a complex over a based algebra in one
+block of all its head weights.
 """
 
 from collections import Counter
 from operator import add
 
 from .fields import serialize_scalar as _ser
-from .linalg import Echelon, matrix_rank
+from .linalg import Echelon
 
 
 def free_basis(gens, pieces, between):
@@ -85,27 +90,6 @@ def by_column(diff):
     for (t, s), entry in diff.items():
         out.setdefault(s, {})[t] = entry
     return out
-
-
-def columns(src, dst, by_col, mul):
-    """Columns of a map, given `by_column`, on the pairs `src`, over
-    positions in `dst`.
-
-    Each entry is its plain sum of products of scalars and structure
-    constants, not reduced and possibly zero: the echelon it goes into
-    reduces it.  Every product must land in `dst`.
-    """
-    index = {b: k for k, b in enumerate(dst)}
-    cols = []
-    for s, x in src:
-        col = {}
-        for t, entry in by_col.get(s, {}).items():
-            for y, c in entry.items():
-                for z, cz in mul(x, y):
-                    k = index[t, z]
-                    col[k] = col.get(k, 0) + c * cz
-        cols.append(col)
-    return cols
 
 
 def composite(col, lower, mul, field):
@@ -128,27 +112,6 @@ def unit_free(diffs, is_unit):
                    for x in entry)
 
 
-def _cover(vecs, rad):
-    """New generators at one kernel piece with basis `vecs`, whose radical
-    the echelon `rad` spans: each vector independent of `rad` and of the
-    ones before it, reduced modulo them, inserted into `rad`.
-
-    The radical lies in the kernel (`mul` is associative, so d^2 = 0),
-    so exactly len(vecs) - rank new generators exist, and the walk stops
-    once it has them.  A rank above len(vecs) never stops it early.
-    """
-    need = len(vecs) - rad.rank
-    fresh = []
-    for v in vecs:
-        if len(fresh) == need:
-            break
-        residual = rad.reduce(v)
-        if residual:
-            rad.insert(residual)
-            fresh.append(residual)
-    return fresh
-
-
 def resolve(pieces, top, between, mul, field, length, pivoting):
     """Minimal free resolution of the one-dimensional module at piece `top`.
 
@@ -165,8 +128,8 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
     gens = [[top]]
     diffs = []
     basis = {p: free_basis([top], [p], between) for p in pieces}
-    kernel = {p: [{k: field.one} for k in range(len(basis[p]))]
-              for p in pieces if p != top}
+    form = Echelon(field)
+    kernel = {p: form.units(len(basis[p])) for p in pieces if p != top}
     for step in range(1, length + 1):
         last = step == length
         new, by_col, next_kernel, next_basis = [], {}, {}, {}
@@ -177,9 +140,9 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
                 continue
             dst = basis[p]
             rad = Echelon(field, pivoting)
-            next_kernel[p] = rad.insert_columns(
-                columns(src, dst, by_col, mul), kernel=not last)
-            for residual in _cover(vecs, rad):
+            next_kernel[p] = rad.eliminate(
+                rad.columns(src, dst, by_col, mul), kernel=not last)
+            for residual in rad.cover(vecs):
                 column = by_col[len(new)] = {}
                 for k, c in residual.items():
                     t, y = dst[k]
@@ -267,9 +230,11 @@ class ModuleComplex:
             bases = [alg.module_basis(gens, block) for gens in self.gens]
             rank = 0
             for i, by_col in enumerate(maps):
-                cols = columns(bases[i + 1], bases[i], by_col, mul)
-                rank = matrix_rank(reversed(cols), field,
-                                   len(bases[i]) - rank if d2 else None)
+                ech = Echelon(field)
+                cols = ech.columns(bases[i + 1], bases[i], by_col, mul)
+                ech.eliminate(reversed(cols), kernel=False,
+                              cap=len(bases[i]) - rank if d2 else None)
+                rank = ech.rank
                 ranks[i] += rank
             dims = list(map(add, dims, map(len, bases)))
         return {

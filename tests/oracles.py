@@ -19,9 +19,10 @@ graded Betti numbers of the trivial module in closed form (two rows in
 characteristic p, Kostant's theorem in characteristic 0), and its first
 syzygies and Ext^1 between simples in closed form in every
 characteristic; the exactness of a graded resolution slice by slice,
-the ranks and d^2 verdict of a complex with every column composed and
-eliminated, one changed, deleted or added coefficient of a complex's
-maps, and a random change of generators of a complex.
+a map's columns as dicts of unreduced sums, the ranks and d^2 verdict
+of a complex with every column composed and eliminated, one changed,
+deleted or added coefficient of a complex's maps, and a random change
+of generators of a complex.
 """
 
 from itertools import accumulate, combinations, permutations
@@ -44,8 +45,7 @@ from borelschur.combinatorics import (
 )
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled, matrix_rank
-from borelschur.resolutions import (ModuleComplex, by_column, columns,
-                                    free_basis)
+from borelschur.resolutions import ModuleComplex, by_column, free_basis
 from borelschur.transport import resolve_simple
 from letter_oracle import written_rank
 
@@ -233,6 +233,27 @@ def max_reachable_height(lam, n, r):
         if d is not None:
             best = max(best, sum(d))
     return best
+
+
+def columns(src, dst, by_col, mul):
+    """Columns of a map, given `by_column`, on the pairs `src`, over
+    positions in `dst`, as dicts: the reference for `Echelon.columns`.
+
+    Each entry is its plain sum of products of scalars and structure
+    constants, not reduced and possibly zero: the echelon it goes into
+    reduces it.  Every product must land in `dst`.
+    """
+    index = {b: k for k, b in enumerate(dst)}
+    cols = []
+    for s, x in src:
+        col = {}
+        for t, entry in by_col.get(s, {}).items():
+            for y, c in entry.items():
+                for z, cz in mul(x, y):
+                    k = index[t, z]
+                    col[k] = col.get(k, 0) + c * cz
+        cols.append(col)
+    return cols
 
 
 def chain_ranks(bases, maps, mul, field):

@@ -334,6 +334,12 @@ def test_byte_stability(tmp_path):
      "359df7f41dcc8a016e56b18c64e0c668447fbb1b05b4c7cf7d67f26797b5451c"),
     ("verify-iso --n 2 --r 7 --char 3",
      "30c9966e346a7c7ddcad4e74b5f5fc7225450dad28ea03d3c8d4365d7454b571"),
+    ("resolve --n 4 --char 2 --length 4 --height 7",
+     "d03269b62c092cc7f2c7a3e7058b00182276ca5cb1f0eb805058015fe74d42f6"),
+    ("resolve --n 5 --char 2 --length 3 --height 4",
+     "46d721aa7a7d38b349e1a3170a8faeccf7bf22f661a8b5aee549f08a09affc15"),
+    ("transport --n 4 --r 3 --char 2 --lambda 1,1,1,0 --length 4 --height 6",
+     "75e430c09aeeaca2d388d751a0915e77a7e64970716c92142e9950f8d53b89ce"),
     # eleven exact spots: "10" and "11" sort between "1" and "2"
     ("transport --n 2 --r 2 --char 2 --lambda 0,2 --length 12 --height 16",
      "a1506f60c39c07a29eb901513696c85cbc6ce9d45bd42a6a37c38877c07986cc"),

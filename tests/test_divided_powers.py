@@ -332,6 +332,22 @@ def test_between_is_the_component_of_the_difference(n, data):
         assert alg.between(g, p) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_module_basis_is_the_between_walk(n, data):
+    """`module_basis` tests g <= p inline; it lists what asking `between`
+    of every generator at every piece of the block lists, in the same
+    order, with the generators in any order and many of them above some
+    or all of the block."""
+    alg = DividedPowerAlgebra(n)
+    pieces = st.sampled_from(alg.degrees_to_height(5))
+    gens = data.draw(st.lists(pieces, max_size=6))
+    block = data.draw(st.lists(pieces, max_size=4, unique=True))
+    assert alg.module_basis(gens, block) == [
+        (t, m) for t, g in enumerate(gens) for p in block
+        for m in alg.between(g, p)]
+
+
 def test_deep_heisenberg_product():
     """e_12^(40) e_23^(40) = sum_t e_23^(40-t) e_13^(t) e_12^(40-t), each
     term once; a letter-by-letter straightener recurses too deep here."""

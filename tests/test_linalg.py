@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borelschur.arrows import BorelAlgebra
+from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals
 from borelschur.linalg import BitEchelon, Echelon, add_scaled, matrix_rank
-from oracles import column_kernel, picking_coordinates
+from borelschur.resolutions import free_basis
+from oracles import column_kernel, columns, monomial, picking_coordinates
 
 
 def apply_columns(cols, vec, field):
@@ -310,11 +313,12 @@ class DictEchelon(Echelon):
 
 def test_echelon_picks_its_kernel_from_the_field():
     """The bit kernel is an `Echelon` that supplies only its vector form:
-    every public method and property is the shared one."""
+    every public method and property but the vector builders `columns`
+    and `units` is the shared one, elimination included."""
     assert issubclass(BitEchelon, Echelon)
     assert not vars(BitEchelon).keys() & {
         "rank", "pivots", "rows", "combos", "reduce", "contains",
-        "coordinates", "insert", "insert_columns"}
+        "coordinates", "insert", "insert_columns", "eliminate", "cover"}
     assert type(Echelon(F2)) is BitEchelon
     assert type(Echelon(F2, "last")) is BitEchelon
     for field in (Rationals(), PrimeField(3)):
@@ -455,3 +459,93 @@ def test_a_multiple_of_p_is_no_pivot():
     assert ech.insert({0: 3, 1: 4}) == 1
     assert ech.rows == {1: {1: 1}}
     assert ech.reduce({0: 6, 1: 2, 2: -3}) == {}
+
+
+FIELDS = (Rationals(), F2, PrimeField(3), PrimeField(5))
+
+
+@st.composite
+def maps_of_free_modules(draw):
+    """(the algebra over each of `FIELDS`, src, dst, by_column) for a
+    random map between free modules over `DividedPowerAlgebra(3)` to
+    height 4 or `BorelAlgebra(3, 3)`, on the basis of every piece.  Each
+    source generator lies above some target generator, and each entry
+    has int scalars, zero and even ones among them."""
+    if draw(st.booleans()):
+        alg = DividedPowerAlgebra(3)
+        algebras = [alg] * len(FIELDS)
+        pieces = alg.degrees_to_height(4)
+    else:
+        algebras = [BorelAlgebra(3, 3, field) for field in FIELDS]
+        alg = algebras[0]
+        pieces = sorted(set(alg.heads))
+    targets = draw(st.lists(st.sampled_from(pieces), min_size=1,
+                            max_size=3))
+    sources = []
+    for _ in range(draw(st.integers(1, 3))):
+        h = draw(st.sampled_from(targets))
+        above = [g for g in pieces if g != h and alg.between(h, g)]
+        sources.append(draw(st.sampled_from(above or [h])))
+    by_col = {}
+    for s, g in enumerate(sources):
+        for t, h in enumerate(targets):
+            if elements := alg.between(h, g):
+                entry = draw(st.dictionaries(st.sampled_from(list(elements)),
+                                             st.integers(-6, 6), max_size=3))
+                if entry:
+                    by_col.setdefault(s, {})[t] = entry
+    return (algebras, free_basis(sources, pieces, alg.between),
+            free_basis(targets, pieces, alg.between), by_col)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps_of_free_modules())
+def test_each_kernel_builds_the_reference_columns(case):
+    """Each kernel's column builder, read back as dicts, gives the
+    reference columns with every entry reduced by `field.of`, in
+    characteristics 0, 2, 3 and 5.  Over GF(2) `Echelon` is the bit
+    kernel and `DictEchelon` the dict kernel."""
+    algebras, src, dst, by_col = case
+    for field, alg in zip(FIELDS, algebras):
+        mul = alg.product_terms
+        reference = [{k: w for k, c in col.items() if (w := field.of(c))}
+                     for col in columns(src, dst, by_col, mul)]
+        for kind in (Echelon, DictEchelon):
+            ech = kind(field)
+            built = ech.columns(src, dst, by_col, mul)
+            assert [ech._dict(v) for v in built] == reference
+
+
+def test_even_and_cancelling_terms_vanish_over_gf2():
+    """In `DividedPowerAlgebra(3)`, e_12 e_12 = 2 e_12^(2): an even
+    structure constant.  And e_12 e_13 = e_12 e_13 while e_12 (e_12 e_23)
+    = e_12 e_13 + 2 e_12^(2) e_23: two odd terms on one index.  Over GF(2)
+    both columns vanish in each kernel; over GF(3) both keep their 2s."""
+    alg = DividedPowerAlgebra(3)
+    e12, e13, e23 = (1, 2), (1, 3), (2, 3)
+    x = monomial(alg, {e12: 1})
+    cases = [({x: 1}, (1, 0), (2, 0), {monomial(alg, {e12: 2}): 2}),
+             ({monomial(alg, {e13: 1}): 1,
+               monomial(alg, {e12: 1, e23: 1}): 1}, (1, 1), (2, 1),
+              {monomial(alg, {e12: 1, e13: 1}): 2,
+               monomial(alg, {e12: 2, e23: 1}): 2})]
+    for entry, source, piece, raw in cases:
+        assert alg.between(source, piece) == [x]
+        src, by_col = [(0, x)], {0: {0: entry}}
+        dst = free_basis([(0, 0)], [piece], alg.between)
+        (col,) = columns(src, dst, by_col, alg.product_terms)
+        assert {dst[k][1]: c for k, c in col.items()} == raw
+        for kind in (Echelon, DictEchelon):
+            ech = kind(F2)
+            built = ech.columns(src, dst, by_col, alg.product_terms)
+            assert [ech._dict(v) for v in built] == [{}]
+        assert DictEchelon(PrimeField(3)).columns(
+            src, dst, by_col, alg.product_terms) == [col]
+
+
+def test_units_are_the_unit_vectors():
+    for field in (F2, PrimeField(3), Rationals()):
+        for kind in (Echelon, DictEchelon):
+            ech = kind(field)
+            assert [ech._dict(u) for u in ech.units(3)] == [
+                {0: 1}, {1: 1}, {2: 1}]

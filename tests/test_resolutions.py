@@ -10,13 +10,13 @@ from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import (ModuleComplex, by_column, columns,
-                                    free_basis, is_exact, minimal_resolution)
+from borelschur.resolutions import (ModuleComplex, by_column, free_basis,
+                                    is_exact, minimal_resolution)
 from borelschur.transport import (max_reachable_height, resolve_simple,
                                   transport_resolution)
-from oracles import (column_kernel, composed_report, first_syzygy_degrees,
-                     kostant_betti, multiply, one_variable_betti,
-                     slice_exact, tamper_one_coefficient)
+from oracles import (column_kernel, columns, composed_report,
+                     first_syzygy_degrees, kostant_betti, multiply,
+                     one_variable_betti, slice_exact, tamper_one_coefficient)
 
 QQ = Rationals()
 
@@ -292,23 +292,24 @@ def test_a_failed_d_squared_reports_the_true_ranks():
 def test_reader_work_on_the_bench_complex(monkeypatch):
     """On the complex of `resolve --n 3 --char 2 --length 5 --height 12`
     the reader composes the own column of each generator of P_2, ..., P_5
-    and no other (190 of the 4,990 columns of d_2, ..., d_5), and inserts
-    fewer than 4,000 columns (composing every column and eliminating in
-    full inserted all 5,952)."""
+    and no other (190 of the 4,990 columns of d_2, ..., d_5), and its
+    field's kernel inserts fewer than 4,000 columns (composing every
+    column and eliminating in full inserted all 5,952)."""
     c = minimal_resolution(DividedPowerAlgebra(3), PrimeField(2), 5, 12)
     composed, inserted = [], []
-    compose, insert = resolutions.composite, Echelon.insert
+    kernel = type(Echelon(c.field))
+    compose, insert = resolutions.composite, kernel._insert
 
     def counted_composite(col, lower, mul, field):
         composed.append(col)
         return compose(col, lower, mul, field)
 
-    def counted_insert(self, vec):
+    def counted_insert(self, vec, j):
         inserted.append(vec)
-        return insert(self, vec)
+        return insert(self, vec, j)
 
     monkeypatch.setattr(resolutions, "composite", counted_composite)
-    monkeypatch.setattr(Echelon, "insert", counted_insert)
+    monkeypatch.setattr(kernel, "_insert", counted_insert)
     report = c.verify()
     assert is_exact(report)
     assert composed == [col for d in c.diffs[1:]
@@ -578,15 +579,16 @@ def test_based_products_are_associative(nr, char, data):
 
 
 def counting_reduce(monkeypatch):
-    """Patch `Echelon.reduce` to count its calls; returns the counter."""
+    """Patch the dict kernel's reduction to record what it reduces;
+    returns the record."""
     calls = []
-    reduce = Echelon.reduce
+    reduce = Echelon._reduce
 
-    def counted(self, vec):
+    def counted(self, vec, combo=None):
         calls.append(vec)
-        return reduce(self, vec)
+        return reduce(self, vec, combo)
 
-    monkeypatch.setattr(Echelon, "reduce", counted)
+    monkeypatch.setattr(Echelon, "_reduce", counted)
     return calls
 
 
@@ -601,9 +603,12 @@ def counting_reduce(monkeypatch):
 def test_cover_stops_after_the_last_new_generator(monkeypatch, cols, vecs,
                                                   fresh, reduced):
     """The radical lies in the kernel, so len(vecs) - rank new generators
-    exist and the cover reduces no kernel vector after the last one."""
+    exist and the cover reduces no kernel vector after the last one.  (A
+    new generator's residual is reduced once more, as a copy, when it is
+    inserted.)"""
     rad = Echelon(PrimeField(3))
     rad.insert_columns(cols, kernel=False)
     calls = counting_reduce(monkeypatch)
-    assert resolutions._cover(vecs, rad) == fresh
-    assert len(calls) == reduced
+    assert rad.cover(vecs) == fresh
+    assert len([v for v in calls if any(v is w for w in vecs)]) == reduced
+    assert len(calls) == reduced + len(fresh)
