@@ -37,8 +37,9 @@ def _pairs(n):
 class DividedPowerAlgebra:
     """Multiplication, grading and column structure for one rank n.
 
-    Like a based algebra, it answers what the resolution engine and its
-    checkers ask: `between`, `module_basis`, `product_terms` and `is_unit`.
+    Like a based algebra, it answers all that the resolution engine and
+    `ModuleComplex.verify` ask of it, over pieces that are degrees:
+    `between`, `module_basis`, `product_terms` and `is_unit`.
 
     The only mutable state is three compute-once/read-many tables: the
     product table, the straightening memo and the graded components.
@@ -63,6 +64,9 @@ class DividedPowerAlgebra:
                             for j, l in self.pairs]
         self._meets = [(b, a) for a, rows in enumerate(self._heisenberg)
                        for b, _ in rows]
+        # for e_ij, j > i + 1, the simple e_l,l+1 whose degrees it spans
+        self._spans = [(a, [index[l, l + 1] for l in range(i, j)])
+                       for a, (i, j) in enumerate(self.pairs) if j > i + 1]
         self._products = {}
         self._straighten_memo = {}
         self._components = {}
@@ -182,9 +186,12 @@ class DividedPowerAlgebra:
     def component_basis(self, coords):
         """All monomials of degree exactly coords, in increasing order.
 
-        `place` sets the exponents of the pairs (i, j) with j > i + 1; the
-        rest of the degree then fixes the exponent of each simple e_l,l+1,
-        so every placement is one monomial.
+        The exponents of the simple e_l,l+1 start as the degree.  Each
+        pair (i, j) with j > i + 1 in turn takes every exponent k those of
+        e_i,i+1, ..., e_j-1,j allow, and k is taken from each of them;
+        what is left on the simples is their exponent, so every placement
+        is one monomial.  Every partial placement completes, so no pass
+        holds more than the result, and nothing recurses, whatever n.
         """
         coords = tuple(coords)
         hit = self._components.get(coords)
@@ -194,29 +201,23 @@ class DividedPowerAlgebra:
             raise ValueError("degree coordinate length mismatch")
         if any(c < 0 for c in coords):
             return []
-        pairs = self.pairs
-        free = [a for a, (i, j) in enumerate(pairs) if j > i + 1]
-        simple = [self.pair_index[(l, l + 1)] for l in range(1, self.n)]
-        out = []
-        exps = [0] * len(pairs)
-
-        def place(t, rem):
-            if t == len(free):
-                for a, k in zip(simple, rem):
-                    exps[a] = k
-                out.append(tuple(exps))
-                return
-            i, j = pairs[free[t]]
-            span = range(i - 1, j - 1)
-            for k in range(min(rem[l] for l in span) + 1):
-                exps[free[t]] = k
-                nxt = list(rem)
-                for l in span:
-                    nxt[l] -= k
-                place(t + 1, nxt)
-
-        place(0, list(coords))
-        out.sort()
+        index = self.pair_index
+        start = [0] * len(self.pairs)
+        for l, c in enumerate(coords, 1):
+            start[index[l, l + 1]] = c
+        placed = [start]  # no placement is changed once listed
+        for a, span in self._spans:
+            nxt = []
+            for exps in placed:
+                nxt.append(exps)  # k = 0
+                for k in range(1, min(exps[b] for b in span) + 1):
+                    e = exps.copy()
+                    e[a] = k
+                    for b in span:
+                        e[b] -= k
+                    nxt.append(e)
+            placed = nxt
+        out = sorted(map(tuple, placed))
         self._components[coords] = out
         return out
 

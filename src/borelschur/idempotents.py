@@ -299,8 +299,8 @@ def tor_dimensions(trunc, borel, lams):
     pieces = {d for lam in lams for y in trunc.points
               if (d := positive_root_coords(point_sub(y, lam))) is not None}
     alg = trunc.alg
-    degrees, graded = resolve(pieces, (0,) * (alg.n - 1), alg.between,
-                              alg.product_terms, trunc.field, 3, "first")
+    degrees, graded = resolve(alg, pieces, (0,) * (alg.n - 1), trunc.field,
+                              3, "first")
     block = sorted(set(borel.heads))
     out = {}
     for lam in lams:

@@ -15,12 +15,12 @@ residual is zero at every pivot.  An insert stores the residual, scaled
 monic at its first index, with no back-substitution.  The residual and
 the reduced echelon form depend only on the span, so `reduce` is the
 canonical projection, a vector's coefficient on the reduced row at
-pivot q is its own entry at q, and the reduced `rows` and `combos` are
-built when they are read.  `Echelon.eliminate` (and `insert_columns`
-on dicts) eliminates a matrix's columns once and reads its nullspace
-off the same pass: each row carries its combination of the columns, so
-a dependent column's combination is its kernel vector, and that basis
-depends only on the matrix, not on any pivoting.
+pivot q is its own entry at q, and the reduced `rows` are built when
+they are read.  `Echelon.eliminate` (and `insert_columns` on dicts)
+eliminates a matrix's columns once and reads its nullspace off the same
+pass: each row carries its combination of the columns, so a dependent
+column's combination is its kernel vector, and that basis depends only
+on the matrix, not on any pivoting.
 
 The two kernels differ only in how they hold a vector.  Both take
 entries as any ints (over QQ, rationals too), unreduced and possibly
@@ -33,9 +33,9 @@ so an index must be a non-negative int there (else `TypeError`; callers
 with other keys number them, which changes no rank and no kernel), and
 clearing a pivot is one XOR.
 
-`insert`, `reduce`, `contains`, `coordinates`, `rows`, `combos`,
-`insert_columns` and `matrix_rank` take and give dicts.  The resolution
-engine and its reader instead keep their vectors in the echelon's own form,
+`insert`, `reduce`, `contains`, `coordinates`, `rows`, `insert_columns`
+and `matrix_rank` take and give dicts.  The resolution engine and its
+reader instead keep their vectors in the echelon's own form,
 which only this module reads: `columns` builds a map's columns straight
 into it from the algebra's products (the dict kernel with one
 `field.of` per entry; the bit kernel XORs in each odd product term and
@@ -101,12 +101,6 @@ class Echelon:
         """pivot -> row of the reduced echelon form."""
         return {p: self._dict(v) for p, (v, _) in self._reduced().items()}
 
-    @property
-    def combos(self):
-        """pivot -> combination of the columns giving that reduced row,
-        for the rows that carry one."""
-        return {p: self._dict(c) for p, (_, c) in self._reduced().items() if c}
-
     def reduce(self, vec):
         """Canonical representative of vec modulo the row space."""
         return self._dict(self._reduce(self._vec(vec))[0])
@@ -124,12 +118,11 @@ class Echelon:
         """Add vec to the span; returns the new pivot or None if dependent."""
         return self._insert(self._vec(vec), None)[0]
 
-    def insert_columns(self, columns, kernel=True):
+    def insert_columns(self, columns):
         """Insert columns[0], columns[1], ... in turn; return the nullspace
         of the map sending unit column j to columns[j], as `eliminate`
         does, on dicts."""
-        vecs = self.eliminate(map(self._vec, columns), kernel)
-        return [self._dict(v) for v in vecs]
+        return [self._dict(v) for v in self.eliminate(map(self._vec, columns))]
 
     def eliminate(self, vecs, kernel=True, cap=None):
         """Insert vecs[0], vecs[1], ..., in this echelon's own form, in
@@ -175,11 +168,11 @@ class Echelon:
                 fresh.append(residual)
         return fresh
 
-    def columns(self, src, dst, by_col, mul):
+    def columns(self, src, dst, diff, mul):
         """Columns of a map, in this echelon's form: the image of each
         pair (s, x) of `src`, over positions in the pairs `dst`.
 
-        `by_col` is {s: {t: entry}}, an entry {basis element: scalar}, and
+        `diff` is {s: {t: entry}}, an entry {basis element: scalar}, and
         (s, x) goes to the sum over t of (t, x * entry), with `mul` the
         product as (basis element, scalar) pairs.  Each entry is summed
         natively and reduced once.  Every product must land in `dst`.
@@ -189,7 +182,7 @@ class Echelon:
         cols = []
         for s, x in src:
             col = {}
-            for t, entry in by_col.get(s, {}).items():
+            for t, entry in diff.get(s, {}).items():
                 for y, c in entry.items():
                     for z, cz in mul(x, y):
                         k = index[t, z]
@@ -329,12 +322,12 @@ class BitEchelon(Echelon):
         self._mask |= 1 << p
         return p, combo
 
-    def columns(self, src, dst, by_col, mul):
+    def columns(self, src, dst, diff, mul):
         index = {b: k for k, b in enumerate(dst)}
         cols = []
         for s, x in src:
             v = 0
-            for t, entry in by_col.get(s, {}).items():
+            for t, entry in diff.get(s, {}).items():
                 for y, c in entry.items():
                     if c & 1:
                         for z, cz in mul(x, y):

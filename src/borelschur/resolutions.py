@@ -1,29 +1,35 @@
 """One engine for minimal resolutions by iterated covers of graded kernels.
 
 The algebra is split into pieces: a basis element runs from one piece to
-another, and products compose head to tail.  The engine sees the algebra
-only through two functions its caller supplies:
+another, and products compose head to tail.  The engine and the reader
+of its complexes ask the algebra, of either family, four things:
 
 - `between(g, p)`: the basis elements from piece g to piece p, empty
   when there are none; `between(p, p)` is the unit at p alone;
-- `mul(x, y)`: the product of two basis elements as (basis element,
-  scalar) pairs.  A scalar may be any int, such as an integer structure
-  constant read straight from a product table, or a canonical field
-  scalar: the echelon that eliminates a map builds its columns from
-  these products, accumulating natively, and reduces each entry once.
-  It must be associative: the images of the generators found at earlier
-  pieces alone span the radical at a piece.
+- `module_basis(gens, block)`: the basis on the pieces `block` of the
+  free module on generators at the pieces `gens`, as the pairs
+  (generator t, element of `between(gens[t], p)`) for p in `block`,
+  generator by generator;
+- `product_terms(x, y)`: the product of two basis elements as (basis
+  element, scalar) pairs.  A scalar may be any int, such as an integer
+  structure constant read straight from a product table, or a canonical
+  field scalar: the echelon that eliminates a map builds its columns
+  from these products, accumulating natively, and reduces each entry
+  once.  It must be associative: the images of the generators found at
+  earlier pieces alone span the radical at a piece;
+- `is_unit(x)`: whether a basis element is a unit, for minimality.
 
 Pieces are int tuples, covered in (coordinate sum, lex) order; that
 order fixes the numbering of new generators and so the payloads, and
 `between(g, p)` must be empty when g comes after p in it.  A free
-module is a list of generator pieces; its piece p has the basis
-of pairs (generator t, element of `between(gens[t], p)`).  A map between
-free modules is {(t, s): {basis element: scalar}}, sending the pair
-(s, x) to the sum over t of (t, x * d[t, s]).  Kernels are exact
-nullspaces piece by piece, and minimal generators are a basis of the
-kernel modulo its radical multiples, with deterministic pivoting, so two
-runs produce identical generators.
+module is a list of generator pieces.  This module fixes the one
+format of a map between free modules, from the engine through the
+push-down of `transport` to `ModuleComplex`: d = {s: {t: entry}},
+grouped by source generator s, with entry = {basis element: scalar}
+nonzero, sending the pair (s, x) to the sum over t of (t, x * entry).
+Kernels are exact nullspaces piece by piece, and minimal generators are
+a basis of the kernel modulo its radical multiples, with deterministic
+pivoting, so two runs produce identical generators.
 
 Each step of `resolve` is one walk over the pieces, with one
 elimination per piece.  At piece p the columns of the new map on the
@@ -38,8 +44,6 @@ entries become the generator's map entries.  A new generator's own
 column is its residual, independent of the others, so it adds no
 kernel vector and is never computed.
 
-Both algebra families supply the two functions themselves, as their
-`between` and `product_terms`, and `is_unit` for the minimality check.
 Over the divided-power algebra the pieces are degree coordinates over
 the simple positive vectors, covered in (height, lex) order, and the
 basis from g to p is the monomials of degree p - g: this resolves the
@@ -54,12 +58,12 @@ complete, because radical products only ever raise height.
 
 `ModuleComplex` holds a complex of free modules over either family,
 the engine's output or a push-down of it, and the blocks of pieces it
-splits into.  Its one reader, `verify`, builds each module's basis once
-per block, asking the algebra for it at once (`module_basis`; over a
-based algebra one pass over the arrows at each generator), and builds
-each map's columns there in the echelon's own form, as the engine
-does.  It tests d_i d_{i+1} = 0 on the generators' own columns only,
-read off the maps' entries, since the composite is a module map.  Once
+splits into.  Its one reader, `verify`, reads the maps in the format
+the engine writes them, builds each module's basis once per block with
+`module_basis`, and builds each map's columns there in the echelon's
+own form, as the engine does.  It tests d_i d_{i+1} = 0 on the
+generators' own columns only, read off the maps' entries, since the
+composite is a module map.  Once
 d^2 has held on every generator, rank d_{i+1} <= dim P_i - rank d_i on
 each block, so it eliminates each map's columns newest first and stops
 at that bound; where d^2 fails it eliminates every map in full, so the
@@ -77,25 +81,10 @@ from .fields import serialize_scalar as _ser
 from .linalg import Echelon
 
 
-def free_basis(gens, pieces, between):
-    """Pairs (generator, basis element) spanning the given pieces of a free
-    module, generator by generator."""
-    return [(t, x) for t, g in enumerate(gens) for p in pieces
-            for x in between(g, p)]
-
-
-def by_column(diff):
-    """A map {(t, s): entry} grouped by source generator: {s: {t: entry}}."""
-    out = {}
-    for (t, s), entry in diff.items():
-        out.setdefault(s, {})[t] = entry
-    return out
-
-
 def composite(col, lower, mul, field):
     """d_i applied to one column of d_{i+1}, given as {t: entry} (a
-    generator's own column is its entries), with d_i `by_column`: the
-    composite's nonzero scalars {(u, basis element): scalar}."""
+    generator's own column is its entries): the composite's nonzero
+    scalars {(u, basis element): scalar}."""
     out = {}
     for t, entry in col.items():
         for u, then in lower.get(t, {}).items():
@@ -108,12 +97,13 @@ def composite(col, lower, mul, field):
 
 def unit_free(diffs, is_unit):
     """Minimality: no entry of any map holds a unit basis element."""
-    return not any(is_unit(x) for diff in diffs for entry in diff.values()
-                   for x in entry)
+    return not any(is_unit(x) for diff in diffs for col in diff.values()
+                   for entry in col.values() for x in entry)
 
 
-def resolve(pieces, top, between, mul, field, length, pivoting):
-    """Minimal free resolution of the one-dimensional module at piece `top`.
+def resolve(alg, pieces, top, field, length, pivoting):
+    """Minimal free resolution over `alg` of the one-dimensional module at
+    piece `top`.
 
     P_0 is free on one generator at `top`; the kernel of the augmentation
     is every other piece of P_0.  Each step walks the pieces once: at
@@ -127,31 +117,31 @@ def resolve(pieces, top, between, mul, field, length, pivoting):
     pieces = sorted(pieces, key=lambda p: (sum(p), p))
     gens = [[top]]
     diffs = []
-    basis = {p: free_basis([top], [p], between) for p in pieces}
+    basis = {p: alg.module_basis([top], [p]) for p in pieces}
     form = Echelon(field)
     kernel = {p: form.units(len(basis[p])) for p in pieces if p != top}
     for step in range(1, length + 1):
         last = step == length
-        new, by_col, next_kernel, next_basis = [], {}, {}, {}
+        new, diff, next_kernel, next_basis = [], {}, {}, {}
         for p in pieces:
             vecs = kernel.get(p, [])
-            src = next_basis[p] = free_basis(new, [p], between)
+            src = next_basis[p] = alg.module_basis(new, [p])
             if not vecs and (not src or last):
                 continue
             dst = basis[p]
             rad = Echelon(field, pivoting)
             next_kernel[p] = rad.eliminate(
-                rad.columns(src, dst, by_col, mul), kernel=not last)
+                rad.columns(src, dst, diff, alg.product_terms),
+                kernel=not last)
             for residual in rad.cover(vecs):
-                column = by_col[len(new)] = {}
+                column = diff[len(new)] = {}
                 for k, c in residual.items():
                     t, y = dst[k]
                     column.setdefault(t, {})[y] = c
-                src += [(len(new), x) for x in between(p, p)]
+                src += [(len(new), x) for x in alg.between(p, p)]
                 new.append(p)
         gens.append(new)
-        diffs.append({(t, s): entry for s, column in by_col.items()
-                      for t, entry in column.items()})
+        diffs.append(diff)
         if not new or last:
             break
         kernel, basis = next_kernel, next_basis
@@ -162,12 +152,12 @@ class ModuleComplex:
     """P_0 <- P_1 <- ...: free modules over `alg` and the maps between them.
 
     `gens[i]` lists the generator pieces of P_i and `diffs[i]` is the
-    engine's map d_{i+1}: P_{i+1} -> P_i.  The reader asks `alg`, of
-    either family, what the engine asks, and `module_basis` for the
-    basis of a module on a block.  Maps keep pieces, so the complex
-    splits over `blocks`, lists of pieces that `verify` checks
-    one at a time.  `info` keeps what the producer knows: the cutoffs, or
-    the weight the complex was pushed down to or resolved at.
+    map d_{i+1}: P_{i+1} -> P_i in the module's one format,
+    {s: {t: entry}}.  The reader asks `alg` what the engine asks.  Maps
+    keep pieces, so the complex splits over `blocks`, lists of pieces
+    that `verify` checks one at a time.  `info` keeps what the producer
+    knows: the cutoffs, or the weight the complex was pushed down to or
+    resolved at.
     """
 
     def __init__(self, alg, field, gens, diffs, blocks, **info):
@@ -212,14 +202,14 @@ class ModuleComplex:
         element that does not run between its two generators raises
         `ValueError`.
         """
-        alg = self.alg
-        for i, diff in enumerate(self.diffs):
-            for (t, s), entry in diff.items():
-                if entry.keys() - alg.between(self.gens[i][t],
-                                              self.gens[i + 1][s]):
-                    raise ValueError(
-                        f"entry ({t}, {s}) of d_{i + 1} is not homogeneous")
-        maps = [by_column(d) for d in self.diffs]
+        alg, maps = self.alg, self.diffs
+        for i, diff in enumerate(maps):
+            for s, col in diff.items():
+                for t, entry in col.items():
+                    if entry.keys() - alg.between(self.gens[i][t],
+                                                  self.gens[i + 1][s]):
+                        raise ValueError(f"entry ({t}, {s}) of d_{i + 1} "
+                                         "is not homogeneous")
         mul, field = alg.product_terms, self.field
         d2 = not any(composite(col, lower, mul, field)
                      for lower, upper in zip(maps, maps[1:])
@@ -229,9 +219,9 @@ class ModuleComplex:
         for block in map(set, self.blocks):
             bases = [alg.module_basis(gens, block) for gens in self.gens]
             rank = 0
-            for i, by_col in enumerate(maps):
+            for i, diff in enumerate(maps):
                 ech = Echelon(field)
-                cols = ech.columns(bases[i + 1], bases[i], by_col, mul)
+                cols = ech.columns(bases[i + 1], bases[i], diff, mul)
                 ech.eliminate(reversed(cols), kernel=False,
                               cap=len(bases[i]) - rank if d2 else None)
                 rank = ech.rank
@@ -258,7 +248,7 @@ class ModuleComplex:
             modules: [[list(g) for g in gens] for gens in self.gens],
             "differentials": [
                 sorted([t, s, sorted([x, _ser(c)] for x, c in entry.items())]
-                       for (t, s), entry in diff.items())
+                       for s, col in diff.items() for t, entry in col.items())
                 for diff in self.diffs
             ],
         }
@@ -280,7 +270,7 @@ def minimal_resolution(alg, field, length, height_cut, pivoting="first"):
     the kernel).
     """
     slices = alg.degrees_to_height(height_cut)
-    gens, diffs = resolve(slices, (0,) * (alg.n - 1), alg.between,
-                          alg.product_terms, field, length, pivoting)
+    gens, diffs = resolve(alg, slices, (0,) * (alg.n - 1), field, length,
+                          pivoting)
     return ModuleComplex(alg, field, gens, diffs, [[p] for p in slices],
                          length=length, height=height_cut)

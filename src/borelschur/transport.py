@@ -13,11 +13,13 @@ minimality, and reports the dimensions and ranks the Tor check needs.
 the one summand at lam, that no module follows a dead one, and whether
 the cutoffs reach every composition above lam.
 
+The maps keep the one format of `resolutions`, {s: {t: entry}}:
+`push_graded` renumbers the kept generators, reduces each entry, and
+hands its maps to `ModuleComplex` in the format the engine wrote them.
+
 `resolve_simple` resolves the one-dimensional simple at lam directly
-over any based algebra with the engine of `resolutions`: the pieces are
-head weights, and the algebra's own `between` (its arrows from one
-weight to another) and `product_terms` (the cached (index, scalar)
-pairs) are the engine's two functions.  It returns the same
+over any based algebra with the engine of `resolutions`, which it hands
+the algebra itself, with head weights as pieces.  It returns the same
 `ModuleComplex`, which `verification` reads as it reads a push-down.
 No command runs it; it is the tests' independent route to the Ext data.
 """
@@ -86,13 +88,14 @@ def push_graded(borel, degrees, diffs, lam):
     pushed = []
     for i, diff in enumerate(diffs):
         rows, cols, out = keep[i], keep[i + 1], {}
-        for (t, s), entry in diff.items():
-            if t in rows and s in cols:
-                w = kept[i][rows[t]]
-                vec = borel.reduce_element(
-                    {(m, w): c for m, c in entry.items()})
-                if vec:
-                    out[(rows[t], cols[s])] = vec
+        for s, col in diff.items():
+            for t, entry in col.items():
+                if t in rows and s in cols:
+                    w = kept[i][rows[t]]
+                    vec = borel.reduce_element(
+                        {(m, w): c for m, c in entry.items()})
+                    if vec:
+                        out.setdefault(cols[s], {})[rows[t]] = vec
         pushed.append(out)
     return kept, pushed, deleted
 
@@ -129,8 +132,7 @@ def resolve_simple(algebra, lam, length, pivoting="first"):
     """
     lam = tuple(lam)
     pieces = sorted(set(algebra.heads))
-    weights, diffs = resolve(pieces, lam, algebra.between,
-                             algebra.product_terms, algebra.field, length,
+    weights, diffs = resolve(algebra, pieces, lam, algebra.field, length,
                              pivoting)
     return ModuleComplex(algebra, algebra.field, weights, diffs, [pieces],
                          lam=lam, complete=True, terminated=not weights[-1])

@@ -19,7 +19,9 @@ graded Betti numbers of the trivial module in closed form (two rows in
 characteristic p, Kostant's theorem in characteristic 0), and its first
 syzygies and Ext^1 between simples in closed form in every
 characteristic; the exactness of a graded resolution slice by slice,
-a map's columns as dicts of unreduced sums, the ranks and d^2 verdict
+a free module's basis by asking `between` of every generator at every
+piece, the combinations of an echelon's reduced rows, a map's columns
+as dicts of unreduced sums, the ranks and d^2 verdict
 of a complex with every column composed and eliminated, one changed,
 deleted or added coefficient of a complex's maps, and a random change
 of generators of a complex.
@@ -45,7 +47,7 @@ from borelschur.combinatorics import (
 )
 from borelschur.fields import serialize_scalar
 from borelschur.linalg import Echelon, add_scaled, matrix_rank
-from borelschur.resolutions import ModuleComplex, by_column, free_basis
+from borelschur.resolutions import ModuleComplex
 from borelschur.transport import resolve_simple
 from letter_oracle import written_rank
 
@@ -235,8 +237,22 @@ def max_reachable_height(lam, n, r):
     return best
 
 
-def columns(src, dst, by_col, mul):
-    """Columns of a map, given `by_column`, on the pairs `src`, over
+def free_basis(gens, pieces, between):
+    """Pairs (generator, basis element) spanning the given pieces of a free
+    module, generator by generator, asking `between` of every generator
+    at every piece: the reference for `module_basis`."""
+    return [(t, x) for t, g in enumerate(gens) for p in pieces
+            for x in between(g, p)]
+
+
+def combos(ech):
+    """pivot -> combination of the columns giving that reduced row of
+    `ech`, for the rows that carry one."""
+    return {p: ech._dict(c) for p, (_, c) in ech._reduced().items() if c}
+
+
+def columns(src, dst, diff, mul):
+    """Columns of a map {s: {t: entry}} on the pairs `src`, over
     positions in `dst`, as dicts: the reference for `Echelon.columns`.
 
     Each entry is its plain sum of products of scalars and structure
@@ -247,7 +263,7 @@ def columns(src, dst, by_col, mul):
     cols = []
     for s, x in src:
         col = {}
-        for t, entry in by_col.get(s, {}).items():
+        for t, entry in diff.get(s, {}).items():
             for y, c in entry.items():
                 for z, cz in mul(x, y):
                     k = index[t, z]
@@ -257,11 +273,12 @@ def columns(src, dst, by_col, mul):
 
 
 def chain_ranks(bases, maps, mul, field):
-    """Ranks of d_1, d_2, ... (`maps`, each `by_column`) between the bases
-    of P_0, P_1, ..., and whether every composite d_i d_{i+1} vanishes on
-    them: every column of every map composed and eliminated in full."""
-    cols = [columns(bases[i + 1], bases[i], by_col, mul)
-            for i, by_col in enumerate(maps)]
+    """Ranks of d_1, d_2, ... (`maps`, each {s: {t: entry}}) between the
+    bases of P_0, P_1, ..., and whether every composite d_i d_{i+1}
+    vanishes on them: every column of every map composed and eliminated
+    in full."""
+    cols = [columns(bases[i + 1], bases[i], diff, mul)
+            for i, diff in enumerate(maps)]
 
     def vanishes(lower, col):
         composite = {}
@@ -278,7 +295,7 @@ def composed_report(complex_):
     """The dimensions, ranks, d^2 verdict and exact spots of
     `ModuleComplex.verify`, by `chain_ranks` on each block: every column
     composed, every map eliminated in full."""
-    alg, maps = complex_.alg, [by_column(d) for d in complex_.diffs]
+    alg, maps = complex_.alg, complex_.diffs
     dims, ranks = [0] * len(complex_.gens), [0] * len(complex_.diffs)
     d2 = True
     for block in complex_.blocks:
@@ -309,17 +326,18 @@ def interval_tor(trunc, borel, lam):
     diffs = []
     for rows, cols, diff in zip(keep, keep[1:], res.diffs):
         out = {}
-        for (t, s), entry in diff.items():
-            if t in rows and s in cols:
-                vec = {borel.index[a]: c for x, c in entry.items()
-                       if arrow_is_kept(trunc.alg, a := trunc.arrows[x], r)}
-                if vec:
-                    out[rows[t], cols[s]] = vec
+        for s, col in diff.items():
+            for t, entry in col.items():
+                if t in rows and s in cols:
+                    vec = {borel.index[a]: c for x, c in entry.items()
+                           if arrow_is_kept(trunc.alg, a := trunc.arrows[x],
+                                            r)}
+                    if vec:
+                        out.setdefault(cols[s], {})[rows[t]] = vec
         diffs.append(out)
     bases = [[(k, a) for s, k in kp.items() for a in borel.based_at(ws[s])]
              for ws, kp in zip(res.gens, keep)]
-    ranks, d2 = chain_ranks(bases, [by_column(d) for d in diffs],
-                            borel.product_terms, borel.field)
+    ranks, d2 = chain_ranks(bases, diffs, borel.product_terms, borel.field)
     assert d2, "the pushed-down resolution is not a complex"
     return {i: len(bases[i]) - ranks[i - 1] - ranks[i] if i < len(ranks)
             else 0 for i in (1, 2)}
@@ -343,8 +361,7 @@ def filtered_tor(trunc, r, lam):
 
     bases = [[(t, a) for t, w in enumerate(ws) for a in trunc.based_at(w)
               if kept(a)] for ws in res.gens]
-    ranks, d2 = chain_ranks(bases, [by_column(d) for d in res.diffs], mul,
-                            trunc.field)
+    ranks, d2 = chain_ranks(bases, res.diffs, mul, trunc.field)
     assert d2, "the filtered resolution is not a complex"
     out = {}
     for i in (1, 2):
@@ -572,8 +589,8 @@ def slice_exact(complex_):
     of the height window d_i d_{i+1} = 0, d_1 has the slice's dimension of
     P_0 as its rank, except at degree 0 where its rank is 0, and the ranks
     at each interior spot add up to the slice's dimension there."""
-    alg, field, steps = complex_.alg, complex_.field, len(complex_.diffs)
-    maps = [by_column(d) for d in complex_.diffs]
+    alg, field, maps = complex_.alg, complex_.field, complex_.diffs
+    steps = len(maps)
     for coords in alg.degrees_to_height(complex_.info["height"]):
         bases = [free_basis(gens, [coords], alg.between)
                  for gens in complex_.gens]
@@ -602,14 +619,16 @@ def tamper_one_coefficient(complex_, data):
         slots = [(i, (t, s), x) for i, diff in enumerate(diffs)
                  for t, g in enumerate(complex_.gens[i])
                  for s, h in enumerate(complex_.gens[i + 1])
-                 for x in alg.between(g, h) if x not in diff.get((t, s), {})]
+                 for x in alg.between(g, h)
+                 if x not in diff.get(s, {}).get(t, {})]
     else:
-        slots = [(i, key, x) for i, diff in enumerate(diffs)
-                 for key, entry in diff.items() for x in entry]
+        slots = [(i, (t, s), x) for i, diff in enumerate(diffs)
+                 for s, col in diff.items() for t, entry in col.items()
+                 for x in entry]
     if not slots:
         return
-    i, key, x = data.draw(st.sampled_from(slots), label="slot")
-    entry = diffs[i].setdefault(key, {})
+    i, (t, s), x = data.draw(st.sampled_from(slots), label="slot")
+    entry = diffs[i].setdefault(s, {}).setdefault(t, {})
     step = data.draw(st.sampled_from([1, -1]), label="step")
     value = field.of(entry.get(x, 0) + step)
     if kind == "delete" or value == field.zero:
@@ -618,32 +637,43 @@ def tamper_one_coefficient(complex_, data):
         entry[x] = value
 
 
-def _compose(alg, field, a, b):
-    """The map b, then a: maps {(t, s): entry} sending the pair (s, x) to
-    the sum over t of (t, x * entry), so (a b)[t, s] is the sum over u of
-    b[u, s] * a[t, u]."""
-    by_source = {}
-    for (t, u), entry in a.items():
-        by_source.setdefault(u, []).append((t, entry))
+def _nonzero(field, m):
+    """The map m {s: {t: entry}}, each scalar reduced by `field.of`, with
+    its zero scalars, empty entries and empty columns dropped."""
     out = {}
-    for (u, s), first in b.items():
-        for t, then in by_source.get(u, ()):
-            acc = out.setdefault((t, s), {})
-            for x, c in first.items():
-                for y, e in then.items():
-                    for z, k in alg.product_terms(x, y):
-                        acc[z] = acc.get(z, 0) + c * e * k
-    out = {key: {z: w for z, c in acc.items() if (w := field.of(c))}
-           for key, acc in out.items()}
-    return {key: entry for key, entry in out.items() if entry}
+    for s, col in m.items():
+        col = {t: e for t, entry in col.items()
+               if (e := {z: w for z, c in entry.items() if (w := field.of(c))})}
+        if col:
+            out[s] = col
+    return out
+
+
+def _compose(alg, field, a, b):
+    """The map b, then a: maps {s: {t: entry}} sending the pair (s, x) to
+    the sum over t of (t, x * entry), so (a b)[s][t] is the sum over u of
+    b[s][u] * a[u][t]."""
+    out = {}
+    for s, col in b.items():
+        for u, first in col.items():
+            for t, then in a.get(u, {}).items():
+                acc = out.setdefault(s, {}).setdefault(t, {})
+                for x, c in first.items():
+                    for y, e in then.items():
+                        for z, k in alg.product_terms(x, y):
+                            acc[z] = acc.get(z, 0) + c * e * k
+    return _nonzero(field, out)
 
 
 def _add_maps(field, a, b, c=1):
-    """a + c * b for maps {(t, s): entry}."""
-    out = {key: dict(entry) for key, entry in a.items()}
-    for key, entry in b.items():
-        add_scaled(out.setdefault(key, {}), entry, c, field)
-    return {key: entry for key, entry in out.items() if entry}
+    """a + c * b for maps {s: {t: entry}}."""
+    out = {s: {t: dict(entry) for t, entry in col.items()}
+           for s, col in a.items()}
+    for s, col in b.items():
+        for t, entry in col.items():
+            add_scaled(out.setdefault(s, {}).setdefault(t, {}), entry, c,
+                       field)
+    return _nonzero(field, out)
 
 
 def change_generators(complex_, data=None):
@@ -663,20 +693,22 @@ def change_generators(complex_, data=None):
     scalar = st.integers(1, 3).map(field.of).filter(bool)
     phis, inverses = [], []
     for gens in complex_.gens:
-        one = {(s, s): {x: field.one for x in alg.between(g, g)}
+        one = {s: {s: {x: field.one for x in alg.between(g, g)}}
                for s, g in enumerate(gens)}
         slots = [(t, s) for t, g in enumerate(gens) for s, h in enumerate(gens)
                  if g != h and alg.between(g, h)]
+        m = {}
         if data is None:
-            m = {(t, s): {alg.between(gens[t], gens[s])[0]: field.one}
-                 for t, s in slots[:1]}
+            for t, s in slots[:1]:
+                m[s] = {t: {alg.between(gens[t], gens[s])[0]: field.one}}
         else:
             chosen = data.draw(st.lists(st.sampled_from(slots), min_size=1,
                                         max_size=4, unique=True),
                                label="slots") if slots else []
-            m = {(t, s): {data.draw(st.sampled_from(
-                     alg.between(gens[t], gens[s])), label="element"):
-                     data.draw(scalar, label="scalar")} for t, s in chosen}
+            for t, s in chosen:
+                x = data.draw(st.sampled_from(alg.between(gens[t], gens[s])),
+                              label="element")
+                m.setdefault(s, {})[t] = {x: data.draw(scalar, label="scalar")}
         phi = term = one
         while term := _compose(alg, field, m, term):
             phi = _add_maps(field, phi, term)

@@ -615,6 +615,25 @@ def test_negative_cutoffs_are_usage_errors(argv, capsys):
     assert "error: argument --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,verdict", [
+    ("resolve --n 46 --length 1 --height 0", ["exact"]),
+    ("check-ideals --n 46 --r 0", ["passed"]),
+    ("transport --n 46 --r 1 --lambda " + ",".join(["1"] + ["0"] * 45)
+     + " --length 2 --height 1", ["verification", "passed"]),
+], ids=["resolve", "check-ideals", "transport"])
+def test_rank_46_runs_without_recursion(argv, verdict, capsys):
+    """At n = 46 the divided-power algebra has 990 non-simple pairs, more
+    than Python's default recursion limit: enumerating a degree's
+    monomials must not take one call per pair."""
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 46
+    for key in verdict:
+        data = data[key]
+    assert data is True
+
+
 def test_python_dash_m_runs_from_a_source_tree():
     proc = subprocess.run(
         [sys.executable, "-m", "borelschur", "verify-iso", "--n", "2",

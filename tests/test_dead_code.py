@@ -1,11 +1,13 @@
 """Every function in src/borelschur runs from src/ or is a documented export.
 
-A function or method counts as used when its name appears in src/ as a
-name, attribute, import or the name argument of `getattr`, `hasattr` or
+A function counts as used when its name appears in src/ as a name,
+attribute, import or the name argument of `getattr`, `hasattr` or
 `setattr`, outside its own definition and outside `__init__.py`, whose
-imports and `__all__` only export.  Any other string, a dict key say,
-names no function.  A function that no src/ code calls may stay only
-when it is in `borelschur.__all__` and the README names it in
+imports and `__all__` only export.  A method counts as used only as an
+attribute or such a name argument: a bare name of the same spelling is
+a local variable, not a call of the method.  Any other string, a dict
+key say, names no function.  A function that no src/ code calls may
+stay only when it is in `borelschur.__all__` and the README names it in
 backticks, saying why a library user wants it.  Dunders are exempt.
 Code that only tests call belongs in a test helper module such as
 `oracles.py`.
@@ -42,9 +44,12 @@ def identifier(node):
 
 def unreferenced(src):
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    refs = [(identifier(node), mod, node.lineno)
+    refs = [(identifier(node), mod, node.lineno,
+             isinstance(node, (ast.Attribute, ast.Call)))
             for mod, tree in trees.items() if mod != "__init__.py"
             for node in ast.walk(tree) if identifier(node)]
+    methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
     out = []
     for mod, tree in trees.items():
         for node in ast.walk(tree):
@@ -52,8 +57,12 @@ def unreferenced(src):
                     node.name.startswith("__") and node.name.endswith("__")):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
+            # a method is reached only through an attribute or getattr; a
+            # bare name of the same spelling is some local variable
+            looked_up = id(node) in methods
             if not any(ref == node.name and not (m == mod and line in own)
-                       for ref, m, line in refs):
+                       and (by_attribute or not looked_up)
+                       for ref, m, line, by_attribute in refs):
                 out.append(f"{mod}:{node.lineno} {node.name}")
     return out
 
@@ -105,9 +114,12 @@ def test_guard_sees_an_unused_function(tmp_path):
         "def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\n"
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
         "class C:\n    def __init__(self):\n        pass\n\n"
-        "    def method(self):\n        return 2\n")
+        "    def method(self):\n        return 2\n\n"
+        "    def shadowed(self):\n        return 3\n\n\n"
+        "def local():\n    shadowed = used()\n    return shadowed\n")
     assert unreferenced(tmp_path) == ["a.py:5 unused", "a.py:9 recursive",
-                                      "a.py:17 method"]
+                                      "a.py:24 local", "a.py:17 method",
+                                      "a.py:20 shadowed"]
 
 
 def test_guard_wants_a_reason_for_an_unused_export(tmp_path):

@@ -315,6 +315,16 @@ def test_component_basis_matches_a_filter_of_all_exponents(n):
         assert alg.component_basis(coords) == components.get(coords, [])
 
 
+def test_component_basis_does_not_recurse_at_large_rank():
+    """At n = 60, 1,711 pairs are not simple, past Python's default
+    recursion limit; the enumeration still lists each component."""
+    alg = DividedPowerAlgebra(60)
+    assert alg.component_basis((0,) * 59) == [alg.unit]
+    e12, e23, e13 = (monomial(alg, {p: 1}) for p in [(1, 2), (2, 3), (1, 3)])
+    both = tuple(map(sum, zip(e12, e23)))
+    assert alg.component_basis((1, 1) + (0,) * 57) == sorted([both, e13])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_between_is_the_component_of_the_difference(n, data):

@@ -381,9 +381,9 @@ def test_tor_sample_edges(monkeypatch):
     B = BorelAlgebra(3, 2, T.field, alg=T.alg)
     seen = []
 
-    def recorded(pieces, *args):
+    def recorded(alg, pieces, *args):
         seen.append(set(pieces))
-        return resolutions.resolve(pieces, *args)
+        return resolutions.resolve(alg, pieces, *args)
 
     monkeypatch.setattr(idempotents, "resolve", recorded)
     assert tor_dimensions(T, B, []) == {}
@@ -398,7 +398,7 @@ def test_chain_resolves_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args[1])
         return resolutions.resolve(*args)
 
     monkeypatch.setattr(idempotents, "resolve", counted)
@@ -434,7 +434,7 @@ def test_tor_reader_walks_the_arrows_at_each_generator(monkeypatch):
         tor_dimensions(T, B, compositions(n, r))
     assert len(seen) == 35
     for c, calls, report in seen:
-        assert calls == sum(map(len, c.diffs))
+        assert calls == sum(len(col) for d in c.diffs for col in d.values())
         assert {key: report[key] for key in ("d_squared_zero", "dims",
                                              "ranks", "exact_spots")} \
             == composed_report(c)
@@ -450,7 +450,7 @@ def test_tor_rejects_a_pushed_complex_that_is_not_one(monkeypatch):
 
     def corrupted(*args):
         degrees, diffs = resolutions.resolve(*args)
-        entry = diffs[1][(0, 0)]
+        entry = diffs[1][0][0]
         assert entry[(1, 0, 1)] == 1
         entry[(1, 0, 1)] = 2
         return degrees, diffs

@@ -10,12 +10,11 @@ from borelschur.combinatorics import compositions, interval_points
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import Echelon, add_scaled
-from borelschur.resolutions import (ModuleComplex, by_column, free_basis,
-                                    is_exact, minimal_resolution)
+from borelschur.resolutions import ModuleComplex, is_exact, minimal_resolution
 from borelschur.transport import (max_reachable_height, resolve_simple,
                                   transport_resolution)
 from oracles import (column_kernel, columns, composed_report,
-                     first_syzygy_degrees, kostant_betti, multiply,
+                     first_syzygy_degrees, free_basis, kostant_betti, multiply,
                      one_variable_betti, slice_exact, tamper_one_coefficient)
 
 QQ = Rationals()
@@ -153,7 +152,7 @@ def test_exactness_tripwire():
     c = minimal_resolution(alg, PrimeField(2), 3, 4)
     assert is_exact(c.verify())
     # zero out one differential entry: exactness must break
-    (key, entry) = next(iter(c.diffs[0].items()))
+    entry = next(iter(next(iter(c.diffs[0].values())).values()))
     saved = dict(entry)
     entry.clear()
     assert not is_exact(c.verify())
@@ -169,7 +168,7 @@ def test_top_tripwire():
     c = minimal_resolution(alg, PrimeField(3), 1, 4)
     assert is_exact(c.verify()) and slice_exact(c)
     c.gens[1].append((0, 0))
-    c.diffs[0][0, len(c.gens[1]) - 1] = {alg.unit: c.field.one}
+    c.diffs[0][len(c.gens[1]) - 1] = {0: {alg.unit: c.field.one}}
     report = c.verify()
     assert report["d_squared_zero"] and not report["exact_spots"]
     assert not report["top"] and not is_exact(report)
@@ -184,9 +183,9 @@ def test_exactness_requires_differentials_to_compose_to_zero():
     field = PrimeField(3)
     c = minimal_resolution(alg, field, 3, 5)
     m = (1, 0, 2)
-    assert c.diffs[1][(0, 5)] == {m: 2}
+    assert c.diffs[1][5][0] == {m: 2}
     diffs = [dict(d) for d in c.diffs]
-    diffs[1][(0, 5)] = {m: 1}
+    diffs[1][5] = {**c.diffs[1][5], 0: {m: 1}}
     bad = ModuleComplex(alg, field, c.gens, diffs, c.blocks)
     assert bad.verify()["minimal"]
     assert not is_exact(bad.verify())
@@ -281,8 +280,8 @@ def test_a_failed_d_squared_reports_the_true_ranks():
     full elimination."""
     alg, field = DividedPowerAlgebra(2), PrimeField(2)
     c = minimal_resolution(alg, field, 3, 4)
-    assert c.gens[2][1] == c.gens[3][0] == (3,) and (1, 0) not in c.diffs[2]
-    c.diffs[2][1, 0] = {alg.unit: field.one}
+    assert c.gens[2][1] == c.gens[3][0] == (3,) and 1 not in c.diffs[2][0]
+    c.diffs[2][0][1] = {alg.unit: field.one}
     oracle = composed_report(c)
     assert not oracle["d_squared_zero"] and oracle["ranks"] == [4, 4, 3]
     assert oracle["ranks"][1] + oracle["ranks"][2] > oracle["dims"][2]
@@ -312,8 +311,7 @@ def test_reader_work_on_the_bench_complex(monkeypatch):
     monkeypatch.setattr(kernel, "_insert", counted_insert)
     report = c.verify()
     assert is_exact(report)
-    assert composed == [col for d in c.diffs[1:]
-                        for col in by_column(d).values()]
+    assert composed == [col for d in c.diffs[1:] for col in d.values()]
     assert len(composed) == sum(map(len, c.gens[2:])) == 190
     assert sum(report["ranks"]) <= len(inserted) < 4000
 
@@ -354,10 +352,10 @@ def test_minimality_tripwire():
     c = minimal_resolution(alg, PrimeField(2), 2, 4)
     assert c.verify()["minimal"]
     # a unit entry of d_2 between generators of degree 2 in P_1 and P_2
-    assert c.gens[1][1] == c.gens[2][0] == (2,) and (1, 0) not in c.diffs[1]
-    c.diffs[1][(1, 0)] = {alg.unit: c.field.one}
+    assert c.gens[1][1] == c.gens[2][0] == (2,) and 1 not in c.diffs[1][0]
+    c.diffs[1][0][1] = {alg.unit: c.field.one}
     assert not c.verify()["minimal"]
-    del c.diffs[1][(1, 0)]
+    del c.diffs[1][0][1]
     assert c.verify()["minimal"]
 
 
@@ -368,7 +366,7 @@ def test_an_inhomogeneous_entry_is_refused():
     alg = DividedPowerAlgebra(2)
     c = minimal_resolution(alg, PrimeField(2), 2, 4)
     assert c.gens[0] == [(0,)] and c.gens[1][0] == (1,)
-    c.diffs[0][(0, 0)][alg.unit] = c.field.one
+    c.diffs[0][0][0][alg.unit] = c.field.one
     with pytest.raises(ValueError, match=r"entry \(0, 0\) of d_1"):
         c.verify()
 
@@ -405,18 +403,17 @@ def test_differentials_compose_to_zero_exactly():
         lower = c.diffs[i - 1]
         upper = c.diffs[i]
         composite = {}
-        for (s, u), a in upper.items():
-            for (t, s2), b in lower.items():
-                if s2 != s:
-                    continue
-                prod = multiply(alg, a, b, field)
-                acc = composite.setdefault((t, u), {})
-                for m, x in prod.items():
-                    v = field.of(acc.get(m, field.zero) + x)
-                    if v == field.zero:
-                        acc.pop(m, None)
-                    else:
-                        acc[m] = v
+        for u, col in upper.items():
+            for s, a in col.items():
+                for t, b in lower.get(s, {}).items():
+                    prod = multiply(alg, a, b, field)
+                    acc = composite.setdefault((t, u), {})
+                    for m, x in prod.items():
+                        v = field.of(acc.get(m, field.zero) + x)
+                        if v == field.zero:
+                            acc.pop(m, None)
+                        else:
+                            acc[m] = v
         assert all(not e for e in composite.values())
 
 
@@ -464,7 +461,7 @@ def all_kernel_cover(kernel, between, mul, field, pivoting):
             gens.append(p)
             for k, c in residual.items():
                 t, y = basis[k]
-                diff.setdefault((t, s), {})[y] = c
+                diff.setdefault(s, {}).setdefault(t, {})[y] = c
     return gens, diff
 
 
@@ -492,14 +489,16 @@ def two_pass_resolve(pieces, top, between, mul, field, length, pivoting):
                 continue
             dst = free_basis(gens[-2], [p], between)
             vecs = column_kernel(
-                columns(src, dst, by_column(diff), mul), field)
+                columns(src, dst, diff, mul), field)
             if vecs:
                 kernel[p] = (vecs, src)
     return gens, diffs
 
 
-def both_engines(*args):
-    return resolutions.resolve(*args), two_pass_resolve(*args)
+def both_engines(alg, pieces, top, field, length, pivoting):
+    return (resolutions.resolve(alg, pieces, top, field, length, pivoting),
+            two_pass_resolve(pieces, top, alg.between, alg.product_terms,
+                             field, length, pivoting))
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,9 +508,8 @@ def test_cover_matches_all_kernel_oracle_on_degrees(n, char, length, height,
                                                     pivoting):
     alg = DividedPowerAlgebra(n)
     field = field_of_characteristic(char)
-    engine, oracle = both_engines(alg.degrees_to_height(height),
-                                  (0,) * (n - 1), alg.between,
-                                  alg.product_terms, field, length, pivoting)
+    engine, oracle = both_engines(alg, alg.degrees_to_height(height),
+                                  (0,) * (n - 1), field, length, pivoting)
     assert engine == oracle
 
 
@@ -534,9 +532,64 @@ def test_cover_matches_all_kernel_oracle_on_heads(n, r, char, pivoting):
             # every step raises the height of the weight
             length = max_reachable_height(lam, n, r) + 1
             engine, oracle = both_engines(
-                sorted(set(algebra.heads)), lam, algebra.between,
-                algebra.product_terms, algebra.field, length, pivoting)
+                algebra, sorted(set(algebra.heads)), lam, algebra.field,
+                length, pivoting)
             assert engine == oracle
+
+
+PROTOCOL = {"between", "module_basis", "product_terms", "is_unit"}
+
+
+class ProtocolOnly:
+    """An algebra that answers only the engine's four questions: asking it
+    for any other attribute fails the test."""
+
+    def __init__(self, alg):
+        self.alg = alg
+
+    def __getattribute__(self, name):
+        if name not in PROTOCOL:
+            raise AssertionError(f"the algebra was asked for {name!r}")
+        return getattr(object.__getattribute__(self, "alg"), name)
+
+
+def protocol_cases(char):
+    """(algebra, pieces, top, length, blocks): the trivial module over the
+    divided-power algebra, and each simple over the Borel algebra and
+    the interval algebra, at n = 3, r = 3."""
+    alg = DividedPowerAlgebra(3)
+    pieces = alg.degrees_to_height(6)
+    yield alg, pieces, (0, 0), 4, [[p] for p in pieces]
+    for algebra in head_algebras(3, 3, char):
+        heads = sorted(set(algebra.heads))
+        for lam in compositions(3, 3):
+            yield algebra, heads, lam, 4, [heads]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("pivoting", ["first", "last"])
+def test_engine_and_reader_ask_only_the_protocol(char, pivoting):
+    """`resolve` and `ModuleComplex.verify` over an algebra that exposes
+    only `between`, `module_basis`, `product_terms` and `is_unit` give
+    what they give over the algebra itself, for each family; so does
+    `verify` on a resolution pushed down to the Borel algebra."""
+    field = field_of_characteristic(char)
+    for alg, pieces, top, length, blocks in protocol_cases(char):
+        proxy = ProtocolOnly(alg)
+        gens, diffs = resolutions.resolve(alg, pieces, top, field, length,
+                                          pivoting)
+        assert resolutions.resolve(proxy, pieces, top, field, length,
+                                   pivoting) == (gens, diffs)
+        assert (ModuleComplex(proxy, field, gens, diffs, blocks).verify()
+                == ModuleComplex(alg, field, gens, diffs, blocks).verify())
+    graded = minimal_resolution(DividedPowerAlgebra(3), field, 4, 6)
+    borel = BorelAlgebra(3, 3, field, alg=graded.alg)
+    pushed = transport_resolution(graded, (1, 1, 1), 3, borel=borel)
+    assert (ModuleComplex(ProtocolOnly(borel), field, pushed.gens,
+                          pushed.diffs, pushed.blocks).verify()
+            == pushed.verify())
+    with pytest.raises(AssertionError, match="'n'"):
+        ProtocolOnly(graded.alg).n
 
 
 def assert_associative(mul, field, x, y, z):
@@ -607,7 +660,7 @@ def test_cover_stops_after_the_last_new_generator(monkeypatch, cols, vecs,
     new generator's residual is reduced once more, as a copy, when it is
     inserted.)"""
     rad = Echelon(PrimeField(3))
-    rad.insert_columns(cols, kernel=False)
+    rad.eliminate(map(rad._vec, cols), kernel=False)
     calls = counting_reduce(monkeypatch)
     assert rad.cover(vecs) == fresh
     assert len([v for v in calls if any(v is w for w in vecs)]) == reduced

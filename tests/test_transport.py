@@ -13,8 +13,7 @@ from borelschur.combinatorics import (compositions, coords_to_vector,
 from borelschur.divided_powers import DividedPowerAlgebra
 from borelschur.fields import PrimeField, Rationals, field_of_characteristic
 from borelschur.linalg import add_scaled
-from borelschur.resolutions import (ModuleComplex, by_column, is_exact,
-                                    minimal_resolution)
+from borelschur.resolutions import ModuleComplex, is_exact, minimal_resolution
 from borelschur.transport import (
     ext_table_csv,
     max_reachable_height,
@@ -100,10 +99,10 @@ def test_minimality_tripwire():
     assert verification(bc)["minimal"]
     # a unit entry of d_2 between the generators at (2, 0) of P_1 and P_2
     assert bc.gens[1][1] == bc.gens[2][0] == (2, 0)
-    assert (1, 0) not in bc.diffs[1]
-    bc.diffs[1][(1, 0)] = {bc.alg.index[alg.unit, (2, 0)]: bc.field.one}
+    assert 1 not in bc.diffs[1][0]
+    bc.diffs[1][0][1] = {bc.alg.index[alg.unit, (2, 0)]: bc.field.one}
     assert not verification(bc)["minimal"]
-    del bc.diffs[1][(1, 0)]
+    del bc.diffs[1][0][1]
     assert verification(bc)["minimal"]
 
 
@@ -114,7 +113,7 @@ def test_an_inhomogeneous_entry_is_refused():
     alg = DividedPowerAlgebra(2)
     bc = transport_resolution(minimal_resolution(alg, F2, 4, 4), (0, 2), 2)
     assert bc.gens[0] == [(0, 2)] and bc.gens[1][0] == (1, 1)
-    bc.diffs[0][(0, 0)][bc.alg.index[alg.unit, (0, 2)]] = bc.field.one
+    bc.diffs[0][0][0][bc.alg.index[alg.unit, (0, 2)]] = bc.field.one
     with pytest.raises(ValueError, match=r"entry \(0, 0\) of d_1"):
         verification(bc)
 
@@ -124,7 +123,7 @@ def test_d_squared_tripwire():
     # but d_1 d_2 no longer vanishes
     gc = minimal_resolution(DividedPowerAlgebra(3), F3, 4, 6)
     bc = transport_resolution(gc, (0, 1, 1), 2)
-    entry = bc.diffs[1][(0, 0)]
+    entry = bc.diffs[1][0][0]
     assert entry[14] == 1
     entry[14] = 2
     report = verification(bc)
@@ -236,19 +235,21 @@ def test_two_stage_truncation_matches_direct():
                 if arrow_is_kept(alg, (alg.unit, w), r):
                     new_s[s] = cnt
                     cnt += 1
-            for (t, s), entry in diff.items():
-                if t not in keep[i] or s not in keep[i + 1]:
-                    continue
-                base = keep[i][t]
-                # stage one restricts to arrows inside the interval
-                staged = {(m, base): c for m, c in entry.items()
-                          if point_add(base, coords_to_vector(degree(alg, m)))
-                          in interval}
-                if t not in new_t or s not in new_s:
-                    continue
-                vec = borel.reduce_element(staged)
-                if vec:
-                    rebuilt[(new_t[t], new_s[s])] = vec
+            for s, col in diff.items():
+                for t, entry in col.items():
+                    if t not in keep[i] or s not in keep[i + 1]:
+                        continue
+                    base = keep[i][t]
+                    # stage one restricts to arrows inside the interval
+                    staged = {(m, base): c for m, c in entry.items()
+                              if point_add(base,
+                                           coords_to_vector(degree(alg, m)))
+                              in interval}
+                    if t not in new_t or s not in new_s:
+                        continue
+                    vec = borel.reduce_element(staged)
+                    if vec:
+                        rebuilt.setdefault(new_s[s], {})[new_t[t]] = vec
             assert rebuilt == direct.diffs[i]
 
 
@@ -396,13 +397,13 @@ def test_interval_truncation_keeps_the_generators_inside(case):
 
 def d_squared_oracle(bc):
     """d_i d_{i+1} = 0 entry by entry: the composite's entry at (t, u) is
-    the sum over s of the algebra products d_{i+1}[s, u] * d_i[t, s]."""
+    the sum over s of the algebra products d_{i+1}[u][s] * d_i[s][t]."""
     algebra, field = bc.alg, bc.field
     for lower, upper in zip(bc.diffs, bc.diffs[1:]):
         composite = {}
-        for (s, u), a in upper.items():
-            for (t, s2), b in lower.items():
-                if s2 == s:
+        for u, col in upper.items():
+            for s, a in col.items():
+                for t, b in lower.get(s, {}).items():
                     add_scaled(composite.setdefault((t, u), {}),
                                algebra.product(a, b), field.one, field)
         if any(composite.values()):
@@ -421,12 +422,13 @@ def test_verify_d_squared_matches_entry_oracle(case, data):
     bc = transport_resolution(gc, lam, r)
     # a coefficient of a diff that composes with a nonempty neighbour
     nonempty = [i for i, diff in enumerate(bc.diffs) if diff]
-    slots = [(i, key, a) for i in nonempty
+    slots = [(i, (t, s), a) for i in nonempty
              if i - 1 in nonempty or i + 1 in nonempty
-             for key, entry in bc.diffs[i].items() for a in entry]
+             for s, col in bc.diffs[i].items() for t, entry in col.items()
+             for a in entry]
     if slots and data.draw(st.booleans(), label="corrupt"):
-        i, key, a = data.draw(st.sampled_from(slots), label="slot")
-        entry = bc.diffs[i][key]
+        i, (t, s), a = data.draw(st.sampled_from(slots), label="slot")
+        entry = bc.diffs[i][s][t]
         c = field.of(entry[a] + data.draw(st.integers(1, 2)))
         if c == field.zero:
             del entry[a]
@@ -451,7 +453,7 @@ def test_one_block_sums_the_head_blocks(case, data):
     gc = minimal_resolution(DividedPowerAlgebra(n), field, length, height)
     bc = transport_resolution(gc, lam, r)
     tamper_one_coefficient(bc, data)
-    algebra, maps = bc.alg, [by_column(d) for d in bc.diffs]
+    algebra, maps = bc.alg, bc.diffs
     dims, ranks, d2 = [0] * len(bc.gens), [0] * len(bc.diffs), True
     for w in set(algebra.heads):
         bases = [[(t, a) for t, g in enumerate(gens)
@@ -485,7 +487,7 @@ def test_contractible_pair_is_exact_but_not_minimal(case, data):
     diffs = [dict(d) for d in c.diffs]
     gens[i].append(gamma)
     gens[i + 1].append(gamma)
-    diffs[i][len(gens[i]) - 1, len(gens[i + 1]) - 1] = {alg.unit: field.one}
+    diffs[i][len(gens[i + 1]) - 1] = {len(gens[i]) - 1: {alg.unit: field.one}}
     report = ModuleComplex(alg, field, gens, diffs, c.blocks).verify()
     assert report["d_squared_zero"] and is_exact(report)
     assert not report["minimal"]
